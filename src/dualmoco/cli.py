@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import datagen, evaluation, trainer
-from .encoder import EncoderParams, Pooling, encode_batch, load_checkpoint, save_checkpoint
+from .encoder import Pooling, encode_batch, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigError,
     CorpusParseError,
@@ -43,24 +42,21 @@ MINING_VAL_FILE = "mining_validation.json"
 MINING_TEST_FILE = "mining_test.json"
 GEN_CONFIG_FILE = "gen_config.json"
 
-
-def _config_from_dict(cls, doc: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - names)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    return cls(**doc)
-
-
-def _config_from_file(cls, path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return _config_from_dict(cls, doc)
+# Every config field is settable by --config and by its own flag, which is
+# --<field name with dashes> unless named here.
+FLAG_NAMES = {
+    "data_dir": "data",
+    "out_dir": "out",
+    "lr_max": "lr",
+    "queue_capacity": "queue-size",
+    "nli_enabled": "nli",
+    "ablation_no_momentum": "no-momentum",
+}
+FLAG_CHOICES = {
+    "pooling": [p.value for p in Pooling],
+    "split": list(datagen.SPLITS),
+    "variant": ["distance", "ratio"],
+}
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
@@ -69,8 +65,40 @@ def _write_json(path: str | Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_resolved_config(out_dir: Path, command: str, config) -> None:
-    _write_json(out_dir / f"{command.replace('-', '_')}_config.json", dataclasses.asdict(config))
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of config dataclass `cls`; None means "not given"."""
+    parser.add_argument("--config", default=None, help=f"JSON file of {cls.__name__} fields")
+    for f in dataclasses.fields(cls):
+        flag = "--" + FLAG_NAMES.get(f.name, f.name.replace("_", "-"))
+        default = getattr(f.default, "value", f.default)
+        common = dict(dest=f.name, default=None, help=f"{f.name} (default: {default})")
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, action="store_true", **common)
+        else:
+            choices = FLAG_CHOICES.get(f.name)
+            parser.add_argument(flag, type=str if choices else type(f.default), choices=choices, **common)
+
+
+def _resolve_config(cls, args: argparse.Namespace):
+    """The defaults, overridden by the --config file, overridden by each flag given."""
+    doc = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{args.config}: invalid JSON ({e})") from e
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    for name, value in doc.items():
+        if name in FLAG_CHOICES and value not in FLAG_CHOICES[name]:
+            raise ConfigError(f"{name} must be one of {FLAG_CHOICES[name]} (got {value!r})")
+    return cls(**{**doc, **flags})
 
 
 @dataclass
@@ -96,60 +124,12 @@ class GenConfig:
 
 
 @dataclass
-class RunConfig:
-    """Resolved parameters for one training run (mirrors TrainConfig plus paths)."""
+class RunConfig(trainer.TrainConfig):
+    """Resolved parameters for one training run: TrainConfig plus paths."""
 
     data_dir: str = "data"
     out_dir: str = "run"
-    epochs: int = 10
-    batch_size: int = 64
-    lr_max: float = 1e-2
-    warmup_steps: int = 50
-    queue_capacity: int = 1024
-    temperature: float = 0.04
-    momentum: float = 0.99
-    grad_clip: float = 10.0
-    weight_decay: float = 1e-4
-    seed: int = 0
-    pooling: str = "mean"
-    d_emb: int = 32
-    d_out: int = 32
     nli_enabled: bool = False
-    nli_weight: float = 0.1
-    nli_batch_size: int = 128
-    nli_dropout: float = 0.1
-    ablation_no_momentum: bool = False
-
-    def to_train_config(self) -> trainer.TrainConfig:
-        cfg = trainer.TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr_max=self.lr_max,
-            warmup_steps=self.warmup_steps,
-            queue_capacity=self.queue_capacity,
-            temperature=self.temperature,
-            momentum=self.momentum,
-            grad_clip=self.grad_clip,
-            weight_decay=self.weight_decay,
-            seed=self.seed,
-            pooling=Pooling(self.pooling),
-            d_emb=self.d_emb,
-            d_out=self.d_out,
-            nli_weight=self.nli_weight,
-            nli_batch_size=self.nli_batch_size,
-            nli_dropout=self.nli_dropout,
-            ablation_no_momentum=self.ablation_no_momentum,
-        )
-        cfg.validate()
-        return cfg
-
-
-def _apply_overrides(config, args: argparse.Namespace, mapping: dict[str, str]):
-    for attr, field_name in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(config, field_name, value)
-    return config
 
 
 def _setup_logging() -> None:
@@ -160,48 +140,12 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _threaded_encode(
-    params: EncoderParams, batch: Sequence, pooling: Pooling, threads: int
-) -> np.ndarray:
-    """Chunked read-only encoding; chunk order keeps the output deterministic."""
-    if threads <= 1 or len(batch) < 2 * threads:
-        return encode_batch(params, batch, pooling)
-    chunks = np.array_split(np.arange(len(batch)), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda ids: encode_batch(params, [batch[i] for i in ids], pooling), chunks)
-        )
-    return np.concatenate(parts, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    config = _config_from_file(GenConfig, args.config) if args.config else GenConfig()
-    _apply_overrides(
-        config,
-        args,
-        {
-            "seed": "seed",
-            "concepts": "concepts",
-            "noise_tokens": "noise_tokens",
-            "train_pairs": "train_pairs",
-            "val_pairs": "val_pairs",
-            "test_pairs": "test_pairs",
-            "len_min": "len_min",
-            "len_max": "len_max",
-            "noise_rate": "noise_rate",
-            "sts_pairs": "sts_pairs",
-            "nli_triples": "nli_triples",
-            "mining_side_a": "mining_side_a",
-            "mining_side_b": "mining_side_b",
-            "mining_parallel_fraction": "mining_parallel_fraction",
-            "out": "out_dir",
-        },
-    )
+def cmd_gen_data(config: GenConfig) -> int:
     lexicon = datagen.make_lexicon(config.concepts, config.noise_tokens, seed=config.seed)
     len_range = (config.len_min, config.len_max)
     corpus = datagen.gen_parallel_corpus(
@@ -216,25 +160,18 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     )
     sts = datagen.gen_sts_pairs(lexicon, config.sts_pairs, seed=config.seed + 2)
     nli = datagen.gen_nli_triples(lexicon, config.nli_triples, seed=config.seed + 3)
-    mining_val = datagen.gen_mining_corpus(
-        lexicon,
-        config.mining_side_a,
-        config.mining_side_b,
-        config.mining_parallel_fraction,
-        seed=config.seed + 4,
-        len_range=len_range,
-        noise_rate=config.noise_rate,
-        reorder_b=config.reorder_b,
-    )
-    mining_test = datagen.gen_mining_corpus(
-        lexicon,
-        config.mining_side_a,
-        config.mining_side_b,
-        config.mining_parallel_fraction,
-        seed=config.seed + 5,
-        len_range=len_range,
-        noise_rate=config.noise_rate,
-        reorder_b=config.reorder_b,
+    mining_val, mining_test = (
+        datagen.gen_mining_corpus(
+            lexicon,
+            config.mining_side_a,
+            config.mining_side_b,
+            config.mining_parallel_fraction,
+            seed=config.seed + offset,
+            len_range=len_range,
+            noise_rate=config.noise_rate,
+            reorder_b=config.reorder_b,
+        )
+        for offset in (4, 5)
     )
 
     out = Path(config.out_dir)
@@ -261,34 +198,8 @@ def _load_vocab_sizes(data_dir: Path) -> tuple[int | None, int | None]:
     return doc.get("vocab_size_a"), doc.get("vocab_size_b")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _config_from_file(RunConfig, args.config) if args.config else RunConfig()
-    _apply_overrides(
-        config,
-        args,
-        {
-            "data": "data_dir",
-            "out": "out_dir",
-            "epochs": "epochs",
-            "batch_size": "batch_size",
-            "lr": "lr_max",
-            "warmup_steps": "warmup_steps",
-            "queue_size": "queue_capacity",
-            "temperature": "temperature",
-            "momentum": "momentum",
-            "grad_clip": "grad_clip",
-            "weight_decay": "weight_decay",
-            "seed": "seed",
-            "pooling": "pooling",
-            "d_emb": "d_emb",
-            "d_out": "d_out",
-            "nli": "nli_enabled",
-            "nli_weight": "nli_weight",
-            "nli_batch_size": "nli_batch_size",
-            "no_momentum": "ablation_no_momentum",
-        },
-    )
-    train_config = config.to_train_config()
+def cmd_train(config: RunConfig) -> int:
+    config.validate()
 
     data_dir = Path(config.data_dir)
     corpus = datagen.load_tsv(str(data_dir / PARALLEL_FILE))
@@ -302,7 +213,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = trainer.train(
-        train_config, corpus, nli_data=nli, sts_pairs=sts, vocab_size_a=vocab_a, vocab_size_b=vocab_b
+        config, corpus, nli_data=nli, sts_pairs=sts, vocab_size_a=vocab_a, vocab_size_b=vocab_b
     )
 
     save_checkpoint(str(out / "checkpoint.bin"), result.params_a, result.params_b)
@@ -314,10 +225,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             ]:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.write(json.dumps(epoch_record, sort_keys=True) + "\n")
-    _write_resolved_config(out, "train", config)
+    _write_json(out / "train_config.json", dataclasses.asdict(config))
     final = result.epoch_records[-1]
     print(
-        f"trained {train_config.epochs} epochs: "
+        f"trained {config.epochs} epochs: "
         f"acc_ab={final['retrieval_acc_ab']:.4f} acc_ba={final['retrieval_acc_ba']:.4f}"
     )
     return 0
@@ -329,19 +240,18 @@ class EmbedConfig:
     data_dir: str = "data"
     split: str = "test"
     pooling: str = "mean"
-    threads: int = 1
     out_dir: str = "embeddings"
 
 
-def _embed_split(config: EmbedConfig) -> tuple[Path, Path, int]:
+def _embed_split(config: EmbedConfig) -> tuple[Path, Path, list[datagen.PairExample]]:
     params_a, params_b = load_checkpoint(config.checkpoint)
     corpus = datagen.load_tsv(str(Path(config.data_dir) / PARALLEL_FILE))
     pairs = corpus.split(config.split)
     if not pairs:
         raise EmptyCorpusError(f"split {config.split!r} has no pairs")
     pooling = Pooling(config.pooling)
-    embs_a = _threaded_encode(params_a, [p.tokens_a for p in pairs], pooling, config.threads)
-    embs_b = _threaded_encode(params_b, [p.tokens_b for p in pairs], pooling, config.threads)
+    embs_a = encode_batch(params_a, [p.tokens_a for p in pairs], pooling)
+    embs_b = encode_batch(params_b, [p.tokens_b for p in pairs], pooling)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     source = str(Path(config.data_dir) / PARALLEL_FILE)
@@ -349,49 +259,29 @@ def _embed_split(config: EmbedConfig) -> tuple[Path, Path, int]:
     path_b = out / f"{config.split}_b.emb"
     evaluation.save_embeddings(str(path_a), embs_a, source_corpus=f"{source}#{config.split}/a")
     evaluation.save_embeddings(str(path_b), embs_b, source_corpus=f"{source}#{config.split}/b")
-    return path_a, path_b, len(pairs)
+    return path_a, path_b, pairs
 
 
-def _embed_config_from_args(args: argparse.Namespace) -> EmbedConfig:
-    config = _config_from_file(EmbedConfig, args.config) if args.config else EmbedConfig()
-    return _apply_overrides(
-        config,
-        args,
-        {
-            "checkpoint": "checkpoint",
-            "data": "data_dir",
-            "split": "split",
-            "pooling": "pooling",
-            "threads": "threads",
-            "out": "out_dir",
-        },
-    )
-
-
-def cmd_embed(args: argparse.Namespace) -> int:
-    config = _embed_config_from_args(args)
-    path_a, path_b, count = _embed_split(config)
-    _write_resolved_config(Path(config.out_dir), "embed", config)
-    print(f"wrote {count} embeddings per side: {path_a} {path_b}")
+def cmd_embed(config: EmbedConfig) -> int:
+    path_a, path_b, pairs = _embed_split(config)
+    _write_json(Path(config.out_dir) / "embed_config.json", dataclasses.asdict(config))
+    print(f"wrote {len(pairs)} embeddings per side: {path_a} {path_b}")
     return 0
 
 
-def cmd_dump_embeddings(args: argparse.Namespace) -> int:
+def cmd_dump_embeddings(config: EmbedConfig) -> int:
     """Like embed, plus a manifest of pair concepts for external plotting."""
-    config = _embed_config_from_args(args)
-    path_a, path_b, count = _embed_split(config)
-    corpus = datagen.load_tsv(str(Path(config.data_dir) / PARALLEL_FILE))
-    pairs = corpus.split(config.split)
+    path_a, path_b, pairs = _embed_split(config)
     manifest = {
         "split": config.split,
-        "count": count,
+        "count": len(pairs),
         "embeddings_a": path_a.name,
         "embeddings_b": path_b.name,
         "concepts": [list(p.concepts) for p in pairs],
     }
     _write_json(Path(config.out_dir) / f"{config.split}_manifest.json", manifest)
-    _write_resolved_config(Path(config.out_dir), "dump_embeddings", config)
-    print(f"dumped {count} labelled embedding pairs to {config.out_dir}")
+    _write_json(Path(config.out_dir) / "dump_embeddings_config.json", dataclasses.asdict(config))
+    print(f"dumped {len(pairs)} labelled embedding pairs to {config.out_dir}")
     return 0
 
 
@@ -402,10 +292,7 @@ class RetrievalConfig:
     out: str = "retrieval.json"
 
 
-def cmd_eval_retrieval(args: argparse.Namespace) -> int:
-    config = _config_from_dict(
-        RetrievalConfig, {k: v for k, v in (("src", args.src), ("tgt", args.tgt), ("out", args.out)) if v is not None}
-    )
+def cmd_eval_retrieval(config: RetrievalConfig) -> int:
     embs_a = evaluation.load_embeddings(config.src)
     embs_b = evaluation.load_embeddings(config.tgt)
     acc_ab, acc_ba = evaluation.retrieval_accuracy(embs_a, embs_b)
@@ -423,27 +310,10 @@ class MineConfig:
     k: int = 3
     variant: str = "distance"
     pooling: str = "mean"
-    threads: int = 1
     out: str = "mining.json"
 
 
-def cmd_mine(args: argparse.Namespace) -> int:
-    config = _config_from_file(MineConfig, args.config) if args.config else MineConfig()
-    _apply_overrides(
-        config,
-        args,
-        {
-            "checkpoint": "checkpoint",
-            "data": "data_dir",
-            "k": "k",
-            "variant": "variant",
-            "pooling": "pooling",
-            "threads": "threads",
-            "out": "out",
-        },
-    )
-    if config.variant not in ("distance", "ratio"):
-        raise ConfigError(f"variant must be 'distance' or 'ratio' (got {config.variant!r})")
+def cmd_mine(config: MineConfig) -> int:
     params_a, params_b = load_checkpoint(config.checkpoint)
     pooling = Pooling(config.pooling)
     data_dir = Path(config.data_dir)
@@ -452,8 +322,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     def embed_sides(corpus: datagen.MiningCorpus) -> tuple[np.ndarray, np.ndarray]:
         return (
-            _threaded_encode(params_a, corpus.side_a, pooling, config.threads),
-            _threaded_encode(params_b, corpus.side_b, pooling, config.threads),
+            encode_batch(params_a, corpus.side_a, pooling),
+            encode_batch(params_b, corpus.side_b, pooling),
         )
 
     val_a, val_b = embed_sides(val)
@@ -487,13 +357,7 @@ class StsConfig:
     out: str = "sts.json"
 
 
-def cmd_eval_sts(args: argparse.Namespace) -> int:
-    config = _config_from_file(StsConfig, args.config) if args.config else StsConfig()
-    _apply_overrides(
-        config,
-        args,
-        {"checkpoint": "checkpoint", "data": "data_dir", "pooling": "pooling", "out": "out"},
-    )
+def cmd_eval_sts(config: StsConfig) -> int:
     params_a, _ = load_checkpoint(config.checkpoint)
     pairs = datagen.load_sts_tsv(str(Path(config.data_dir) / STS_FILE))
     rho = evaluation.sts_eval(params_a, pairs, Pooling(config.pooling))
@@ -511,92 +375,18 @@ def cmd_eval_sts(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dualmoco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-data", help="generate a synthetic bilingual dataset directory")
-    g.add_argument("--config", default=None, help="JSON file of GenConfig fields")
-    g.add_argument("--out", default=None, help="output dataset directory")
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--concepts", type=int, default=None)
-    g.add_argument("--noise-tokens", type=int, dest="noise_tokens", default=None)
-    g.add_argument("--train-pairs", type=int, dest="train_pairs", default=None)
-    g.add_argument("--val-pairs", type=int, dest="val_pairs", default=None)
-    g.add_argument("--test-pairs", type=int, dest="test_pairs", default=None)
-    g.add_argument("--len-min", type=int, dest="len_min", default=None)
-    g.add_argument("--len-max", type=int, dest="len_max", default=None)
-    g.add_argument("--noise-rate", type=float, dest="noise_rate", default=None)
-    g.add_argument("--sts-pairs", type=int, dest="sts_pairs", default=None)
-    g.add_argument("--nli-triples", type=int, dest="nli_triples", default=None)
-    g.add_argument("--mining-side-a", type=int, dest="mining_side_a", default=None)
-    g.add_argument("--mining-side-b", type=int, dest="mining_side_b", default=None)
-    g.add_argument(
-        "--mining-parallel-fraction", type=float, dest="mining_parallel_fraction", default=None
-    )
-    g.set_defaults(func=cmd_gen_data)
-
-    t = sub.add_parser("train", help="train the dual towers on a dataset directory")
-    t.add_argument("--config", default=None, help="JSON file of RunConfig fields")
-    t.add_argument("--data", default=None, help="dataset directory from gen-data")
-    t.add_argument("--out", default=None, help="run output directory")
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, dest="batch_size", default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--warmup-steps", type=int, dest="warmup_steps", default=None)
-    t.add_argument("--queue-size", type=int, dest="queue_size", default=None)
-    t.add_argument("--temperature", type=float, default=None)
-    t.add_argument("--momentum", type=float, default=None)
-    t.add_argument("--grad-clip", type=float, dest="grad_clip", default=None)
-    t.add_argument("--weight-decay", type=float, dest="weight_decay", default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--pooling", choices=[p.value for p in Pooling], default=None)
-    t.add_argument("--d-emb", type=int, dest="d_emb", default=None)
-    t.add_argument("--d-out", type=int, dest="d_out", default=None)
-    t.add_argument("--nli", action="store_true", dest="nli", default=None,
-                   help="enable the multitask inference head")
-    t.add_argument("--nli-weight", type=float, dest="nli_weight", default=None)
-    t.add_argument("--nli-batch-size", type=int, dest="nli_batch_size", default=None)
-    t.add_argument("--no-momentum", action="store_true", dest="no_momentum", default=None,
-                   help="share parameters between base and momentum towers")
-    t.set_defaults(func=cmd_train)
-
-    for name, func, extra_help in (
-        ("embed", cmd_embed, "encode one split of the parallel corpus to binary dumps"),
-        ("dump-embeddings", cmd_dump_embeddings, "embed plus a concept manifest for plotting"),
+    for name, cls, func, help_text in (
+        ("gen-data", GenConfig, cmd_gen_data, "generate a synthetic bilingual dataset directory"),
+        ("train", RunConfig, cmd_train, "train the dual towers on a dataset directory"),
+        ("embed", EmbedConfig, cmd_embed, "encode one split of the parallel corpus to binary dumps"),
+        ("dump-embeddings", EmbedConfig, cmd_dump_embeddings, "embed plus a concept manifest for plotting"),
+        ("eval-retrieval", RetrievalConfig, cmd_eval_retrieval, "rank-1 accuracy between two embedding dumps"),
+        ("mine", MineConfig, cmd_mine, "margin-based mining with validation-tuned threshold"),
+        ("eval-sts", StsConfig, cmd_eval_sts, "rank correlation against gold similarity"),
     ):
-        e = sub.add_parser(name, help=extra_help)
-        e.add_argument("--config", default=None)
-        e.add_argument("--checkpoint", default=None)
-        e.add_argument("--data", default=None)
-        e.add_argument("--split", choices=list(datagen.SPLITS), default=None)
-        e.add_argument("--pooling", choices=[p.value for p in Pooling], default=None)
-        e.add_argument("--threads", type=int, default=None)
-        e.add_argument("--out", default=None, help="output directory")
-        e.set_defaults(func=func)
-
-    r = sub.add_parser("eval-retrieval", help="rank-1 accuracy between two embedding dumps")
-    r.add_argument("--src", default=None)
-    r.add_argument("--tgt", default=None)
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=cmd_eval_retrieval)
-
-    m = sub.add_parser("mine", help="margin-based mining with validation-tuned threshold")
-    m.add_argument("--config", default=None)
-    m.add_argument("--checkpoint", default=None)
-    m.add_argument("--data", default=None)
-    m.add_argument("--k", type=int, default=None)
-    m.add_argument("--variant", choices=["distance", "ratio"], default=None)
-    m.add_argument("--pooling", choices=[p.value for p in Pooling], default=None)
-    m.add_argument("--threads", type=int, default=None)
-    m.add_argument("--out", default=None)
-    m.set_defaults(func=cmd_mine)
-
-    s = sub.add_parser("eval-sts", help="rank correlation against gold similarity")
-    s.add_argument("--config", default=None)
-    s.add_argument("--checkpoint", default=None)
-    s.add_argument("--data", default=None)
-    s.add_argument("--pooling", choices=[p.value for p in Pooling], default=None)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_eval_sts)
-
+        command = sub.add_parser(name, help=help_text)
+        _add_config_flags(command, cls)
+        command.set_defaults(func=func, config_cls=cls)
     return parser
 
 
@@ -604,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _setup_logging()
-        return args.func(args)
+        return args.func(_resolve_config(args.config_cls, args))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

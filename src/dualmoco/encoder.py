@@ -15,10 +15,13 @@ parameter settings (it is still checked and raised).
 
 from __future__ import annotations
 
+import hashlib
+import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -215,52 +218,83 @@ def encode_backward(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "DMC1", then vocab_size, d_emb, d_out as 8-byte
-# little-endian unsigned integers, then embedding / proj_w / proj_b as 8-byte
-# little-endian doubles in row-major order, encoder A followed by encoder B.
+# Tensor files: a 4-byte magic, a header of 8-byte little-endian unsigned
+# integers, then tensors as 8-byte little-endian doubles in row-major order.
+# Checkpoints (magic "DMC1") have the header (vocab_size, d_emb, d_out) and
+# the three tensors of encoder A followed by those of encoder B; embedding
+# dumps (magic "DMCE", see evaluation.py) have (count, dim) and one matrix.
 # ---------------------------------------------------------------------------
 
 
-def _write_tensor(fh: BinaryIO, a: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+def write_tensor_file(
+    path: str, magic: bytes, header: Sequence[int], tensors: Sequence[np.ndarray]
+) -> str:
+    """Write a tensor file and return the sha256 of its bytes.
+
+    The bytes go to a temporary file that replaces `path` only once complete,
+    so a save that fails leaves any previous file intact.
+    """
+    data = b"".join(
+        [magic, struct.pack(f"<{len(header)}Q", *header)]
+        + [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in tensors]
+    )
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _read_tensor(fh: BinaryIO, shape: tuple[int, ...], path: str) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise CorpusParseError(f"{path}: truncated checkpoint tensor")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+def read_tensor_file(
+    path: str,
+    magic: bytes,
+    header_len: int,
+    shapes: Callable[[tuple[int, ...]], list[tuple[int, ...]]],
+) -> tuple[tuple[int, ...], list[np.ndarray], str]:
+    """Read a tensor file; return its header, its tensors and its sha256.
+
+    `shapes` maps the header to the shapes of the tensors that follow it.
+    The file size must match them exactly before any tensor is parsed.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != magic:
+        raise CorpusParseError(f"{path}: bad magic {data[:4]!r} (expected {magic!r})")
+    offset = 4 + 8 * header_len
+    if len(data) < offset:
+        raise CorpusParseError(f"{path}: truncated header")
+    header = struct.unpack_from(f"<{header_len}Q", data, 4)
+    layout = [(shape, math.prod(shape)) for shape in shapes(header)]
+    expected = offset + 8 * sum(size for _, size in layout)
+    if len(data) < expected:
+        raise CorpusParseError(f"{path}: truncated ({len(data)} bytes, header needs {expected})")
+    if len(data) > expected:
+        raise CorpusParseError(f"{path}: trailing bytes after the payload")
+    tensors = []
+    for shape, size in layout:
+        tensors.append(np.frombuffer(data, "<f8", size, offset).astype(np.float64).reshape(shape))
+        offset += 8 * size
+    return header, tensors, hashlib.sha256(data).hexdigest()
+
+
+def _checkpoint_shapes(header: tuple[int, ...]) -> list[tuple[int, ...]]:
+    vocab, d_emb, d_out = header
+    return [(vocab, d_emb), (d_emb, d_out), (d_out,)] * 2
 
 
 def save_checkpoint(path: str, params_a: EncoderParams, params_b: EncoderParams) -> None:
     """Write both encoder towers to one binary checkpoint file."""
     if params_a.shapes() != params_b.shapes():
         raise ShapeMismatchError("encoder towers must share shapes in a checkpoint")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<QQQ", params_a.vocab_size, params_a.d_emb, params_a.d_out))
-        for p in (params_a, params_b):
-            for a in p.arrays():
-                _write_tensor(fh, a)
+    header = (params_a.vocab_size, params_a.d_emb, params_a.d_out)
+    write_tensor_file(path, CHECKPOINT_MAGIC, header, [*params_a.arrays(), *params_b.arrays()])
 
 
 def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderParams]:
     """Read both encoder towers back from a checkpoint file."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CorpusParseError(f"{path}: bad checkpoint magic {magic!r}")
-        header = fh.read(24)
-        if len(header) != 24:
-            raise CorpusParseError(f"{path}: truncated checkpoint header")
-        vocab, d_emb, d_out = struct.unpack("<QQQ", header)
-        out = []
-        for _ in range(2):
-            emb = _read_tensor(fh, (vocab, d_emb), path)
-            w = _read_tensor(fh, (d_emb, d_out), path)
-            b = _read_tensor(fh, (d_out,), path)
-            out.append(EncoderParams(emb, w, b))
-        if fh.read(1):
-            raise CorpusParseError(f"{path}: trailing bytes after checkpoint payload")
-    return out[0], out[1]
+    _, tensors, _ = read_tensor_file(path, CHECKPOINT_MAGIC, 3, _checkpoint_shapes)
+    return EncoderParams(*tensors[:3]), EncoderParams(*tensors[3:])

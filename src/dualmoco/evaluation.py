@@ -10,15 +10,13 @@ validation set to maximize F1.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Pooling, encode_batch
+from .encoder import EncoderParams, Pooling, encode_batch, read_tensor_file, write_tensor_file
 from .errors import (
     CorpusParseError,
     DegenerateInputError,
@@ -228,8 +226,8 @@ def sts_eval(
 
 
 # ---------------------------------------------------------------------------
-# Embedding dump: magic "DMCE", count and dimension as 8-byte little-endian
-# unsigned integers, then rows as little-endian doubles; a JSON sidecar
+# Embedding dump: a tensor file (see encoder.write_tensor_file) with magic
+# "DMCE", header (count, dim) and one row-major matrix; a JSON sidecar
 # records {count, dim, source_corpus, checksum} with the sha256 of the
 # binary file.
 # ---------------------------------------------------------------------------
@@ -237,12 +235,7 @@ def sts_eval(
 
 def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") -> None:
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<QQ", embeddings.shape[0], embeddings.shape[1]))
-        fh.write(np.ascontiguousarray(embeddings, dtype="<f8").tobytes())
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = write_tensor_file(path, EMBEDDING_MAGIC, embeddings.shape, [embeddings])
     sidecar = {
         "count": embeddings.shape[0],
         "dim": embeddings.shape[1],
@@ -255,15 +248,21 @@ def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") 
 
 
 def load_embeddings(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != EMBEDDING_MAGIC:
-            raise CorpusParseError(f"{path}: bad embedding magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise CorpusParseError(f"{path}: truncated embedding header")
-        count, dim = struct.unpack("<QQ", header)
-        raw = fh.read(8 * count * dim)
-        if len(raw) != 8 * count * dim:
-            raise CorpusParseError(f"{path}: truncated embedding payload")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, dim)
+    """Read an embedding dump and verify it against its sidecar."""
+    (count, dim), (embeddings,), digest = read_tensor_file(
+        path, EMBEDDING_MAGIC, 2, lambda header: [header]
+    )
+    with open(path + ".json", "r", encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CorpusParseError(f"{path}.json: invalid JSON ({e})") from e
+    if not isinstance(sidecar, dict):
+        raise CorpusParseError(f"{path}.json: sidecar must be a JSON object")
+    expected = {"count": count, "dim": dim, "checksum": digest}
+    for key, value in expected.items():
+        if sidecar.get(key) != value:
+            raise CorpusParseError(
+                f"{path}: {key} {value!r} does not match sidecar value {sidecar.get(key)!r}"
+            )
+    return embeddings

@@ -13,9 +13,6 @@ see fewer (or zero) negatives instead of fabricated ones.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,13 +25,10 @@ from .encoder import (
     TokenSeq,
     encode_backward,
     encode_batch,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .errors import (
     BatchExceedsCapacityError,
     BatchLengthMismatchError,
-    CorpusParseError,
     DimensionMismatchError,
     NonPositiveTemperatureError,
     NonUnitInputError,
@@ -43,8 +37,6 @@ from .errors import (
 )
 
 UNIT_NORM_TOL = 1e-6
-
-QUEUE_MAGIC = b"DMCQ"
 
 
 @dataclass
@@ -336,69 +328,3 @@ def moco_step(
     """
     loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
     return loss, grads_a, grads_b, advance_state(state, batch_a, batch_b, pooling)
-
-
-# ---------------------------------------------------------------------------
-# Serialization for resumable training: base and momentum towers reuse the
-# encoder checkpoint format; queues use the same little-endian double layout
-# behind a "DMCQ" header.
-# ---------------------------------------------------------------------------
-
-
-def save_queue(path: str, queue: MemoryQueue) -> None:
-    with open(path, "wb") as fh:
-        fh.write(QUEUE_MAGIC)
-        fh.write(struct.pack("<QQQQ", queue.capacity, queue.dim, queue.write_index, queue.filled))
-        fh.write(np.ascontiguousarray(queue.slots, dtype="<f8").tobytes())
-
-
-def load_queue(path: str) -> MemoryQueue:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != QUEUE_MAGIC:
-            raise CorpusParseError(f"{path}: bad queue magic {magic!r}")
-        header = fh.read(32)
-        if len(header) != 32:
-            raise CorpusParseError(f"{path}: truncated queue header")
-        capacity, dim, write_index, filled = struct.unpack("<QQQQ", header)
-        raw = fh.read(8 * capacity * dim)
-        if len(raw) != 8 * capacity * dim:
-            raise CorpusParseError(f"{path}: truncated queue payload")
-        slots = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(capacity, dim)
-    return MemoryQueue(slots, int(write_index), int(filled))
-
-
-def save_state(directory: str, state: DualMocoState) -> None:
-    """Dump a full training state (both towers, EMA copies, queues, scalars)."""
-    os.makedirs(directory, exist_ok=True)
-    save_checkpoint(os.path.join(directory, "base.ckpt"), state.base_a, state.base_b)
-    save_checkpoint(
-        os.path.join(directory, "momentum.ckpt"),
-        state.momentum_a.params,
-        state.momentum_b.params,
-    )
-    save_queue(os.path.join(directory, "queue_a.bin"), state.queue_a)
-    save_queue(os.path.join(directory, "queue_b.bin"), state.queue_b)
-    meta = {
-        "temperature": state.temperature,
-        "momentum_a": state.momentum_a.coefficient,
-        "momentum_b": state.momentum_b.coefficient,
-    }
-    with open(os.path.join(directory, "state.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-
-
-def load_state(directory: str) -> DualMocoState:
-    base_a, base_b = load_checkpoint(os.path.join(directory, "base.ckpt"))
-    mom_a, mom_b = load_checkpoint(os.path.join(directory, "momentum.ckpt"))
-    with open(os.path.join(directory, "state.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return DualMocoState(
-        base_a=base_a,
-        base_b=base_b,
-        momentum_a=MomentumEncoder(mom_a, float(meta["momentum_a"])),
-        momentum_b=MomentumEncoder(mom_b, float(meta["momentum_b"])),
-        queue_a=load_queue(os.path.join(directory, "queue_a.bin")),
-        queue_b=load_queue(os.path.join(directory, "queue_b.bin")),
-        temperature=float(meta["temperature"]),
-    )

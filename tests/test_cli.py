@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dualmoco
 from dualmoco import cli
 from dualmoco.errors import NumericalFailureError
 
@@ -158,6 +162,21 @@ class TestTrain:
         lines = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert any(l.get("loss_nli", 0.0) > 0.0 for l in lines if "step" in l)
 
+    def test_blas_thread_count_does_not_change_outputs(self, pipeline, tmp_path):
+        _, data, _ = pipeline
+        src = str(Path(dualmoco.__file__).parents[1])
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            out = tmp_path / f"threads_{threads or 'default'}"
+            argv = [sys.executable, "-m", "dualmoco.cli", *tiny_train_args(data, out)]
+            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+            outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "metrics.jsonl")])
+        assert outputs[0] == outputs[1]
+
     def test_ablation_flag_recorded(self, pipeline, tmp_path):
         _, data, _ = pipeline
         out = tmp_path / "run_ablate"
@@ -191,21 +210,33 @@ class TestEvaluationCommands:
         assert doc["count"] == 40
         assert 0.0 <= doc["acc_forward"] <= 1.0
 
-    def test_embed_threads_match_single(self, pipeline, tmp_path):
+    def test_corrupt_embedding_dump_exits_3(self, pipeline, tmp_path, capsys):
         _, data, run = pipeline
-        single = tmp_path / "single"
-        threaded = tmp_path / "threaded"
-        base = [
+        emb = tmp_path / "embs"
+        assert cli.main([
             "embed",
             "--checkpoint", str(run / "checkpoint.bin"),
             "--data", str(data),
-            "--split", "validation",
-        ]
-        assert cli.main(base + ["--out", str(single)]) == 0
-        assert cli.main(base + ["--out", str(threaded), "--threads", "4"]) == 0
-        assert (single / "validation_a.emb").read_bytes() == (
-            threaded / "validation_a.emb"
-        ).read_bytes()
+            "--out", str(emb),
+        ]) == 0
+        dump = emb / "test_a.emb"
+        raw = bytearray(dump.read_bytes())
+        raw[-1] ^= 0x01
+        dump.write_bytes(bytes(raw))
+        argv = ["eval-retrieval", "--src", str(dump), "--tgt", str(emb / "test_b.emb"),
+                "--out", str(tmp_path / "retrieval.json")]
+        assert cli.main(argv) == 3
+        assert "checksum" in capsys.readouterr().err
+        assert not (tmp_path / "retrieval.json").exists()
+
+    def test_oversized_checkpoint_header_exits_3(self, pipeline, tmp_path):
+        _, data, run = pipeline
+        raw = (run / "checkpoint.bin").read_bytes()
+        bad = tmp_path / "checkpoint.bin"
+        bad.write_bytes(raw[:4] + (2**40).to_bytes(8, "little") + raw[12:])
+        argv = ["eval-sts", "--checkpoint", str(bad), "--data", str(data),
+                "--out", str(tmp_path / "sts.json")]
+        assert cli.main(argv) == 3
 
     def test_mine(self, pipeline, tmp_path):
         _, data, run = pipeline
@@ -270,6 +301,16 @@ class TestEnvAndArgs:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fit"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("eval-sts", "pooling", "bogus"), ("mine", "variant", "cosine"), ("embed", "split", "dev")],
+    )
+    def test_bad_choice_in_config_file_exits_2(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_bad_split_choice_exits_2(self, pipeline):
         _, data, run = pipeline

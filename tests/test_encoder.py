@@ -226,6 +226,25 @@ class TestCheckpoint:
         with pytest.raises(CorpusParseError, match="trailing"):
             load_checkpoint(str(path))
 
+    def test_oversized_header_rejected_before_reading(self, params, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(str(path), params, params)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + (2**40).to_bytes(8, "little") + raw[12:])
+        with pytest.raises(CorpusParseError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_file(self, params, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(str(path), params, params)
+        before = path.read_bytes()
+        broken = params.copy()
+        broken.proj_b = np.array(["x"] * 3, dtype=object)  # fails after tower A is serialized
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), params, broken)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["enc.ckpt"]
+
     def test_shape_mismatch_rejected(self, params, tmp_path):
         other = init_params(11, 4, 3, np.random.default_rng(2))
         with pytest.raises(ShapeMismatchError):

@@ -391,3 +391,33 @@ class TestEmbeddingDump:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(CorpusParseError, match="truncated"):
             load_embeddings(str(path))
+
+    def test_oversized_header_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "vectors.emb"
+        save_embeddings(str(path), random_unit_rows(3, 3, np.random.default_rng(25)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + (2**40).to_bytes(8, "little") + raw[12:])
+        with pytest.raises(CorpusParseError, match="truncated"):
+            load_embeddings(str(path))
+        path.write_bytes(raw + b"\x00" * 8)
+        with pytest.raises(CorpusParseError, match="trailing"):
+            load_embeddings(str(path))
+
+    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
+        path = tmp_path / "vectors.emb"
+        save_embeddings(str(path), random_unit_rows(3, 3, np.random.default_rng(26)))
+        raw = bytearray(path.read_bytes())
+        raw[30] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorpusParseError, match="checksum"):
+            load_embeddings(str(path))
+
+    def test_sidecar_shape_checked(self, tmp_path):
+        path = tmp_path / "vectors.emb"
+        save_embeddings(str(path), random_unit_rows(3, 3, np.random.default_rng(27)))
+        sidecar_path = tmp_path / "vectors.emb.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        for key in ("count", "dim"):
+            sidecar_path.write_text(json.dumps({**sidecar, key: 4}))
+            with pytest.raises(CorpusParseError, match=key):
+                load_embeddings(str(path))

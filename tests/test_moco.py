@@ -23,12 +23,10 @@ from dualmoco.moco import (
     enqueue_batch,
     info_nce,
     info_nce_query_grad,
-    load_state,
     loss_and_gradients,
     moco_step,
     momentum_update,
     new_state,
-    save_state,
     softmax_entropy,
 )
 
@@ -407,19 +405,6 @@ class TestMocoStep:
 
 
 class TestStateSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(22)
-        state = tiny_state(rng)
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(5, 8, rng))
-        save_state(str(tmp_path / "state"), state)
-        got = load_state(str(tmp_path / "state"))
-        np.testing.assert_array_equal(got.base_a.embedding, state.base_a.embedding)
-        np.testing.assert_array_equal(got.momentum_b.params.proj_w, state.momentum_b.params.proj_w)
-        np.testing.assert_array_equal(got.queue_a.slots, state.queue_a.slots)
-        assert got.queue_a.filled == 5 and got.queue_a.write_index == 5
-        assert got.temperature == state.temperature
-        assert got.momentum_a.coefficient == state.momentum_a.coefficient
-
     def test_temperature_validated(self):
         rng = np.random.default_rng(23)
         params = init_params(4, 3, 2, rng)
