@@ -21,6 +21,7 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,53 +106,75 @@ def init_params(vocab_size: int, d_emb: int, d_out: int, rng: np.random.Generato
     return EncoderParams(embedding, proj_w, proj_b)
 
 
-def _check_tokens(params: EncoderParams, tokens: TokenSeq, where: str = "") -> None:
-    if len(tokens) == 0:
-        raise TokenOutOfRangeError(f"{where}empty token sequence")
-    for t in tokens:
-        if not (0 <= int(t) < params.vocab_size):
-            raise TokenOutOfRangeError(
-                f"{where}token id {t} outside [0, {params.vocab_size})"
-            )
+def _pack(
+    params: EncoderParams, batch: Sequence[TokenSeq]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten a batch into token ids, lengths and start offsets.
 
-
-def _pool(rows: np.ndarray, pooling: Pooling) -> np.ndarray:
-    if pooling is Pooling.MEAN:
-        return rows.mean(axis=0)
-    if pooling is Pooling.MAX:
-        return rows.max(axis=0)
-    return rows[0]
+    Every sequence must be non-empty with ids in [0, vocab_size); otherwise
+    TokenOutOfRangeError names the first offending batch item.
+    """
+    n = len(batch)
+    lengths = np.fromiter(map(len, batch), np.intp, n)
+    starts = np.cumsum(lengths) - lengths
+    try:
+        ids = np.fromiter(chain.from_iterable(batch), np.intp, int(lengths.sum()))
+    except OverflowError:  # an id too large for intp: range-check the Python ints instead
+        ids = np.fromiter(chain.from_iterable(batch), object, int(lengths.sum()))
+    bad = np.flatnonzero((ids < 0) | (ids >= params.vocab_size))
+    empty = np.flatnonzero(lengths == 0)
+    if bad.size or empty.size:
+        # the last sentence starting at or before the bad position holds it
+        item = int(np.searchsorted(starts, bad[0], side="right")) - 1 if bad.size else n
+        if empty.size and empty[0] < item:
+            raise TokenOutOfRangeError(f"batch item {empty[0]}: empty token sequence")
+        t = batch[item][bad[0] - starts[item]]
+        raise TokenOutOfRangeError(
+            f"batch item {item}: token id {t} outside [0, {params.vocab_size})"
+        )
+    return ids, lengths, starts
 
 
 def encode(params: EncoderParams, tokens: TokenSeq, pooling: Pooling | str) -> np.ndarray:
     """Encode one token sequence into a unit-norm vector of dimension d_out."""
     pooling = Pooling(pooling)
-    _check_tokens(params, tokens)
-    h, _, _, _ = _forward_batch(params, [tokens], pooling)
+    h, _, _, _ = _forward_batch(params, _pack(params, [tokens]), pooling)
     return h[0]
 
 
 def _forward_batch(
-    params: EncoderParams, batch: Sequence[TokenSeq], pooling: Pooling
+    params: EncoderParams,
+    packed: tuple[np.ndarray, np.ndarray, np.ndarray],
+    pooling: Pooling,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared forward pass returning (H, Z, norms, pooled) for the batch.
+    """Shared forward pass over a packed batch, returning (H, Z, norms, pooled).
 
-    The projection runs row by row so each sentence's result is a pure
-    function of its own pooled vector; batched BLAS kernels would otherwise
-    produce different last-bit rounding depending on batch size, breaking
-    the encode/encode_batch bitwise-equality contract.
+    Each sentence's row is a pure function of its own tokens, computed with
+    the same floating-point operations in the same order whatever the batch
+    size, so encode and encode_batch agree bit for bit:
+
+    - mean pooling adds token t to every sentence longer than t, position by
+      position, then divides by the length. Each row is summed in token
+      order, as ndarray.mean(axis=0) sums a sentence's rows when d_emb > 1;
+      np.add.reduceat may sum a segment in another order and change the
+      last bits;
+    - max pooling (np.maximum.reduceat) and first-token pooling are exact;
+    - the projection is a stacked matmul of (1, d_emb) rows, which runs one
+      vector-matrix product per row; a single (n, d_emb) GEMM would round
+      differently depending on the batch size;
+    - bias, tanh and the row norms are elementwise or per row.
     """
-    n = len(batch)
-    pooled = np.empty((n, params.d_emb))
-    for i, tokens in enumerate(batch):
-        try:
-            _check_tokens(params, tokens)
-        except TokenOutOfRangeError as e:
-            raise TokenOutOfRangeError(f"batch item {i}: {e}") from e
-        pooled[i] = _pool(params.embedding[np.asarray(tokens, dtype=np.intp)], pooling)
-    projected = np.empty((n, params.d_out))
-    for i in range(n):
-        projected[i] = pooled[i] @ params.proj_w
+    ids, lengths, starts = packed
+    if pooling is Pooling.MAX:
+        pooled = np.maximum.reduceat(params.embedding[ids], starts, axis=0)
+    else:
+        pooled = params.embedding[ids[starts]]
+        if pooling is Pooling.MEAN:
+            for t in range(1, int(lengths.max())):
+                live = lengths > t
+                pooled[live] += params.embedding[ids[starts[live] + t]]
+            pooled /= lengths[:, None]
+    projected = np.matmul(pooled[:, None, :], params.proj_w)[:, 0]
     z = np.tanh(projected + params.proj_b)
     norms = np.linalg.norm(z, axis=1)
     bad = np.nonzero(norms <= ZERO_NORM_EPS)[0]
@@ -167,7 +190,7 @@ def encode_batch(
     pooling = Pooling(pooling)
     if len(batch) == 0:
         return np.zeros((0, params.d_out))
-    h, _, _, _ = _forward_batch(params, batch, pooling)
+    h, _, _, _ = _forward_batch(params, _pack(params, batch), pooling)
     return h
 
 
@@ -181,7 +204,9 @@ def encode_backward(
 
     Exact chain rule through normalization, tanh, the affine projection,
     and pooling. Max pooling routes each dimension's subgradient to the
-    earliest token position attaining the maximum.
+    earliest token position attaining the maximum. The embedding gradient is
+    scattered with one np.add.at in sentence-then-token order, so repeated
+    ids accumulate in the same order as a per-sentence loop would.
     """
     pooling = Pooling(pooling)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -193,7 +218,8 @@ def encode_backward(
     if len(batch) == 0:
         return grads
 
-    h, z, norms, pooled = _forward_batch(params, batch, pooling)
+    ids, lengths, starts = packed = _pack(params, batch)
+    h, z, norms, pooled = _forward_batch(params, packed, pooling)
 
     # normalization: dz = (g - (g.h) h) / ||z||, rowwise
     gh = np.sum(upstream * h, axis=1, keepdims=True)
@@ -204,16 +230,18 @@ def encode_backward(
     grads.proj_b += da.sum(axis=0)
     dpooled = da @ params.proj_w.T
 
-    for i, tokens in enumerate(batch):
-        ids = np.asarray(tokens, dtype=np.intp)
-        if pooling is Pooling.MEAN:
-            np.add.at(grads.embedding, ids, dpooled[i] / len(ids))
-        elif pooling is Pooling.MAX:
-            rows = params.embedding[ids]
-            winners = np.argmax(rows, axis=0)  # first max wins ties
-            np.add.at(grads.embedding, (ids[winners], np.arange(params.d_emb)), dpooled[i])
-        else:
-            grads.embedding[ids[0]] += dpooled[i]
+    if pooling is Pooling.MEAN:
+        np.add.at(grads.embedding, ids, np.repeat(dpooled / lengths[:, None], lengths, axis=0))
+    elif pooling is Pooling.MAX:
+        # flat position of each sentence's first maximum per dimension (a NaN
+        # counts as the maximum, as in np.argmax)
+        rows = params.embedding[ids]
+        winner = (rows == np.repeat(pooled, lengths, axis=0)) | np.isnan(rows)
+        position = np.where(winner, np.arange(len(ids))[:, None], len(ids))
+        first = np.minimum.reduceat(position, starts, axis=0)
+        np.add.at(grads.embedding, (ids[first], np.arange(params.d_emb)), dpooled)
+    else:
+        np.add.at(grads.embedding, ids[starts], dpooled)
     return grads
 
 

@@ -79,11 +79,11 @@ class TrainConfig:
             ("nli_weight", self.nli_weight >= 0, ">= 0"),
             ("nli_batch_size", self.nli_batch_size >= 1, ">= 1"),
             ("nli_dropout", 0.0 <= self.nli_dropout < 1.0, "in [0, 1)"),
+            ("pooling", self.pooling in list(Pooling), f"one of {', '.join(Pooling)}"),
         ]
         for name, ok, want in checks:
             if not ok:
                 raise ConfigError(f"{name} must be {want} (got {getattr(self, name)})")
-        Pooling(self.pooling)
 
 
 def lr_at(step: int, *, lr_max: float, warmup_steps: int, total_steps: int) -> float:
@@ -98,10 +98,15 @@ def lr_at(step: int, *, lr_max: float, warmup_steps: int, total_steps: int) -> f
 
 
 def clip_gradients(grads: Sequence[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Scale all gradients by max_norm/g when the global L2 norm g exceeds max_norm."""
+    """Scale all gradients by max_norm/g when the global L2 norm g exceeds max_norm.
+
+    A non-finite g raises NumericalFailureError.
+    """
     if max_norm <= 0:
         raise ConfigError(f"grad_clip must be > 0 (got {max_norm})")
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if not math.isfinite(total):
+        raise NumericalFailureError(f"non-finite global gradient norm: {total}")
     if total <= max_norm:
         return list(grads)
     scale = max_norm / total

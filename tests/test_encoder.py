@@ -4,6 +4,7 @@ import pytest
 from helpers import central_difference, max_rel_error, random_token_batch
 
 from dualmoco.encoder import (
+    EncoderGrads,
     EncoderParams,
     Pooling,
     encode,
@@ -25,6 +26,61 @@ from dualmoco.numerics import l2_normalize
 @pytest.fixture
 def params():
     return init_params(vocab_size=10, d_emb=4, d_out=3, rng=np.random.default_rng(0))
+
+
+def reference_forward(params, batch, pooling):
+    """Per-sentence forward pass: pool each sentence, project it row by row.
+
+    The batched kernel must reproduce these bits exactly. Sentences of 8 or
+    more tokens matter: that is where summing a mean in another order than
+    ndarray.mean(axis=0) starts to change the last bit.
+    """
+    pooled = np.empty((len(batch), params.d_emb))
+    for i, tokens in enumerate(batch):
+        rows = params.embedding[np.asarray(tokens, dtype=np.intp)]
+        if pooling is Pooling.MEAN:
+            pooled[i] = rows.mean(axis=0)
+        elif pooling is Pooling.MAX:
+            pooled[i] = rows.max(axis=0)
+        else:
+            pooled[i] = rows[0]
+    projected = np.empty((len(batch), params.d_out))
+    for i in range(len(batch)):
+        projected[i] = pooled[i] @ params.proj_w
+    z = np.tanh(projected + params.proj_b)
+    norms = np.linalg.norm(z, axis=1)
+    return z / norms[:, None], z, norms, pooled
+
+
+def reference_backward(params, batch, pooling, upstream):
+    """encode_backward with one embedding scatter per sentence."""
+    h, z, norms, pooled = reference_forward(params, batch, pooling)
+    grads = EncoderGrads.zeros_like(params)
+    gh = np.sum(upstream * h, axis=1, keepdims=True)
+    dz = (upstream - gh * h) / norms[:, None]
+    da = dz * (1.0 - z * z)
+    grads.proj_w += pooled.T @ da
+    grads.proj_b += da.sum(axis=0)
+    dpooled = da @ params.proj_w.T
+    for i, tokens in enumerate(batch):
+        ids = np.asarray(tokens, dtype=np.intp)
+        if pooling is Pooling.MEAN:
+            np.add.at(grads.embedding, ids, dpooled[i] / len(ids))
+        elif pooling is Pooling.MAX:
+            winners = np.argmax(params.embedding[ids], axis=0)
+            np.add.at(grads.embedding, (ids[winners], np.arange(params.d_emb)), dpooled[i])
+        else:
+            grads.embedding[ids[0]] += dpooled[i]
+    return grads
+
+
+def wide_params(rng, ties=False):
+    """Default-sized towers; with ties, small-integer embeddings so max pooling ties often."""
+    params = init_params(vocab_size=60, d_emb=32, d_out=32, rng=rng)
+    if ties:
+        params.embedding = rng.integers(-2, 3, size=params.embedding.shape).astype(np.float64)
+        params.proj_b = rng.normal(size=params.d_out)
+    return params
 
 
 class TestEncodeForward:
@@ -110,18 +166,28 @@ class TestEncodeBatch:
             encode_batch(params, [tokens], Pooling.MEAN)[0], encode(params, tokens, Pooling.MEAN)
         )
 
-    def test_rows_match_encode_bitwise(self, params):
+    def test_rows_match_encode_bitwise(self):
         rng = np.random.default_rng(5)
-        batch = random_token_batch(rng, 16, params.vocab_size)
-        for pooling in Pooling:
-            out = encode_batch(params, batch, pooling)
-            assert out.shape == (16, params.d_out)
-            for i, tokens in enumerate(batch):
-                np.testing.assert_array_equal(out[i], encode(params, tokens, pooling))
+        params = wide_params(rng)
+        for n in (1, 2, 64, 300):
+            batch = random_token_batch(rng, n, params.vocab_size, min_len=1, max_len=12)
+            for pooling in Pooling:
+                out = encode_batch(params, batch, pooling)
+                assert out.shape == (n, params.d_out)
+                expected, _, _, _ = reference_forward(params, batch, pooling)
+                assert out.tobytes() == expected.tobytes(), (n, pooling)
+                for i, tokens in enumerate(batch):
+                    assert out[i].tobytes() == encode(params, tokens, pooling).tobytes(), (n, pooling, i)
 
     def test_error_carries_batch_index(self, params):
         with pytest.raises(TokenOutOfRangeError, match="batch item 1"):
             encode_batch(params, [[0], [99]], Pooling.MEAN)
+        with pytest.raises(TokenOutOfRangeError, match="batch item 1: empty"):
+            encode_batch(params, [[0], [], [99]], Pooling.MEAN)
+        with pytest.raises(TokenOutOfRangeError, match="batch item 2: token id -1 "):
+            encode_batch(params, [[0], [1, 2], [3, -1]], Pooling.MEAN)
+        with pytest.raises(TokenOutOfRangeError, match=f"batch item 1: token id {2**70} "):
+            encode_batch(params, [[0], [1, 2**70]], Pooling.MEAN)
 
 
 class TestEncodeBackward:
@@ -173,6 +239,31 @@ class TestEncodeBackward:
 
             numeric = central_difference(objective, [z], step=1e-6)[0]
             assert max_rel_error([analytic], [numeric], floor=1e-3) < 1e-6
+
+    @pytest.mark.parametrize(
+        "pooling,ties",
+        [(Pooling.MEAN, False), (Pooling.MAX, False), (Pooling.MAX, True), (Pooling.FIRST, False)],
+    )
+    def test_matches_per_sentence_reference_bitwise(self, pooling, ties):
+        rng = np.random.default_rng(13)
+        params = wide_params(rng, ties)
+        batch = random_token_batch(rng, 64, params.vocab_size, min_len=1, max_len=12)
+        upstream = rng.normal(size=(64, params.d_out))
+        got = encode_backward(params, batch, pooling, upstream)
+        want = reference_backward(params, batch, pooling, upstream)
+        for g, w in zip(got.arrays(), want.arrays()):
+            assert g.tobytes() == w.tobytes()
+
+    def test_max_pool_nan_routes_like_argmax(self):
+        # a NaN counts as the maximum: its gradient goes to the first NaN row
+        embedding = np.array([[1.0, 2.0], [np.nan, 0.0], [np.nan, 5.0]])
+        params = EncoderParams(embedding, np.eye(2), np.full(2, 0.5))
+        batch = [[0, 1, 2], [2, 1]]
+        upstream = np.array([[0.3, -0.2], [0.1, 0.4]])
+        got = encode_backward(params, batch, Pooling.MAX, upstream)
+        want = reference_backward(params, batch, Pooling.MAX, upstream)
+        for g, w in zip(got.arrays(), want.arrays()):
+            np.testing.assert_array_equal(g, w)
 
     def test_max_pool_ties_route_to_earliest_token(self):
         # identical rows tie on every dimension; the gradient must land on

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import central_difference, max_rel_error, random_unit_rows
 
-from dualmoco import datagen
+from dualmoco import datagen, trainer
 from dualmoco.encoder import encode_batch, init_params
 from dualmoco.errors import (
     ConfigError,
@@ -112,6 +112,12 @@ class TestClipGradients:
             clipped = clip_gradients(g, max_norm)
             norm = math.sqrt(sum(float(np.sum(x * x)) for x in clipped))
             assert norm <= max_norm + 1e-9
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_norm_raises(self, bad):
+        g = [np.array([1.0, 2.0]), np.array([[0.5, bad]])]
+        with pytest.raises(NumericalFailureError, match="gradient norm"):
+            clip_gradients(g, 10.0)
 
 
 class TestAdamW:
@@ -264,6 +270,9 @@ class TestTrain:
             TrainConfig(momentum=1.5).validate()
         with pytest.raises(ConfigError, match="queue_capacity"):
             TrainConfig(queue_capacity=16, batch_size=64).validate()
+        with pytest.raises(ConfigError, match="pooling"):
+            TrainConfig(pooling="bogus").validate()
+        TrainConfig(pooling="max").validate()
 
     def test_batch_larger_than_corpus_rejected(self, small_world):
         _, corpus, _, _ = small_world
@@ -315,6 +324,21 @@ class TestTrain:
     def test_nan_guard(self):
         with pytest.raises(NumericalFailureError):
             _ensure_finite(LossValue(float("nan"), 0.0, 0.0), 3)
+
+    def test_nan_gradient_stops_training(self, small_world, monkeypatch):
+        # a finite loss with a NaN gradient must fail the step, not reach AdamW
+        _, corpus, _, _ = small_world
+        real = trainer.step_gradients
+
+        def nan_gradients(*args, **kwargs):
+            loss, nli_loss, grads = real(*args, **kwargs)
+            grads[0] = grads[0].copy()
+            grads[0][0, 0] = np.nan
+            return loss, nli_loss, grads
+
+        monkeypatch.setattr(trainer, "step_gradients", nan_gradients)
+        with pytest.raises(NumericalFailureError, match="gradient norm"):
+            train(small_config(epochs=1), corpus)
 
 
 class TestStepGradientLinearity:
