@@ -15,7 +15,9 @@ aligned sentence the unique maximum-Jaccard match of its partner.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,14 +158,24 @@ def _reorder(concepts: tuple[int, ...], rule: str) -> tuple[int, ...]:
 
 class _ConceptSampler:
     """Draws distinct-concept sequences whose sets are unique (and optionally
-    low-overlap) across everything sampled so far."""
+    low-overlap) across everything sampled so far.
+
+    With max_overlap < 1 a candidate is rejected when its Jaccard with any
+    seen set reaches max_overlap. A seen set sharing no concept with the
+    candidate has Jaccard 0, which passes for every max_overlap > 0, so only
+    the seen sets listed under the candidate's concepts in a concept -> seen
+    index map are tested, with the same float test an all-pairs scan makes.
+    """
 
     def __init__(self, lexicon: ConceptLexicon, rng: np.random.Generator, max_overlap: float = 1.0):
+        if not max_overlap > 0.0:
+            raise ConfigError(f"max_overlap must be > 0 (got {max_overlap})")
         self.lexicon = lexicon
         self.rng = rng
         self.max_overlap = max_overlap  # reject Jaccard >= this vs existing sets
         self.seen: list[frozenset[int]] = []
         self._seen_lookup: set[frozenset[int]] = set()
+        self._by_concept: dict[int, list[int]] = {}  # concept -> indices into seen
 
     def draw(self, length: int) -> tuple[int, ...]:
         if length > self.lexicon.concept_count:
@@ -176,6 +188,8 @@ class _ConceptSampler:
             )
             cand = frozenset(seq)
             if self._acceptable(cand):
+                for c in cand:
+                    self._by_concept.setdefault(c, []).append(len(self.seen))
                 self.seen.append(cand)
                 self._seen_lookup.add(cand)
                 return seq
@@ -188,11 +202,9 @@ class _ConceptSampler:
         if self.max_overlap >= 1.0:
             # only exact duplicates are rejected; hash lookup suffices
             return cand not in self._seen_lookup
-        return all(self._jaccard(cand, s) < self.max_overlap for s in self.seen)
-
-    @staticmethod
-    def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
-        return len(a & b) / len(a | b)
+        shared = Counter(chain.from_iterable(self._by_concept.get(c, ()) for c in cand))
+        n = len(cand)
+        return all(m / (n + len(self.seen[k]) - m) < self.max_overlap for k, m in shared.items())
 
 
 def _check_len_range(len_range: tuple[int, int]) -> None:
@@ -308,14 +320,26 @@ def _audit_overlap(
     pos_b: np.ndarray,
     gold: set[tuple[int, int]],
 ) -> None:
-    """Cross-check that every non-gold cross pair shares < 50% of concepts."""
+    """Cross-check that every non-gold cross pair shares < 50% of concepts.
+
+    A pair sharing no concept has Jaccard 0, so for each side-A set only the
+    side-B sets listed under its concepts in a concept -> side-B index map
+    are tested; that still re-verifies every non-gold cross pair, and the
+    first failing pair is the one an all-pairs scan in side order reports.
+    """
+    b_by_concept: dict[int, list[int]] = {}
+    for j, sb in enumerate(sets_b):
+        for c in sb:
+            b_by_concept.setdefault(c, []).append(j)
     placed_a = {int(pos_a[i]): s for i, s in enumerate(sets_a)}
-    placed_b = {int(pos_b[j]): s for j, s in enumerate(sets_b)}
     for i, sa in placed_a.items():
-        for j, sb in placed_b.items():
+        shared = Counter(chain.from_iterable(b_by_concept.get(c, ()) for c in sa))
+        for jb in sorted(shared):
+            j = int(pos_b[jb])
             if (i, j) in gold:
                 continue
-            if len(sa & sb) / len(sa | sb) >= 0.5:
+            m = shared[jb]
+            if m / (len(sa) + len(sets_b[jb]) - m) >= 0.5:
                 raise ConfigError(
                     f"generation audit failed: non-gold pair ({i}, {j}) shares >= 50% of concepts"
                 )
@@ -343,7 +367,7 @@ def gen_sts_pairs(
         s1 = tuple(int(c) for c in rng.choice(lexicon.concept_count, size=length, replace=False))
         overlap = int(rng.integers(0, length + 1))
         shared = list(s1[:overlap])
-        remaining = np.setdiff1d(np.arange(lexicon.concept_count), np.array(s1, dtype=np.intp))
+        remaining = np.delete(np.arange(lexicon.concept_count), s1)
         fresh = [int(c) for c in rng.choice(remaining, size=length - overlap, replace=False)]
         s2 = tuple(shared + fresh)
         gold = overlap / len(set(s1) | set(s2))
@@ -380,13 +404,13 @@ def gen_nli_triples(
             keep = sorted(rng.choice(length, size=size, replace=False))
             hyp = tuple(prem[k] for k in keep)
         elif want == "contradiction":
-            pool = np.setdiff1d(all_concepts, np.array(prem, dtype=np.intp))
+            pool = np.delete(all_concepts, prem)
             hlen = int(rng.integers(len_range[0], len_range[1] + 1))
             hyp = tuple(int(c) for c in rng.choice(pool, size=hlen, replace=False))
         else:
             shared_n = int(rng.integers(1, length))
             shared = list(prem[:shared_n])
-            pool = np.setdiff1d(all_concepts, np.array(prem, dtype=np.intp))
+            pool = np.delete(all_concepts, prem)
             fresh_n = int(rng.integers(1, len_range[1]))
             fresh = [int(c) for c in rng.choice(pool, size=fresh_n, replace=False)]
             hyp = tuple(shared + fresh)

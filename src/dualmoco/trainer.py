@@ -136,6 +136,8 @@ def adamw_step(
     """Bias-corrected Adam moments with decoupled weight decay:
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
+
+    A non-finite updated parameter raises NumericalFailureError.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params, grads and optimizer state must be parallel")
@@ -146,12 +148,15 @@ def adamw_step(
     new_params: list[np.ndarray] = []
     new_m: list[np.ndarray] = []
     new_v: list[np.ndarray] = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for k, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
-        new_params.append(p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p))
+        updated = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+        if not np.isfinite(updated).all():
+            raise NumericalFailureError(f"non-finite value in parameter {k} after AdamW step {t}")
+        new_params.append(updated)
         new_m.append(m)
         new_v.append(v)
     return new_params, AdamWState(new_m, new_v, t)

@@ -9,20 +9,26 @@ import numpy as np
 
 def central_difference(scalar_fn: Callable[[], float], arrays: Sequence[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
     """Numerical gradient of scalar_fn w.r.t. each array, perturbing in place."""
-    grads = []
-    for a in arrays:
-        g = np.zeros_like(a)
-        flat_a, flat_g = a.ravel(), g.ravel()
-        for i in range(flat_a.size):
-            orig = flat_a[i]
-            flat_a[i] = orig + step
-            plus = scalar_fn()
-            flat_a[i] = orig - step
-            minus = scalar_fn()
-            flat_a[i] = orig
-            flat_g[i] = (plus - minus) / (2.0 * step)
-        grads.append(g)
-    return grads
+    return [
+        central_difference_at(scalar_fn, a, np.arange(a.size), step).reshape(a.shape) for a in arrays
+    ]
+
+
+def central_difference_at(
+    scalar_fn: Callable[[], float], array: np.ndarray, flat_indices: Sequence[int], step: float = 1e-6
+) -> np.ndarray:
+    """Numerical gradient of scalar_fn at the given flat indices of array, perturbing in place."""
+    flat_a = array.ravel()
+    grad = np.zeros(len(flat_indices))
+    for k, i in enumerate(flat_indices):
+        orig = flat_a[i]
+        flat_a[i] = orig + step
+        plus = scalar_fn()
+        flat_a[i] = orig - step
+        minus = scalar_fn()
+        flat_a[i] = orig
+        grad[k] = (plus - minus) / (2.0 * step)
+    return grad
 
 
 def max_rel_error(analytic: Sequence[np.ndarray], numeric: Sequence[np.ndarray], floor: float = 1e-3) -> float:

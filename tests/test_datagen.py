@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dualmoco import datagen
@@ -175,6 +176,96 @@ class TestGenMiningCorpus:
         m1 = gen_mining_corpus(lexicon, 20, 20, 0.2, seed=17)
         m2 = gen_mining_corpus(lexicon, 20, 20, 0.2, seed=17)
         assert m1.side_a == m2.side_a and m1.gold_pairs == m2.gold_pairs
+
+
+def all_pairs_acceptable(self, cand):
+    """The all-pairs `_ConceptSampler._acceptable` scan, kept as the reference
+    for the concept-indexed one."""
+    if self.max_overlap >= 1.0:
+        return cand not in self._seen_lookup
+    return all(len(cand & s) / len(cand | s) < self.max_overlap for s in self.seen)
+
+
+def all_pairs_audit(sets_a, sets_b, pos_a, pos_b, gold):
+    """The all-pairs `_audit_overlap` scan, kept as the reference for the
+    concept-indexed one."""
+    placed_a = {int(pos_a[i]): s for i, s in enumerate(sets_a)}
+    placed_b = {int(pos_b[j]): s for j, s in enumerate(sets_b)}
+    for i, sa in placed_a.items():
+        for j, sb in placed_b.items():
+            if (i, j) in gold:
+                continue
+            if len(sa & sb) / len(sa | sb) >= 0.5:
+                raise ConfigError(
+                    f"generation audit failed: non-gold pair ({i}, {j}) shares >= 50% of concepts"
+                )
+
+
+class TestConceptIndex:
+    @pytest.mark.parametrize(
+        "seed, n, len_range",
+        [(3, 120, (3, 10)), (11, 120, (3, 10)), (5, 300, (3, 4)), (6, 300, (3, 4))],
+    )
+    def test_sampler_matches_all_pairs_scan(self, lexicon, monkeypatch, seed, n, len_range):
+        indexed = gen_mining_corpus(lexicon, n, n, 0.1, seed=seed, len_range=len_range)
+        verdicts = []
+
+        def reference(self, cand):
+            verdicts.append(all_pairs_acceptable(self, cand))
+            return verdicts[-1]
+
+        monkeypatch.setattr(datagen._ConceptSampler, "_acceptable", reference)
+        scanned = gen_mining_corpus(lexicon, n, n, 0.1, seed=seed, len_range=len_range)
+        assert indexed.side_a == scanned.side_a
+        assert indexed.side_b == scanned.side_b
+        assert indexed.gold_pairs == scanned.gold_pairs
+        if len_range == (3, 4):
+            # on 60 concepts, a large share of short draws overlaps a seen set
+            assert verdicts.count(False) > 0.3 * len(verdicts)
+
+    def test_max_overlap_must_be_positive(self, lexicon):
+        with pytest.raises(ConfigError, match="max_overlap"):
+            datagen._ConceptSampler(lexicon, np.random.default_rng(0), max_overlap=0.0)
+
+    def test_audit_rejects_half_overlap(self):
+        with pytest.raises(ConfigError, match=r"non-gold pair \(0, 0\)"):
+            datagen._audit_overlap(
+                [frozenset({1, 2, 3})], [frozenset({1, 2, 4})], np.array([0]), np.array([0]), set()
+            )
+
+    def test_audit_exempts_gold_and_passes_below_half(self):
+        datagen._audit_overlap(
+            [frozenset({1, 2, 3})], [frozenset({1, 2, 4})], np.array([0]), np.array([0]), {(0, 0)}
+        )
+        datagen._audit_overlap(
+            [frozenset({1, 2, 3})], [frozenset({1, 2, 4, 5})], np.array([0]), np.array([0]), set()
+        )
+
+    def test_audit_matches_all_pairs_scan(self):
+        # dense overlaps on 8 concepts, so most cases fail, often at several pairs
+        rng = np.random.default_rng(0)
+
+        def random_sets():
+            return [
+                frozenset(int(c) for c in rng.choice(8, size=rng.integers(1, 5), replace=False))
+                for _ in range(rng.integers(1, 7))
+            ]
+
+        outcomes = set()
+        for _ in range(300):
+            sets_a, sets_b = random_sets(), random_sets()
+            pos_a, pos_b = rng.permutation(len(sets_a)), rng.permutation(len(sets_b))
+            gold = {(int(i), int(j)) for i, j in zip(pos_a, pos_b) if rng.random() < 0.5}
+            results = []
+            for audit in (datagen._audit_overlap, all_pairs_audit):
+                try:
+                    audit(sets_a, sets_b, pos_a, pos_b, gold)
+                    results.append(None)
+                except ConfigError as e:
+                    results.append(str(e))
+            assert results[0] == results[1]
+            outcomes.add(results[0] is None)
+        assert outcomes == {True, False}
 
 
 class TestGenStsPairs:

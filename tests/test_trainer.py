@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_error, random_unit_rows
+from helpers import central_difference, central_difference_at, max_rel_error, random_unit_rows
 
 from dualmoco import datagen, trainer
 from dualmoco.encoder import encode_batch, init_params
@@ -157,6 +157,15 @@ class TestAdamW:
                 p[0], np.array([2.0, -4.0]) * (1.0 - lr * wd) ** t, rtol=1e-12
             )
 
+    def test_overflowing_update_raises(self):
+        # theta = -1.7e308 stepped by lr = 1e308 against a unit gradient overflows to -inf
+        p = [np.zeros(2), np.array([1.0, -1.7e308])]
+        g = [np.zeros(2), np.array([0.0, 1.0])]
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailureError, match="parameter 1 after AdamW step 1"
+        ):
+            adamw_step(p, g, AdamWState.for_params(p), lr=1e308, weight_decay=0.0)
+
     def test_shape_mismatch(self):
         p = [np.zeros(2)]
         with pytest.raises(Exception):
@@ -187,7 +196,8 @@ class TestNliHead:
         hh = random_unit_rows(1, 4, rng)[0]
         assert nli_forward_loss(head, hp, hh, "entailment") == pytest.approx(0.0, abs=1e-12)
 
-    def test_gradients_match_finite_differences(self):
+    @staticmethod
+    def gradient_case():
         rng = np.random.default_rng(3)
         head = init_nli_head(3, rng)
         hp = random_unit_rows(4, 3, rng)
@@ -199,9 +209,25 @@ class TestNliHead:
             loss, _, _, _ = nli_loss_and_grads(head, hp, hh, labels)
             return loss
 
-        numeric = central_difference(objective, list(head.arrays()) + [hp, hh], step=1e-6)
-        analytic = head_grads + [g_hp, g_hh]
+        return objective, list(head.arrays()) + [hp, hh], head_grads + [g_hp, g_hh]
+
+    def test_gradients_match_finite_differences(self, monkeypatch):
+        # every coordinate, at a hidden width narrow enough to difference them all
+        monkeypatch.setattr(trainer, "HIDDEN", 16)
+        objective, arrays, analytic = self.gradient_case()
+        assert arrays[2].shape == (16, 16)
+        numeric = central_difference(objective, arrays, step=1e-6)
         assert max_rel_error(analytic, numeric, floor=1e-3) < 1e-6
+
+    def test_gradients_match_finite_differences_at_full_width(self):
+        # HIDDEN = 256: a seeded sample of up to 64 coordinates from every tensor
+        objective, arrays, analytic = self.gradient_case()
+        assert arrays[2].shape == (256, 256)
+        pick = np.random.default_rng(5)
+        for a, g in zip(arrays, analytic):
+            idx = pick.choice(a.size, size=min(64, a.size), replace=False)
+            numeric = central_difference_at(objective, a, idx, step=1e-6)
+            assert max_rel_error([g.ravel()[idx]], [numeric], floor=1e-3) < 1e-6
 
     def test_invalid_label(self):
         head = init_nli_head(3, np.random.default_rng(0))
