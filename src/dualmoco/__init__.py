@@ -45,13 +45,11 @@ from .moco import (
     DualMocoState,
     LossValue,
     MemoryQueue,
-    MomentumEncoder,
     bidirectional_loss,
     enqueue_batch,
     info_nce,
     info_nce_query_grad,
     loss_and_gradients,
-    moco_step,
     momentum_update,
     new_state,
     softmax_entropy,

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import datagen, evaluation, trainer
-from .encoder import Pooling, encode_batch, load_checkpoint, save_checkpoint
+from .encoder import Pooling, atomic_write, encode_batch, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigError,
     CorpusParseError,
@@ -58,11 +58,17 @@ FLAG_CHOICES = {
     "variant": ["distance", "ratio"],
 }
 
+# JSON config values accepted per field default type, and how to name them;
+# str and Pooling fields take strings.
+CONFIG_TYPES = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+}
+
 
 def _write_json(path: str | Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
@@ -90,14 +96,19 @@ def _resolve_config(cls, args: argparse.Namespace):
                 raise ConfigError(f"{args.config}: invalid JSON ({e})") from e
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-    names = [f.name for f in dataclasses.fields(cls)]
-    unknown = sorted(set(doc) - set(names))
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    flags = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
     for name, value in doc.items():
+        accepted, want = CONFIG_TYPES.get(type(defaults[name]), (str, "a string"))
+        if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{name} must be {want} (got {value!r})")
         if name in FLAG_CHOICES and value not in FLAG_CHOICES[name]:
             raise ConfigError(f"{name} must be one of {FLAG_CHOICES[name]} (got {value!r})")
+        if isinstance(defaults[name], float):
+            doc[name] = float(value)
     return cls(**{**doc, **flags})
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .encoder import atomic_write
 from .errors import ConfigError, CorpusParseError, EmptyCorpusError
 
 NLI_LABELS = ("entailment", "neutral", "contradiction")
@@ -459,19 +460,22 @@ def _read_rows(path: str, n_cols: int) -> list[tuple[int, list[str]]]:
     return rows
 
 
+def _tokens(seq: Sequence[int]) -> str:
+    return " ".join(map(str, seq))
+
+
+def _save_lines(path: str, lines: Iterable[str]) -> None:
+    atomic_write(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+
+
 def save_tsv(corpus: ParallelCorpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in corpus.pairs:
-            fh.write(
-                " ".join(map(str, p.tokens_a))
-                + "\t"
-                + " ".join(map(str, p.tokens_b))
-                + "\t"
-                + " ".join(map(str, p.concepts))
-                + "\t"
-                + p.split
-                + "\n"
-            )
+    _save_lines(
+        path,
+        (
+            f"{_tokens(p.tokens_a)}\t{_tokens(p.tokens_b)}\t{_tokens(p.concepts)}\t{p.split}"
+            for p in corpus.pairs
+        ),
+    )
 
 
 def load_tsv(path: str) -> ParallelCorpus:
@@ -491,16 +495,7 @@ def load_tsv(path: str) -> ParallelCorpus:
 
 
 def save_sts_tsv(pairs: Sequence[StsPair], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in pairs:
-            fh.write(
-                " ".join(map(str, p.tokens_1))
-                + "\t"
-                + " ".join(map(str, p.tokens_2))
-                + "\t"
-                + repr(p.gold_sim)
-                + "\n"
-            )
+    _save_lines(path, (f"{_tokens(p.tokens_1)}\t{_tokens(p.tokens_2)}\t{p.gold_sim!r}" for p in pairs))
 
 
 def load_sts_tsv(path: str) -> list[StsPair]:
@@ -515,16 +510,7 @@ def load_sts_tsv(path: str) -> list[StsPair]:
 
 
 def save_nli_tsv(triples: Sequence[NliTriple], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in triples:
-            fh.write(
-                " ".join(map(str, t.premise))
-                + "\t"
-                + " ".join(map(str, t.hypothesis))
-                + "\t"
-                + t.label
-                + "\n"
-            )
+    _save_lines(path, (f"{_tokens(t.premise)}\t{_tokens(t.hypothesis)}\t{t.label}" for t in triples))
 
 
 def load_nli_tsv(path: str) -> list[NliTriple]:
@@ -543,9 +529,7 @@ def save_mining_json(corpus: MiningCorpus, path: str) -> None:
         "gold_pairs": [list(p) for p in corpus.gold_pairs],
         "parallel_fraction": corpus.parallel_fraction,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    atomic_write(path, (json.dumps(doc) + "\n").encode("utf-8"))
 
 
 def load_mining_json(path: str) -> MiningCorpus:

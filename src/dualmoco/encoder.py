@@ -245,6 +245,21 @@ def encode_backward(
     return grads
 
 
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Write data through a temporary file that replaces `path` once complete.
+
+    A write that fails leaves any previous file at `path` intact.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # Tensor files: a 4-byte magic, a header of 8-byte little-endian unsigned
 # integers, then tensors as 8-byte little-endian doubles in row-major order.
@@ -257,23 +272,12 @@ def encode_backward(
 def write_tensor_file(
     path: str, magic: bytes, header: Sequence[int], tensors: Sequence[np.ndarray]
 ) -> str:
-    """Write a tensor file and return the sha256 of its bytes.
-
-    The bytes go to a temporary file that replaces `path` only once complete,
-    so a save that fails leaves any previous file intact.
-    """
+    """Write a tensor file atomically and return the sha256 of its bytes."""
     data = b"".join(
         [magic, struct.pack(f"<{len(header)}Q", *header)]
         + [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in tensors]
     )
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    atomic_write(path, data)
     return hashlib.sha256(data).hexdigest()
 
 

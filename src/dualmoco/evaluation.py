@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Pooling, encode_batch, read_tensor_file, write_tensor_file
+from .encoder import EncoderParams, Pooling, atomic_write, encode_batch, read_tensor_file, write_tensor_file
 from .errors import (
     CorpusParseError,
     DegenerateInputError,
@@ -242,9 +242,7 @@ def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") 
         "source_corpus": source_corpus,
         "checksum": digest,
     }
-    with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    atomic_write(path + ".json", (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
 
 
 def load_embeddings(path: str) -> np.ndarray:

@@ -73,12 +73,9 @@ class MemoryQueue:
             return self.slots[: self.filled]
         return np.concatenate([self.slots[self.write_index :], self.slots[: self.write_index]])
 
-    def copy(self) -> "MemoryQueue":
-        return MemoryQueue(self.slots.copy(), self.write_index, self.filled)
 
-
-def enqueue_batch(queue: MemoryQueue, keys: np.ndarray | Sequence[np.ndarray]) -> MemoryQueue:
-    """Write keys at consecutive ring positions, replacing the oldest entries."""
+def enqueue_batch(queue: MemoryQueue, keys: np.ndarray | Sequence[np.ndarray]) -> None:
+    """Write keys in place at consecutive ring positions, replacing the oldest entries."""
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     b = keys.shape[0]
     if b > queue.capacity:
@@ -90,46 +87,38 @@ def enqueue_batch(queue: MemoryQueue, keys: np.ndarray | Sequence[np.ndarray]) -
     if np.any(off > UNIT_NORM_TOL):
         worst = int(np.argmax(off))
         raise NonUnitKeyError(f"key {worst} has norm {norms[worst]:.9f}")
-    out = queue.copy()
-    positions = (out.write_index + np.arange(b)) % out.capacity
-    out.slots[positions] = keys
-    out.write_index = int((out.write_index + b) % out.capacity)
-    out.filled = min(out.filled + b, out.capacity)
-    return out
+    queue.slots[(queue.write_index + np.arange(b)) % queue.capacity] = keys
+    queue.write_index = int((queue.write_index + b) % queue.capacity)
+    queue.filled = min(queue.filled + b, queue.capacity)
 
 
-@dataclass
-class MomentumEncoder:
-    """Gradient-free EMA copy of a base encoder."""
-
-    params: EncoderParams
-    coefficient: float  # m in [0, 1]
-
-
-def momentum_update(base: EncoderParams, momentum: MomentumEncoder) -> MomentumEncoder:
-    """theta <- m * theta + (1 - m) * theta_base, elementwise."""
-    if base.shapes() != momentum.params.shapes():
+def momentum_update(base: EncoderParams, momentum_params: EncoderParams, m: float) -> None:
+    """theta <- m * theta + (1 - m) * theta_base, elementwise and in place."""
+    if base.shapes() != momentum_params.shapes():
         raise ShapeMismatchError(
-            f"base shapes {base.shapes()} != momentum shapes {momentum.params.shapes()}"
+            f"base shapes {base.shapes()} != momentum shapes {momentum_params.shapes()}"
         )
-    m = momentum.coefficient
-    blended = EncoderParams(
-        *(m * old + (1.0 - m) * new for old, new in zip(momentum.params.arrays(), base.arrays()))
-    )
-    return MomentumEncoder(blended, m)
+    for old, new in zip(momentum_params.arrays(), base.arrays()):
+        old *= m
+        old += (1.0 - m) * new
 
 
 @dataclass
 class DualMocoState:
-    """Everything one optimization step reads: towers, EMA copies, queues."""
+    """Everything one optimization step reads: towers, EMA copies, queues.
+
+    The trainer owns one state and updates it in place: the optimizer writes
+    the base towers, advance_state the momentum towers and the queues.
+    """
 
     base_a: EncoderParams
     base_b: EncoderParams
-    momentum_a: MomentumEncoder
-    momentum_b: MomentumEncoder
+    momentum_a: EncoderParams  # gradient-free EMA copy of base_a
+    momentum_b: EncoderParams  # gradient-free EMA copy of base_b
     queue_a: MemoryQueue  # language-A keys (momentum_a outputs)
     queue_b: MemoryQueue  # language-B keys (momentum_b outputs)
     temperature: float
+    momentum: float  # EMA coefficient m in [0, 1]
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
@@ -147,11 +136,12 @@ def new_state(
     return DualMocoState(
         base_a=params_a,
         base_b=params_b,
-        momentum_a=MomentumEncoder(params_a.copy(), momentum_coefficient),
-        momentum_b=MomentumEncoder(params_b.copy(), momentum_coefficient),
+        momentum_a=params_a.copy(),
+        momentum_b=params_b.copy(),
         queue_a=MemoryQueue.empty(queue_capacity, params_a.d_out),
         queue_b=MemoryQueue.empty(queue_capacity, params_b.d_out),
         temperature=temperature,
+        momentum=momentum_coefficient,
     )
 
 
@@ -269,8 +259,8 @@ def loss_and_gradients(
 
     queries_a = encode_batch(state.base_a, batch_a, pooling)
     queries_b = encode_batch(state.base_b, batch_b, pooling)
-    keys_b = encode_batch(state.momentum_b.params, batch_b, pooling)
-    keys_a = encode_batch(state.momentum_a.params, batch_a, pooling)
+    keys_b = encode_batch(state.momentum_b, batch_b, pooling)
+    keys_a = encode_batch(state.momentum_a, batch_a, pooling)
 
     fwd_losses, fwd_grad_q = _nce_batch(
         queries_a, keys_b, state.queue_b.negatives(), state.temperature
@@ -292,39 +282,16 @@ def advance_state(
     batch_a: Sequence[TokenSeq],
     batch_b: Sequence[TokenSeq],
     pooling: Pooling | str,
-) -> DualMocoState:
+) -> None:
     """EMA-update both momentum towers, then enqueue the batch's fresh keys.
 
     Keys are re-encoded with the updated momentum parameters before they
-    enter the queues.
+    enter the queues. Mutates the momentum towers and queues of `state`; the
+    base towers are only read.
     """
     _check_batches(batch_a, batch_b)
     pooling = Pooling(pooling)
-    momentum_a = momentum_update(state.base_a, state.momentum_a)
-    momentum_b = momentum_update(state.base_b, state.momentum_b)
-    queue_a = enqueue_batch(state.queue_a, encode_batch(momentum_a.params, batch_a, pooling))
-    queue_b = enqueue_batch(state.queue_b, encode_batch(momentum_b.params, batch_b, pooling))
-    return DualMocoState(
-        base_a=state.base_a,
-        base_b=state.base_b,
-        momentum_a=momentum_a,
-        momentum_b=momentum_b,
-        queue_a=queue_a,
-        queue_b=queue_b,
-        temperature=state.temperature,
-    )
-
-
-def moco_step(
-    state: DualMocoState,
-    batch_a: Sequence[TokenSeq],
-    batch_b: Sequence[TokenSeq],
-    pooling: Pooling | str,
-) -> tuple[LossValue, EncoderGrads, EncoderGrads, DualMocoState]:
-    """One full contrastive step: loss, base-tower gradients, advanced state.
-
-    The returned state has updated momentum towers and queues; the base
-    parameters are untouched (the optimizer lives outside).
-    """
-    loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
-    return loss, grads_a, grads_b, advance_state(state, batch_a, batch_b, pooling)
+    momentum_update(state.base_a, state.momentum_a, state.momentum)
+    momentum_update(state.base_b, state.momentum_b, state.momentum)
+    enqueue_batch(state.queue_a, encode_batch(state.momentum_a, batch_a, pooling))
+    enqueue_batch(state.queue_b, encode_batch(state.momentum_b, batch_b, pooling))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +32,9 @@ from .moco import DualMocoState, LossValue, advance_state, loss_and_gradients, n
 
 logger = logging.getLogger(__name__)
 
-# Read-only observer called as probe(step, pre-update state, batch_a, batch_b).
+# Read-only observer called as probe(step, state, batch_a, batch_b) before each
+# step. The state is the trainer's live one, updated in place after the probe
+# returns, so a probe must copy whatever it keeps.
 StepProbe = Callable[[int, DualMocoState, Sequence, Sequence], None]
 
 ADAM_BETA1 = 0.9
@@ -132,34 +134,31 @@ def adamw_step(
     state: AdamWState,
     lr: float,
     weight_decay: float,
-) -> tuple[list[np.ndarray], AdamWState]:
-    """Bias-corrected Adam moments with decoupled weight decay:
+) -> None:
+    """Bias-corrected Adam moments with decoupled weight decay, in place:
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
 
-    A non-finite updated parameter raises NumericalFailureError.
+    Updates params, state.m, state.v and state.t. A non-finite updated
+    parameter raises NumericalFailureError.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params, grads and optimizer state must be parallel")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatchError(f"param shape {p.shape} != grad shape {g.shape}")
-    t = state.t + 1
-    new_params: list[np.ndarray] = []
-    new_m: list[np.ndarray] = []
-    new_v: list[np.ndarray] = []
+    state.t += 1
+    t = state.t
     for k, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
-        updated = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
-        if not np.isfinite(updated).all():
+        p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+        if not np.isfinite(p).all():
             raise NumericalFailureError(f"non-finite value in parameter {k} after AdamW step {t}")
-        new_params.append(updated)
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamWState(new_m, new_v, t)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +334,6 @@ def step_gradients(
     return loss, nli_loss, list(grads_a.arrays()) + list(grads_b.arrays()) + head_grads
 
 
-def _state_with_bases(state: DualMocoState, base_a: EncoderParams, base_b: EncoderParams) -> DualMocoState:
-    return replace(state, base_a=base_a, base_b=base_b)
-
-
 def _ensure_finite(loss: LossValue, step: int) -> None:
     if not (math.isfinite(loss.total) and math.isfinite(loss.forward) and math.isfinite(loss.backward)):
         raise NumericalFailureError(f"non-finite loss at step {step}: {loss}")
@@ -362,8 +357,12 @@ def train(
     Per-epoch rows carry retrieval accuracy on the validation split and,
     when similarity pairs are supplied, their rank correlation.
 
-    `step_probe` is called once per step with the pre-update state and the
-    step's batches; it must not mutate anything (metrics collection only).
+    One DualMocoState, one AdamWState and the inference head are built here
+    and updated in place every step; the result holds those same objects.
+
+    `step_probe` is called once per step with the live pre-update state and
+    the step's batches. It must not mutate anything (metrics collection
+    only), and must copy what it keeps: the state changes after it returns.
     """
     config.validate()
     train_pairs = corpus.split("train")
@@ -441,18 +440,9 @@ def train(
             if not math.isfinite(nli_loss):
                 raise NumericalFailureError(f"non-finite inference loss at step {step}")
 
-            params = list(state.base_a.arrays()) + list(state.base_b.arrays())
-            if head is not None:
-                params += list(head.arrays())
             clipped = clip_gradients(grad_list, config.grad_clip)
-            params, opt = adamw_step(params, clipped, opt, lr, config.weight_decay)
-
-            new_a = EncoderParams(*params[0:3])
-            new_b = EncoderParams(*params[3:6])
-            if head is not None:
-                head = NliHead(*params[6:12])
-            state = _state_with_bases(state, new_a, new_b)
-            state = advance_state(state, batch_a, batch_b, config.pooling)
+            adamw_step(trainable, clipped, opt, lr, config.weight_decay)
+            advance_state(state, batch_a, batch_b, config.pooling)
 
             result.step_records.append(
                 {
@@ -475,11 +465,6 @@ def train(
             record["retrieval_acc_ba"],
             record["sts_spearman"],
         )
-
-    result.params_a = state.base_a
-    result.params_b = state.base_b
-    result.nli_head = head
-    result.state = state
     return result
 
 

@@ -20,7 +20,6 @@ from dualmoco import datagen, evaluation, trainer
 from dualmoco.encoder import Pooling, encode, encode_batch, init_params
 from dualmoco.moco import (
     MemoryQueue,
-    MomentumEncoder,
     bidirectional_loss,
     enqueue_batch,
     loss_and_gradients,
@@ -103,10 +102,10 @@ def test_gradient_fidelity():
         state = new_state(
             init_params(10, 8, 8, rng), init_params(10, 8, 8, rng), 0.9, 16, 0.07
         )
-        state.momentum_a.params.embedding += 0.1 * rng.normal(size=(10, 8))
-        state.momentum_b.params.proj_w += 0.1 * rng.normal(size=(8, 8))
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
-        state.queue_b = enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
+        state.momentum_a.embedding += 0.1 * rng.normal(size=(10, 8))
+        state.momentum_b.proj_w += 0.1 * rng.normal(size=(8, 8))
+        enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
 
@@ -143,13 +142,11 @@ def test_ema_exactness():
     initial = init_params(12, 6, 5, rng)  # theta_0
     m = 0.97
     T = 40
-    momentum = MomentumEncoder(initial.copy(), m)
+    momentum = initial.copy()
     for _ in range(T):
-        momentum = momentum_update(base, momentum)
+        momentum_update(base, momentum, m)
     worst = 0.0
-    for theta_t, theta_star, theta_0 in zip(
-        momentum.params.arrays(), base.arrays(), initial.arrays()
-    ):
+    for theta_t, theta_star, theta_0 in zip(momentum.arrays(), base.arrays(), initial.arrays()):
         expected = theta_star + m**T * (theta_0 - theta_star)
         worst = max(worst, float(np.max(np.abs(theta_t - expected))))
     elapsed = time.perf_counter() - start
@@ -175,7 +172,7 @@ def test_queue_semantics_replay():
     while enqueued < 1000:
         batch = random_unit_rows(int(rng.integers(1, capacity + 1)), 8, rng)
         batch = batch[: 1000 - enqueued]
-        queue = enqueue_batch(queue, batch)
+        enqueue_batch(queue, batch)
         history.extend(batch)
         enqueued += len(batch)
         expected = np.array(history[-capacity:])
@@ -207,7 +204,7 @@ def test_momentum_ablation_completes(world, default_run, ablation_run):
     acc_with = held_out_accuracy(baseline, corpus, config.pooling)
     acc_without = held_out_accuracy(ablated, corpus, config.pooling)
     # parameter sharing must have held throughout
-    for a, b in zip(ablated.state.base_a.arrays(), ablated.state.momentum_a.params.arrays()):
+    for a, b in zip(ablated.state.base_a.arrays(), ablated.state.momentum_a.arrays()):
         np.testing.assert_array_equal(a, b)
     report(
         "momentum ablation",
@@ -360,7 +357,7 @@ def test_temperature_sweep(world):
             # softmax distribution inside the contrastive loss for the
             # step's first pair, evaluated across the whole grid
             q = encode(state.base_a, batch_a[0], pooling)
-            k = encode(state.momentum_b.params, batch_b[0], pooling)
+            k = encode(state.momentum_b, batch_b[0], pooling)
             sims = np.concatenate([[float(q @ k)], state.queue_b.negatives() @ q])
             entropies = [softmax_entropy(sims, t) for t in TAU_GRID]
             bad = any(hi < lo - 1e-12 for lo, hi in zip(entropies, entropies[1:]))

@@ -304,13 +304,34 @@ class TestEnvAndArgs:
 
     @pytest.mark.parametrize(
         "command, key, value",
-        [("eval-sts", "pooling", "bogus"), ("mine", "variant", "cosine"), ("embed", "split", "dev")],
+        [
+            ("eval-sts", "pooling", "bogus"),
+            ("mine", "variant", "cosine"),
+            ("embed", "split", "dev"),
+            # values of the wrong JSON type
+            ("train", "epochs", "3"),
+            ("train", "epochs", 3.0),
+            ("train", "momentum", True),
+            ("train", "nli_enabled", 1),
+            ("train", "pooling", 3),
+            ("gen-data", "noise_rate", "0.1"),
+            ("mine", "k", True),
+            ("eval-retrieval", "src", None),
+        ],
     )
     def test_bad_choice_in_config_file_exits_2(self, tmp_path, capsys, command, key, value):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({key: value}))
         assert cli.main([command, "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_integer_config_value_for_float_field(self, tmp_path):
+        config = tmp_path / "ok.json"
+        config.write_text(json.dumps({"lr_max": 1, "momentum": 0, "epochs": 3}))
+        args = cli.build_parser().parse_args(["train", "--config", str(config)])
+        resolved = cli._resolve_config(cli.RunConfig, args)
+        assert (resolved.lr_max, resolved.momentum, resolved.epochs) == (1.0, 0.0, 3)
+        assert type(resolved.lr_max) is float and type(resolved.momentum) is float
 
     def test_bad_split_choice_exits_2(self, pipeline):
         _, data, run = pipeline

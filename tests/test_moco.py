@@ -18,13 +18,12 @@ from dualmoco.errors import (
 from dualmoco.moco import (
     DualMocoState,
     MemoryQueue,
-    MomentumEncoder,
+    advance_state,
     bidirectional_loss,
     enqueue_batch,
     info_nce,
     info_nce_query_grad,
     loss_and_gradients,
-    moco_step,
     momentum_update,
     new_state,
     softmax_entropy,
@@ -37,6 +36,19 @@ def constant_params(value, vocab=3, d_emb=2, d_out=2):
     )
 
 
+def filled_queue(capacity, keys):
+    queue = MemoryQueue.empty(capacity, keys.shape[1])
+    enqueue_batch(queue, keys)
+    return queue
+
+
+def moco_step(state, batch_a, batch_b, pooling):
+    """One training step's MoCo part: gradients from the state, then advance it in place."""
+    loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
+    advance_state(state, batch_a, batch_b, pooling)
+    return loss, grads_a, grads_b
+
+
 def tiny_state(rng, vocab=10, d_emb=8, d_out=8, capacity=16, temperature=0.07, m=0.9):
     state = new_state(
         init_params(vocab, d_emb, d_out, rng),
@@ -46,44 +58,47 @@ def tiny_state(rng, vocab=10, d_emb=8, d_out=8, capacity=16, temperature=0.07, m
         temperature,
     )
     # momentum towers drift so stop-gradient paths differ from the bases
-    state.momentum_a.params.embedding += 0.1 * rng.normal(size=(vocab, d_emb))
-    state.momentum_b.params.proj_w += 0.1 * rng.normal(size=(d_emb, d_out))
+    state.momentum_a.embedding += 0.1 * rng.normal(size=(vocab, d_emb))
+    state.momentum_b.proj_w += 0.1 * rng.normal(size=(d_emb, d_out))
     return state
 
 
 class TestMomentumUpdate:
     def test_m_one_is_fixed_point(self):
         base = constant_params(1.0)
-        momentum = MomentumEncoder(constant_params(2.0), 1.0)
-        updated = momentum_update(base, momentum)
-        for a, b in zip(updated.params.arrays(), momentum.params.arrays()):
+        momentum = constant_params(2.0)
+        momentum_update(base, momentum, 1.0)
+        for a, b in zip(momentum.arrays(), constant_params(2.0).arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_m_zero_copies_base(self):
         base = constant_params(1.0)
-        momentum = MomentumEncoder(constant_params(2.0), 0.0)
-        updated = momentum_update(base, momentum)
-        for a, b in zip(updated.params.arrays(), base.arrays()):
+        momentum = constant_params(2.0)
+        momentum_update(base, momentum, 0.0)
+        for a, b in zip(momentum.arrays(), base.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_scalar_blend(self):
         base = constant_params(1.0)
-        momentum = MomentumEncoder(constant_params(2.0), 0.999)
-        updated = momentum_update(base, momentum)
-        np.testing.assert_allclose(updated.params.embedding, 1.999, rtol=0, atol=1e-15)
+        momentum = constant_params(2.0)
+        arrays = momentum.arrays()
+        momentum_update(base, momentum, 0.999)
+        np.testing.assert_allclose(momentum.embedding, 1.999, rtol=0, atol=1e-15)
+        # blended into the same buffers; the base is only read
+        assert all(a is b for a, b in zip(momentum.arrays(), arrays))
+        np.testing.assert_array_equal(base.embedding, 1.0)
 
     def test_shape_mismatch(self):
         base = constant_params(1.0, vocab=4)
-        momentum = MomentumEncoder(constant_params(2.0, vocab=3), 0.5)
         with pytest.raises(ShapeMismatchError):
-            momentum_update(base, momentum)
+            momentum_update(base, constant_params(2.0, vocab=3), 0.5)
 
 
 class TestMemoryQueue:
     def test_partial_fill(self):
         rng = np.random.default_rng(0)
         keys = random_unit_rows(2, 3, rng)
-        q = enqueue_batch(MemoryQueue.empty(4, 3), keys)
+        q = filled_queue(4, keys)
         assert q.filled == 2 and q.write_index == 2
         np.testing.assert_array_equal(q.negatives(), keys)
         np.testing.assert_array_equal(q.insertion_order(), keys)
@@ -91,9 +106,11 @@ class TestMemoryQueue:
     def test_fifo_replacement(self):
         rng = np.random.default_rng(1)
         a, b, c, d, e, f = random_unit_rows(6, 3, rng)
-        q = enqueue_batch(MemoryQueue.empty(4, 3), np.stack([a, b, c, d]))
+        q = filled_queue(4, np.stack([a, b, c, d]))
         assert q.write_index == 0 and q.filled == 4
-        q = enqueue_batch(q, np.stack([e, f]))
+        slots = q.slots
+        enqueue_batch(q, np.stack([e, f]))
+        assert q.slots is slots
         np.testing.assert_array_equal(q.slots, np.stack([e, f, c, d]))
         assert q.write_index == 2
         np.testing.assert_array_equal(q.insertion_order(), np.stack([c, d, e, f]))
@@ -112,13 +129,6 @@ class TestMemoryQueue:
         with pytest.raises(DimensionMismatchError):
             enqueue_batch(MemoryQueue.empty(4, 3), random_unit_rows(1, 2, rng))
 
-    def test_enqueue_is_functional(self):
-        rng = np.random.default_rng(4)
-        q0 = MemoryQueue.empty(4, 3)
-        q1 = enqueue_batch(q0, random_unit_rows(2, 3, rng))
-        assert q0.filled == 0 and q1.filled == 2
-        assert not q0.slots.any()
-
     def test_replay_oracle_random_sequences(self):
         # queue contents must always equal the last-K enqueued keys in
         # insertion order, across wraparound and partial fill
@@ -129,7 +139,7 @@ class TestMemoryQueue:
             history: list[np.ndarray] = []
             for _ in range(30):
                 batch = random_unit_rows(int(rng.integers(1, capacity + 1)), 4, rng)
-                q = enqueue_batch(q, batch)
+                enqueue_batch(q, batch)
                 history.extend(batch)
                 expected = np.array(history[-capacity:])
                 np.testing.assert_array_equal(q.insertion_order(), expected)
@@ -143,9 +153,7 @@ class TestInfoNce:
 
     def test_hand_evaluated_value(self):
         q = np.array([1.0, 0.0, 0.0])
-        queue = enqueue_batch(
-            MemoryQueue.empty(4, 3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        )
+        queue = filled_queue(4, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         expected = -math.log(math.e / (math.e + 2.0))
         assert info_nce(q, q, queue, 1.0) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.551445, abs=1e-6)
@@ -154,9 +162,7 @@ class TestInfoNce:
         # when the positive similarity beats every negative, sharpening the
         # softmax can only shrink the loss; swept over a brute-force grid
         q = np.array([1.0, 0.0, 0.0])
-        queue = enqueue_batch(
-            MemoryQueue.empty(4, 3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        )
+        queue = filled_queue(4, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         grid = [2.0, 1.0, 0.5, 0.2, 0.1, 0.04, 0.01]
         losses = [info_nce(q, q, queue, t) for t in grid]
         for earlier, later in zip(losses, losses[1:]):
@@ -167,7 +173,7 @@ class TestInfoNce:
         for _ in range(20):
             q = random_unit_rows(1, 5, rng)[0]
             pos = random_unit_rows(1, 5, rng)[0]
-            queue = enqueue_batch(MemoryQueue.empty(8, 5), random_unit_rows(4, 5, rng))
+            queue = filled_queue(8, random_unit_rows(4, 5, rng))
             assert info_nce(q, pos, queue, 0.3) > 0.0
 
     def test_temperature_must_be_positive(self):
@@ -186,7 +192,7 @@ class TestInfoNce:
         rng = np.random.default_rng(7)
         q = random_unit_rows(1, 8, rng)[0]
         pos = random_unit_rows(1, 8, rng)[0]
-        queue = enqueue_batch(MemoryQueue.empty(64, 8), random_unit_rows(64, 8, rng))
+        queue = filled_queue(64, random_unit_rows(64, 8, rng))
         loss = info_nce(q, pos, queue, 0.01)
         assert math.isfinite(loss) and loss >= 0.0
 
@@ -200,9 +206,7 @@ class TestInfoNceQueryGrad:
 
     def test_hand_evaluated_instance(self):
         q = np.array([1.0, 0.0, 0.0])
-        queue = enqueue_batch(
-            MemoryQueue.empty(4, 3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        )
+        queue = filled_queue(4, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         grad = info_nce_query_grad(q, q, queue, 1.0)
         np.testing.assert_allclose(grad, [-0.42388, 0.21194, 0.21194], atol=1e-5)
 
@@ -210,7 +214,7 @@ class TestInfoNceQueryGrad:
         rng = np.random.default_rng(8)
         q = random_unit_rows(1, 8, rng)[0]
         pos = random_unit_rows(1, 8, rng)[0]
-        queue = enqueue_batch(MemoryQueue.empty(16, 8), random_unit_rows(16, 8, rng))
+        queue = filled_queue(16, random_unit_rows(16, 8, rng))
         analytic = info_nce_query_grad(q, pos, queue, 0.2)
 
         # perturbing the query breaks unit norm, so diff the raw softmax
@@ -250,8 +254,8 @@ class TestBidirectionalLoss:
         params = init_params(6, 4, 3, rng)
         state = new_state(params, params.copy(), 0.9, 8, 0.1)
         state.base_b = params.copy()
-        state.momentum_a = MomentumEncoder(params.copy(), 0.9)
-        state.momentum_b = MomentumEncoder(params.copy(), 0.9)
+        state.momentum_a = params.copy()
+        state.momentum_b = params.copy()
         batch = [[0, 1], [2, 3]]
         loss = bidirectional_loss(state, batch, batch, Pooling.MEAN)
         assert loss.total == pytest.approx(0.0, abs=1e-12)
@@ -262,8 +266,8 @@ class TestBidirectionalLoss:
         state = tiny_state(rng)
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
-        state.queue_b = enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         loss = bidirectional_loss(state, batch_a, batch_b, Pooling.MEAN)
         assert loss.total == loss.forward + loss.backward
         assert loss.forward >= 0.0 and loss.backward >= 0.0
@@ -272,8 +276,8 @@ class TestBidirectionalLoss:
         # the batched loss must equal the mean of independent per-pair calls
         rng = np.random.default_rng(12)
         state = tiny_state(rng)
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
-        state.queue_b = enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
         loss = bidirectional_loss(state, batch_a, batch_b, Pooling.MEAN)
@@ -283,8 +287,8 @@ class TestBidirectionalLoss:
         for sa, sb in zip(batch_a, batch_b):
             qa = encode(state.base_a, sa, Pooling.MEAN)
             qb = encode(state.base_b, sb, Pooling.MEAN)
-            ka = encode(state.momentum_a.params, sa, Pooling.MEAN)
-            kb = encode(state.momentum_b.params, sb, Pooling.MEAN)
+            ka = encode(state.momentum_a, sa, Pooling.MEAN)
+            kb = encode(state.momentum_b, sb, Pooling.MEAN)
             fwd.append(info_nce(qa, kb, state.queue_b, state.temperature))
             bwd.append(info_nce(qb, ka, state.queue_a, state.temperature))
         assert loss.forward == pytest.approx(float(np.mean(fwd)), abs=1e-12)
@@ -299,8 +303,8 @@ class TestBidirectionalLoss:
     def test_language_swap_symmetry(self):
         rng = np.random.default_rng(14)
         state = tiny_state(rng)
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(10, 8, rng))
-        state.queue_b = enqueue_batch(state.queue_b, random_unit_rows(7, 8, rng))
+        enqueue_batch(state.queue_a, random_unit_rows(10, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(7, 8, rng))
         batch_a = random_token_batch(rng, 3, 10)
         batch_b = random_token_batch(rng, 3, 10)
         loss = bidirectional_loss(state, batch_a, batch_b, Pooling.MEAN)
@@ -313,6 +317,7 @@ class TestBidirectionalLoss:
             queue_a=state.queue_b,
             queue_b=state.queue_a,
             temperature=state.temperature,
+            momentum=state.momentum,
         )
         mirrored = bidirectional_loss(swapped, batch_b, batch_a, Pooling.MEAN)
         assert mirrored.forward == loss.backward
@@ -334,10 +339,10 @@ class TestMocoStep:
         state = tiny_state(rng, m=1.0)
         batch_a = random_token_batch(rng, 2, 10)
         batch_b = random_token_batch(rng, 2, 10)
-        frozen = [a.copy() for a in state.momentum_a.params.arrays()]
+        frozen = [a.copy() for a in state.momentum_a.arrays()]
         for _ in range(2):
-            _, _, _, state = moco_step(state, batch_a, batch_b, Pooling.MEAN)
-        for a, b in zip(frozen, state.momentum_a.params.arrays()):
+            moco_step(state, batch_a, batch_b, Pooling.MEAN)
+        for a, b in zip(frozen, state.momentum_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_queues_grow_by_batch_size(self):
@@ -345,10 +350,10 @@ class TestMocoStep:
         state = tiny_state(rng, capacity=16)
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
-        _, _, _, nxt = moco_step(state, batch_a, batch_b, Pooling.MEAN)
-        assert nxt.queue_a.filled == 4 and nxt.queue_b.filled == 4
-        _, _, _, nxt2 = moco_step(nxt, batch_a, batch_b, Pooling.MEAN)
-        assert nxt2.queue_a.filled == 8
+        moco_step(state, batch_a, batch_b, Pooling.MEAN)
+        assert state.queue_a.filled == 4 and state.queue_b.filled == 4
+        moco_step(state, batch_a, batch_b, Pooling.MEAN)
+        assert state.queue_a.filled == 8
 
     def test_keys_use_updated_momentum_params(self):
         # with m = 0 the EMA collapses onto the base, so the enqueued keys
@@ -357,40 +362,52 @@ class TestMocoStep:
         state = tiny_state(rng, m=0.0)
         batch_a = random_token_batch(rng, 3, 10)
         batch_b = random_token_batch(rng, 3, 10)
-        _, _, _, nxt = moco_step(state, batch_a, batch_b, Pooling.MEAN)
+        moco_step(state, batch_a, batch_b, Pooling.MEAN)
         np.testing.assert_array_equal(
-            nxt.queue_a.insertion_order(), encode_batch(state.base_a, batch_a, Pooling.MEAN)
+            state.queue_a.insertion_order(), encode_batch(state.base_a, batch_a, Pooling.MEAN)
         )
 
     def test_base_params_untouched(self):
+        # advance_state leaves both bases bit-unchanged and mutates only the
+        # momentum towers and the queues, in their own buffers
         rng = np.random.default_rng(19)
         state = tiny_state(rng)
-        before = [a.copy() for a in state.base_a.arrays()]
-        _, _, _, nxt = moco_step(
+        bases = [a.copy() for a in (*state.base_a.arrays(), *state.base_b.arrays())]
+        towers = [a.copy() for a in (*state.momentum_a.arrays(), *state.momentum_b.arrays())]
+        buffers = [*state.momentum_a.arrays(), *state.momentum_b.arrays()]
+        slots = (state.queue_a.slots, state.queue_b.slots)
+        advance_state(
             state, random_token_batch(rng, 2, 10), random_token_batch(rng, 2, 10), "mean"
         )
-        for a, b in zip(before, nxt.base_a.arrays()):
+        for a, b in zip(bases, (*state.base_a.arrays(), *state.base_b.arrays())):
             np.testing.assert_array_equal(a, b)
+        after = [*state.momentum_a.arrays(), *state.momentum_b.arrays()]
+        assert all(a is b for a, b in zip(after, buffers))
+        for tower, base, blended in zip(towers, bases, after):
+            np.testing.assert_array_equal(blended, 0.9 * tower + (1.0 - 0.9) * base)
+        assert state.queue_a.slots is slots[0] and state.queue_b.slots is slots[1]
+        assert state.queue_a.filled == state.queue_b.filled == 2
+        assert state.queue_a.slots[:2].any() and not state.queue_a.slots[2:].any()
 
     def test_momentum_perturbation_moves_loss_not_grad_structure(self):
         rng = np.random.default_rng(20)
         state = tiny_state(rng)
-        state.queue_b = enqueue_batch(state.queue_b, random_unit_rows(8, 8, rng))
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(8, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(8, 8, rng))
+        enqueue_batch(state.queue_a, random_unit_rows(8, 8, rng))
         batch_a = random_token_batch(rng, 3, 10)
         batch_b = random_token_batch(rng, 3, 10)
         loss1, ga, gb = loss_and_gradients(state, batch_a, batch_b, "mean")
         # gradients exist only for the two bases; keys are constants
         assert len(ga.arrays()) == 3 and len(gb.arrays()) == 3
-        state.momentum_b.params.embedding += 0.05 * rng.normal(size=(10, 8))
+        state.momentum_b.embedding += 0.05 * rng.normal(size=(10, 8))
         loss2, _, _ = loss_and_gradients(state, batch_a, batch_b, "mean")
         assert loss1.total != loss2.total
 
     def test_full_step_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
         state = tiny_state(rng)
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
-        state.queue_b = enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
         _, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, Pooling.MEAN)

@@ -120,31 +120,39 @@ class TestClipGradients:
             clip_gradients(g, 10.0)
 
 
+def textbook_adamw(p, g, m, v, t, lr, wd):
+    """One out-of-place AdamW step, written out from the formula."""
+    b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return p - lr * (m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS) + wd * p), m, v
+
+
 class TestAdamW:
     def test_zero_grad_no_decay_is_identity(self):
         p = [np.array([1.0, -2.0])]
-        state = AdamWState.for_params(p)
-        out, _ = adamw_step(p, [np.zeros(2)], state, lr=0.1, weight_decay=0.0)
-        np.testing.assert_array_equal(out[0], p[0])
+        adamw_step(p, [np.zeros(2)], AdamWState.for_params(p), lr=0.1, weight_decay=0.0)
+        np.testing.assert_array_equal(p[0], [1.0, -2.0])
 
     def test_hand_evaluated_first_step(self):
         # theta=1, g=1, lr=0.1, wd=0.1: bias-corrected m_hat = v_hat = 1,
         # update = 0.1 * (1/(1+1e-8) + 0.1 * 1)
         p = [np.array([1.0])]
-        state = AdamWState.for_params(p)
-        out, _ = adamw_step(p, [np.array([1.0])], state, lr=0.1, weight_decay=0.1)
+        adamw_step(p, [np.array([1.0])], AdamWState.for_params(p), lr=0.1, weight_decay=0.1)
         expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.1)
-        assert out[0][0] == pytest.approx(expected, abs=1e-15)
-        assert out[0][0] == pytest.approx(0.89, abs=1e-7)
+        assert p[0][0] == pytest.approx(expected, abs=1e-15)
+        assert p[0][0] == pytest.approx(0.89, abs=1e-7)
 
     def test_decay_difference_is_algebraic(self):
         # at step 1 two runs differing only in wd differ by lr * dwd * theta
         theta = 3.0
-        p = [np.array([theta])]
+        p1, p2 = [np.array([theta])], [np.array([theta])]
         g = [np.array([0.7])]
-        out1, _ = adamw_step(p, g, AdamWState.for_params(p), lr=0.05, weight_decay=0.0)
-        out2, _ = adamw_step(p, g, AdamWState.for_params(p), lr=0.05, weight_decay=0.3)
-        assert out1[0][0] - out2[0][0] == pytest.approx(0.05 * 0.3 * theta, abs=1e-12)
+        adamw_step(p1, g, AdamWState.for_params(p1), lr=0.05, weight_decay=0.0)
+        adamw_step(p2, g, AdamWState.for_params(p2), lr=0.05, weight_decay=0.3)
+        assert p1[0][0] - p2[0][0] == pytest.approx(0.05 * 0.3 * theta, abs=1e-12)
 
     def test_pure_decay_is_geometric(self):
         # with g = 0 throughout, theta_t = theta_0 * (1 - lr*wd)^t exactly
@@ -152,10 +160,32 @@ class TestAdamW:
         state = AdamWState.for_params(p)
         lr, wd = 0.05, 0.2
         for t in range(1, 11):
-            p, state = adamw_step(p, [np.zeros(2)], state, lr=lr, weight_decay=wd)
+            adamw_step(p, [np.zeros(2)], state, lr=lr, weight_decay=wd)
             np.testing.assert_allclose(
                 p[0], np.array([2.0, -4.0]) * (1.0 - lr * wd) ** t, rtol=1e-12
             )
+
+    def test_in_place_matches_textbook_formula_bitwise(self):
+        # several steps on tensors of different shapes, with a varying lr:
+        # the in-place update must round exactly like the out-of-place formula
+        rng = np.random.default_rng(6)
+        params = [rng.normal(size=(7, 5)), rng.normal(size=(5,)), rng.normal(size=(3, 2, 4))]
+        buffers = list(params)
+        ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+        state = AdamWState.for_params(params)
+        moments = state.m + state.v
+        for t in range(1, 7):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3) for p in params]
+            lr = float(rng.uniform(1e-4, 1e-1))
+            adamw_step(params, grads, state, lr=lr, weight_decay=1e-2)
+            ref = [textbook_adamw(p, g, m, v, t, lr, 1e-2) for (p, m, v), g in zip(ref, grads)]
+            assert state.t == t
+            for k, (p, m, v) in enumerate(ref):
+                np.testing.assert_array_equal(params[k], p)
+                np.testing.assert_array_equal(state.m[k], m)
+                np.testing.assert_array_equal(state.v[k], v)
+        assert all(a is b for a, b in zip(params, buffers))
+        assert all(a is b for a, b in zip(state.m + state.v, moments))
 
     def test_overflowing_update_raises(self):
         # theta = -1.7e308 stepped by lr = 1e308 against a unit gradient overflows to -inf
@@ -321,7 +351,7 @@ class TestTrain:
     def test_ablation_shares_parameters(self, small_world):
         _, corpus, _, _ = small_world
         result = train(small_config(ablation_no_momentum=True), corpus)
-        for a, b in zip(result.state.base_a.arrays(), result.state.momentum_a.params.arrays()):
+        for a, b in zip(result.state.base_a.arrays(), result.state.momentum_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_ablation_queue_holds_base_outputs(self, small_world):
@@ -344,8 +374,12 @@ class TestTrain:
     def test_step_probe_sees_every_step(self, small_world):
         _, corpus, _, _ = small_world
         seen = []
-        train(small_config(epochs=1), corpus, step_probe=lambda s, *_: seen.append(s))
-        assert seen == list(range(len(corpus.split("train")) // 16))
+        result = train(
+            small_config(epochs=1), corpus, step_probe=lambda s, state, *_: seen.append((s, state))
+        )
+        assert [s for s, _ in seen] == list(range(len(corpus.split("train")) // 16))
+        # every step sees the trainer's one live state, not a snapshot
+        assert all(state is result.state for _, state in seen)
 
     def test_nan_guard(self):
         with pytest.raises(NumericalFailureError):
@@ -374,8 +408,8 @@ class TestStepGradientLinearity:
         params_a = init_params(lexicon.vocab_size_a, 8, 8, rng)
         params_b = init_params(lexicon.vocab_size_b, 8, 8, rng)
         state = new_state(params_a, params_b, 0.9, 32, 0.07)
-        state.queue_a = enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
-        state.queue_b = enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
         pairs = corpus.split("train")[:8]
         batch_a = [p.tokens_a for p in pairs]
