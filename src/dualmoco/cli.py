@@ -68,7 +68,7 @@ CONFIG_TYPES = {
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
-    atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    atomic_write({path: (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
@@ -205,8 +205,17 @@ def _load_vocab_sizes(data_dir: Path) -> tuple[int | None, int | None]:
     if not path.exists():
         return None, None
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc.get("vocab_size_a"), doc.get("vocab_size_b")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CorpusParseError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise CorpusParseError(f"{path}: must be a JSON object")
+    sizes = doc.get("vocab_size_a"), doc.get("vocab_size_b")
+    for key, size in zip(("vocab_size_a", "vocab_size_b"), sizes):
+        if size is not None and (type(size) is not int or size < 1):
+            raise CorpusParseError(f"{path}: {key} must be a positive integer (got {size!r})")
+    return sizes
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -227,7 +236,7 @@ def cmd_train(config: RunConfig) -> int:
         config, corpus, nli_data=nli, sts_pairs=sts, vocab_size_a=vocab_a, vocab_size_b=vocab_b
     )
 
-    save_checkpoint(str(out / "checkpoint.bin"), result.params_a, result.params_b)
+    save_checkpoint(str(out / "checkpoint.bin"), result.state.base_a, result.state.base_b)
     steps_per_epoch = len(result.step_records) // max(1, len(result.epoch_records))
     with open(out / "metrics.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for epoch, epoch_record in enumerate(result.epoch_records):

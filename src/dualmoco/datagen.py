@@ -465,7 +465,7 @@ def _tokens(seq: Sequence[int]) -> str:
 
 
 def _save_lines(path: str, lines: Iterable[str]) -> None:
-    atomic_write(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+    atomic_write({path: "".join(line + "\n" for line in lines).encode("utf-8")})
 
 
 def save_tsv(corpus: ParallelCorpus, path: str) -> None:
@@ -529,7 +529,7 @@ def save_mining_json(corpus: MiningCorpus, path: str) -> None:
         "gold_pairs": [list(p) for p in corpus.gold_pairs],
         "parallel_fraction": corpus.parallel_fraction,
     }
-    atomic_write(path, (json.dumps(doc) + "\n").encode("utf-8"))
+    atomic_write({path: (json.dumps(doc) + "\n").encode("utf-8")})
 
 
 def load_mining_json(path: str) -> MiningCorpus:

@@ -245,19 +245,24 @@ def encode_backward(
     return grads
 
 
-def atomic_write(path: str | os.PathLike, data: bytes) -> None:
-    """Write data through a temporary file that replaces `path` once complete.
+def atomic_write(files: dict[str | os.PathLike, bytes]) -> None:
+    """Write each file's bytes to a temporary file, then replace the files.
 
-    A write that fails leaves any previous file at `path` intact.
+    No file is replaced before every temporary is complete, so a write that
+    fails leaves all previous files intact.
     """
-    tmp = f"{path}.tmp"
+    staged = []
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            staged.append(f"{path}.tmp")
+            with open(staged[-1], "wb") as fh:
+                fh.write(data)
+        for tmp, path in zip(staged, files):
+            os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +274,12 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_tensor_file(
-    path: str, magic: bytes, header: Sequence[int], tensors: Sequence[np.ndarray]
-) -> str:
-    """Write a tensor file atomically and return the sha256 of its bytes."""
-    data = b"".join(
+def pack_tensor_file(magic: bytes, header: Sequence[int], tensors: Sequence[np.ndarray]) -> bytes:
+    """The bytes of a tensor file."""
+    return b"".join(
         [magic, struct.pack(f"<{len(header)}Q", *header)]
         + [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in tensors]
     )
-    atomic_write(path, data)
-    return hashlib.sha256(data).hexdigest()
 
 
 def read_tensor_file(
@@ -323,7 +324,8 @@ def save_checkpoint(path: str, params_a: EncoderParams, params_b: EncoderParams)
     if params_a.shapes() != params_b.shapes():
         raise ShapeMismatchError("encoder towers must share shapes in a checkpoint")
     header = (params_a.vocab_size, params_a.d_emb, params_a.d_out)
-    write_tensor_file(path, CHECKPOINT_MAGIC, header, [*params_a.arrays(), *params_b.arrays()])
+    tensors = [*params_a.arrays(), *params_b.arrays()]
+    atomic_write({path: pack_tensor_file(CHECKPOINT_MAGIC, header, tensors)})
 
 
 def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderParams]:

@@ -10,13 +10,14 @@ validation set to maximize F1.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Pooling, atomic_write, encode_batch, read_tensor_file, write_tensor_file
+from .encoder import EncoderParams, Pooling, atomic_write, encode_batch, pack_tensor_file, read_tensor_file
 from .errors import (
     CorpusParseError,
     DegenerateInputError,
@@ -96,15 +97,15 @@ def retrieval_accuracy(src_embs: np.ndarray, tgt_embs: np.ndarray) -> tuple[floa
 
 
 def margin_score(
-    i: int,
-    j: int,
+    i: int | np.ndarray,
+    j: int | np.ndarray,
     sims: np.ndarray,
     nn_a: Neighbors,
     nn_b: Neighbors,
     k: int = 3,
     variant: str = "distance",
-) -> float:
-    """Neighborhood-corrected similarity of pair (i, j).
+) -> float | np.ndarray:
+    """Neighborhood-corrected similarity of pairs (i, j), elementwise over index arrays.
 
     b averages the k nearest-neighbor similarities of both endpoints
     (each side contributing half); the distance variant returns
@@ -112,13 +113,14 @@ def margin_score(
     """
     if k < 1 or k > nn_a.sims.shape[1] or k > nn_b.sims.shape[1]:
         raise KTooLargeError(f"k={k} exceeds available neighbor lists")
-    a = float(sims[i, j])
-    b = float(nn_a.sims[i, :k].sum() / (2 * k) + nn_b.sims[j, :k].sum() / (2 * k))
+    a = sims[i, j]
+    b = nn_a.sims[i, :k].sum(axis=-1) / (2 * k) + nn_b.sims[j, :k].sum(axis=-1) / (2 * k)
     if variant == "distance":
         return a - b
     if variant == "ratio":
-        if b <= RATIO_EPS:
-            raise ZeroDenominatorError(f"neighborhood average {b:.3e} too small for ratio margin")
+        small = b[b <= RATIO_EPS]
+        if small.size:
+            raise ZeroDenominatorError(f"neighborhood average {small[0]:.3e} too small for ratio margin")
         return a / b
     raise ValueError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
 
@@ -129,13 +131,11 @@ def mine_bitext(
     k: int = 3,
     variant: str = "distance",
     threshold: float = float("-inf"),
-    exhaustive: bool = False,
 ) -> MiningResult:
     """Score candidate pairs and accept those whose margin exceeds the threshold.
 
-    Candidates are the union of each side's rank-1 matches; `exhaustive`
-    scores every cross pair instead (kept for oracle comparisons). A
-    sentence may appear in several accepted pairs.
+    Candidates are the union of each side's rank-1 matches, in (i, j)
+    order. A sentence may appear in several accepted pairs.
     """
     embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
     embs_b = np.atleast_2d(np.asarray(embs_b, dtype=np.float64))
@@ -145,18 +145,16 @@ def mine_bitext(
     nn_a = top_k_from_sims(sims, k)
     nn_b = top_k_from_sims(sims.T, k)
 
-    if exhaustive:
-        candidates = [(i, j) for i in range(embs_a.shape[0]) for j in range(embs_b.shape[0])]
-    else:
-        forward = {(i, int(nn_a.indices[i, 0])) for i in range(embs_a.shape[0])}
-        backward = {(int(nn_b.indices[j, 0]), j) for j in range(embs_b.shape[0])}
-        candidates = sorted(forward | backward)
-
-    scored = [
-        (i, j, margin_score(i, j, sims, nn_a, nn_b, k, variant)) for i, j in candidates
-    ]
-    accepted = [(i, j) for i, j, s in scored if s > threshold]
-    return MiningResult(scored, accepted, threshold)
+    # pair (i, j) as the key i * n_b + j, so sorted distinct keys are in (i, j) order
+    n_a, n_b = sims.shape
+    forward = np.arange(n_a) * n_b + nn_a.indices[:, 0]
+    backward = nn_b.indices[:, 0] * n_b + np.arange(n_b)
+    keys = np.sort(np.concatenate([forward, backward]))
+    i, j = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n_b)
+    scores = margin_score(i, j, sims, nn_a, nn_b, k, variant)
+    keep = scores > threshold
+    scored = list(zip(i.tolist(), j.tolist(), scores.tolist()))
+    return MiningResult(scored, list(zip(i[keep].tolist(), j[keep].tolist())), threshold)
 
 
 def f1(predicted: Sequence[Pair], gold: Sequence[Pair]) -> tuple[float, float, float]:
@@ -178,38 +176,29 @@ def search_threshold(
     Sweeps the midpoints between consecutive distinct scores plus +/-inf
     sentinels; on ties the larger threshold (higher precision) wins.
     """
-    gold_set = set(map(tuple, gold_pairs))
-    if not gold_set:
+    gold = np.array(list(set(map(tuple, gold_pairs))), dtype=np.float64).reshape(-1, 2)
+    if not len(gold):
         raise NoGoldPairsError("threshold search needs at least one gold pair")
+    rows = np.array(scored, dtype=np.float64).reshape(-1, 3)
+    order = np.argsort(-rows[:, 2], kind="stable")
+    pairs, scores = rows[order, :2], rows[order, 2]
+    distinct = scores[:-1] != scores[1:]
+    thresholds = np.concatenate([[np.inf], 0.5 * (scores[:-1] + scores[1:])[distinct], [-np.inf]])
 
-    by_score = sorted(scored, key=lambda t: -t[2])
-    scores = [s for _, _, s in by_score]
-    thresholds = [float("inf")]
-    for left, right in zip(scores, scores[1:]):
-        if left != right:
-            thresholds.append(0.5 * (left + right))
-    thresholds.append(float("-inf"))
-
-    n_gold = len(gold_set)
-    best_f1 = 0.0
-    best_lambda = float("inf")  # accept nothing until something scores better
-    tp = 0
-    taken = 0
-    cursor = 0
-    for lam in thresholds:
-        while cursor < len(by_score) and by_score[cursor][2] > lam:
-            i, j, _ = by_score[cursor]
-            taken += 1
-            if (i, j) in gold_set:
-                tp += 1
-            cursor += 1
-        precision = tp / taken if taken else 0.0
-        recall = tp / n_gold
-        score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        if score > best_f1:
-            best_f1 = score
-            best_lambda = lam
-    return best_lambda, best_f1
+    # a midpoint of adjacent doubles can round onto one of them, so count
+    # the scores strictly above each threshold by comparison
+    taken = np.searchsorted(-scores, -thresholds, side="left")
+    # a pair (i, j) is looked up as the complex number i + j*1j among gold's
+    keys, gold_keys = pairs[:, 0] + 1j * pairs[:, 1], np.sort(gold[:, 0] + 1j * gold[:, 1])
+    hits = gold_keys[np.searchsorted(gold_keys, keys).clip(max=len(gold_keys) - 1)] == keys
+    tp = np.concatenate([[0], np.cumsum(hits)])[taken]
+    precision = np.divide(tp, taken, out=np.zeros(len(taken)), where=taken > 0)
+    recall = tp / len(gold)
+    score = np.divide(2 * precision * recall, precision + recall, out=np.zeros(len(taken)), where=tp > 0)
+    best = int(np.argmax(score))
+    if score[best] > 0.0:
+        return float(thresholds[best]), float(score[best])
+    return float("inf"), 0.0  # accept nothing when no threshold scores above zero
 
 
 def sts_eval(
@@ -226,23 +215,23 @@ def sts_eval(
 
 
 # ---------------------------------------------------------------------------
-# Embedding dump: a tensor file (see encoder.write_tensor_file) with magic
+# Embedding dump: a tensor file (see encoder.pack_tensor_file) with magic
 # "DMCE", header (count, dim) and one row-major matrix; a JSON sidecar
 # records {count, dim, source_corpus, checksum} with the sha256 of the
-# binary file.
+# binary file. Both files are replaced together (see encoder.atomic_write).
 # ---------------------------------------------------------------------------
 
 
 def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") -> None:
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    digest = write_tensor_file(path, EMBEDDING_MAGIC, embeddings.shape, [embeddings])
+    data = pack_tensor_file(EMBEDDING_MAGIC, embeddings.shape, [embeddings])
     sidecar = {
         "count": embeddings.shape[0],
         "dim": embeddings.shape[1],
         "source_corpus": source_corpus,
-        "checksum": digest,
+        "checksum": hashlib.sha256(data).hexdigest(),
     }
-    atomic_write(path + ".json", (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
+    atomic_write({path: data, path + ".json": (json.dumps(sidecar, indent=2) + "\n").encode("utf-8")})
 
 
 def load_embeddings(path: str) -> np.ndarray:

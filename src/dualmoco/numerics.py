@@ -58,15 +58,12 @@ def average_ranks(xs: Sequence[float] | np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average (fractional) rank."""
     xs = as_vector(xs)
     order = np.argsort(xs, kind="stable")
+    # runs of equal sorted values span 0-based positions first..last
+    bounds = np.flatnonzero(xs[order[1:]] != xs[order[:-1]]) + 1
+    first = np.concatenate([[0], bounds])
+    last = np.concatenate([bounds, [len(xs)]]) - 1
     ranks = np.empty(len(xs), dtype=np.float64)
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the value; average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluation
 from .datagen import NliTriple, ParallelCorpus, StsPair, NLI_LABELS
-from .encoder import EncoderParams, Pooling, encode_backward, encode_batch, init_params
+from .encoder import Pooling, encode_backward, encode_batch, init_params
 from .errors import (
     ConfigError,
     EmptyCorpusError,
@@ -289,8 +289,6 @@ def nli_forward_loss(
 
 @dataclass
 class TrainResult:
-    params_a: EncoderParams
-    params_b: EncoderParams
     nli_head: NliHead | None
     state: DualMocoState
     step_records: list[dict] = field(default_factory=list)
@@ -404,7 +402,7 @@ def train(
     steps_per_epoch = len(train_pairs) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
 
-    result = TrainResult(state.base_a, state.base_b, head, state)
+    result = TrainResult(head, state)
     step = 0
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(train_pairs))

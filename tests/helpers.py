@@ -1,10 +1,14 @@
-"""Shared test utilities: finite differences, error metrics, random data."""
+"""Shared test utilities: finite differences, error metrics, random data, and
+per-element reference implementations of the array-coded evaluation paths."""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
+
+from dualmoco.errors import EmptySideError, KTooLargeError, NoGoldPairsError, ZeroDenominatorError
+from dualmoco.evaluation import RATIO_EPS, MiningResult, Neighbors, top_k_from_sims
 
 
 def central_difference(scalar_fn: Callable[[], float], arrays: Sequence[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
@@ -57,3 +61,108 @@ def random_token_batch(
         [int(t) for t in rng.integers(0, vocab, size=rng.integers(min_len, max_len + 1))]
         for _ in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Per-element references: the per-candidate margin and mining, the cursor
+# threshold sweep and the tie-walking average ranks that the array code in
+# dualmoco.evaluation and dualmoco.numerics must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_margin_score(
+    i: int,
+    j: int,
+    sims: np.ndarray,
+    nn_a: Neighbors,
+    nn_b: Neighbors,
+    k: int = 3,
+    variant: str = "distance",
+) -> float:
+    if k < 1 or k > nn_a.sims.shape[1] or k > nn_b.sims.shape[1]:
+        raise KTooLargeError(f"k={k} exceeds available neighbor lists")
+    a = float(sims[i, j])
+    b = float(nn_a.sims[i, :k].sum() / (2 * k) + nn_b.sims[j, :k].sum() / (2 * k))
+    if variant == "distance":
+        return a - b
+    if variant == "ratio":
+        if b <= RATIO_EPS:
+            raise ZeroDenominatorError(f"neighborhood average {b:.3e} too small for ratio margin")
+        return a / b
+    raise ValueError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
+
+
+def reference_mine_bitext(
+    embs_a: np.ndarray,
+    embs_b: np.ndarray,
+    k: int = 3,
+    variant: str = "distance",
+    threshold: float = float("-inf"),
+    exhaustive: bool = False,
+) -> MiningResult:
+    """Candidates are the union of rank-1 matches, or every cross pair if `exhaustive`."""
+    embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
+    embs_b = np.atleast_2d(np.asarray(embs_b, dtype=np.float64))
+    if embs_a.shape[0] == 0 or embs_b.shape[0] == 0:
+        raise EmptySideError("both mining sides must be non-empty")
+    sims = embs_a @ embs_b.T
+    nn_a = top_k_from_sims(sims, k)
+    nn_b = top_k_from_sims(sims.T, k)
+    if exhaustive:
+        candidates = [(i, j) for i in range(embs_a.shape[0]) for j in range(embs_b.shape[0])]
+    else:
+        forward = {(i, int(nn_a.indices[i, 0])) for i in range(embs_a.shape[0])}
+        backward = {(int(nn_b.indices[j, 0]), j) for j in range(embs_b.shape[0])}
+        candidates = sorted(forward | backward)
+    scored = [(i, j, reference_margin_score(i, j, sims, nn_a, nn_b, k, variant)) for i, j in candidates]
+    accepted = [(i, j) for i, j, s in scored if s > threshold]
+    return MiningResult(scored, accepted, threshold)
+
+
+def reference_search_threshold(
+    scored: Sequence[tuple[int, int, float]], gold_pairs: Sequence[tuple[int, int]]
+) -> tuple[float, float]:
+    gold_set = set(map(tuple, gold_pairs))
+    if not gold_set:
+        raise NoGoldPairsError("threshold search needs at least one gold pair")
+    by_score = sorted(scored, key=lambda t: -t[2])
+    scores = [s for _, _, s in by_score]
+    thresholds = [float("inf")]
+    for left, right in zip(scores, scores[1:]):
+        if left != right:
+            thresholds.append(0.5 * (left + right))
+    thresholds.append(float("-inf"))
+    n_gold = len(gold_set)
+    best_f1 = 0.0
+    best_lambda = float("inf")
+    tp = 0
+    taken = 0
+    cursor = 0
+    for lam in thresholds:
+        while cursor < len(by_score) and by_score[cursor][2] > lam:
+            i, j, _ = by_score[cursor]
+            taken += 1
+            if (i, j) in gold_set:
+                tp += 1
+            cursor += 1
+        precision = tp / taken if taken else 0.0
+        recall = tp / n_gold
+        score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        if score > best_f1:
+            best_f1 = score
+            best_lambda = lam
+    return best_lambda, best_f1
+
+
+def reference_average_ranks(xs: Sequence[float] | np.ndarray) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    order = np.argsort(xs, kind="stable")
+    ranks = np.empty(len(xs), dtype=np.float64)
+    i = 0
+    while i < len(xs):
+        j = i
+        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_error, random_token_batch, random_unit_rows
+from helpers import (
+    central_difference,
+    max_rel_error,
+    random_token_batch,
+    random_unit_rows,
+    reference_mine_bitext,
+)
 from test_evaluation import brute_force_threshold, naive_nn
 from test_numerics import rank_formula_rho
 
@@ -63,8 +69,8 @@ def timed_train(config, corpus, lexicon, **kwargs):
 
 def held_out_accuracy(result, corpus, pooling, split="test"):
     pairs = corpus.split(split)
-    embs_a = encode_batch(result.params_a, [p.tokens_a for p in pairs], pooling)
-    embs_b = encode_batch(result.params_b, [p.tokens_b for p in pairs], pooling)
+    embs_a = encode_batch(result.state.base_a, [p.tokens_a for p in pairs], pooling)
+    embs_b = encode_batch(result.state.base_b, [p.tokens_b for p in pairs], pooling)
     return evaluation.retrieval_accuracy(embs_a, embs_b)
 
 
@@ -258,8 +264,8 @@ def test_monolingual_transfer_after_training(world, default_run):
     result, _ = default_run
     pooling = trainer.TrainConfig().pooling
     pairs = corpus.split("test")[:200]
-    embs_a = encode_batch(result.params_a, [p.tokens_a for p in pairs], pooling)
-    embs_b = encode_batch(result.params_b, [p.tokens_b for p in pairs], pooling)
+    embs_a = encode_batch(result.state.base_a, [p.tokens_a for p in pairs], pooling)
+    embs_b = encode_batch(result.state.base_b, [p.tokens_b for p in pairs], pooling)
     gaps = np.linalg.norm(embs_a - embs_b, axis=1)
     xi = embs_a[0]
     worst = 0.0
@@ -287,12 +293,12 @@ def test_synthetic_mining(world, default_run):
     start = time.perf_counter()
 
     def run_variant(variant):
-        val_a = encode_batch(result.params_a, mining_val.side_a, pooling)
-        val_b = encode_batch(result.params_b, mining_val.side_b, pooling)
+        val_a = encode_batch(result.state.base_a, mining_val.side_a, pooling)
+        val_b = encode_batch(result.state.base_b, mining_val.side_b, pooling)
         scored = evaluation.mine_bitext(val_a, val_b, k=3, variant=variant).scored
         lam, _ = evaluation.search_threshold(scored, mining_val.gold_pairs)
-        test_a = encode_batch(result.params_a, mining_test.side_a, pooling)
-        test_b = encode_batch(result.params_b, mining_test.side_b, pooling)
+        test_a = encode_batch(result.state.base_a, mining_test.side_a, pooling)
+        test_b = encode_batch(result.state.base_b, mining_test.side_b, pooling)
         mined = evaluation.mine_bitext(test_a, test_b, k=3, variant=variant, threshold=lam)
         _, _, score = evaluation.f1(mined.accepted, mining_test.gold_pairs)
         return lam, score
@@ -324,8 +330,8 @@ def test_synthetic_sts(world, default_run, nli_run):
     nli_result, nli_seconds = nli_run
     pooling = trainer.TrainConfig().pooling
     start = time.perf_counter()
-    rho_base = evaluation.sts_eval(base_result.params_a, sts, pooling)
-    rho_nli = evaluation.sts_eval(nli_result.params_a, sts, pooling)
+    rho_base = evaluation.sts_eval(base_result.state.base_a, sts, pooling)
+    rho_nli = evaluation.sts_eval(nli_result.state.base_a, sts, pooling)
     elapsed = base_seconds + nli_seconds + (time.perf_counter() - start)
     ok = rho_base >= 0.60 and rho_nli >= rho_base - 0.05 and elapsed < 360.0
     report(
@@ -366,7 +372,7 @@ def test_temperature_sweep(world):
         config = trainer.TrainConfig(epochs=SWEEP_EPOCHS, temperature=tau)
         result, _ = timed_train(config, corpus, lexicon, step_probe=probe)
         acc = held_out_accuracy(result, corpus, pooling)
-        rho = evaluation.sts_eval(result.params_a, sts, pooling)
+        rho = evaluation.sts_eval(result.state.base_a, sts, pooling)
         rows.append((tau, acc[0], acc[1], rho))
         total_violations += sum(violations)
         total_steps += len(violations)
@@ -482,7 +488,7 @@ def test_oracle_exhaustive_vs_union_candidates():
         if not all(fwd[i] == j and bwd[j] == i for i, j in gold):
             continue  # only mutual-rank-1 instances are in scope
         instances += 1
-        exhaustive = evaluation.mine_bitext(side_a, side_b, k=3, exhaustive=True)
+        exhaustive = reference_mine_bitext(side_a, side_b, k=3, exhaustive=True)
         lam, _ = evaluation.search_threshold(exhaustive.scored, gold)
         accepted_exhaustive = {
             (i, j) for i, j, s in exhaustive.scored if s > lam

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,37 @@ class TestTrain:
 
     def test_missing_data_dir_is_io_error(self, tmp_path):
         assert cli.main(tiny_train_args(tmp_path / "nowhere", tmp_path / "run")) == 3
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{bad",
+            "[1]",
+            '{"vocab_size_a": "x", "vocab_size_b": 200}',
+            '{"vocab_size_a": 200, "vocab_size_b": true}',
+            '{"vocab_size_a": 0, "vocab_size_b": 200}',
+            '{"vocab_size_a": 200, "vocab_size_b": 12.5}',
+        ],
+    )
+    def test_bad_gen_config_exits_3(self, pipeline, tmp_path, capsys, content):
+        _, data, _ = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        (copy / "gen_config.json").write_text(content)
+        assert cli.main(tiny_train_args(copy, tmp_path / "run")) == 3
+        assert "gen_config.json" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_gen_config_falls_back_to_corpus_vocab(self, pipeline, tmp_path):
+        _, data, _ = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        (copy / "gen_config.json").unlink()
+        assert cli.main(tiny_train_args(copy, tmp_path / "run")) == 0
+        corpus = cli.datagen.load_tsv(str(copy / "parallel.tsv"))
+        params_a, params_b = cli.load_checkpoint(str(tmp_path / "run" / "checkpoint.bin"))
+        assert params_a.vocab_size == corpus.max_token_a() + 1
+        assert params_b.vocab_size == corpus.max_token_b() + 1
 
     def test_nan_loss_exits_4(self, pipeline, tmp_path, monkeypatch):
         _, data, _ = pipeline

@@ -348,42 +348,40 @@ class TestCheckpoint:
 LEXICON = datagen.make_lexicon(80, 8, seed=0)
 
 
+def _embedding_rows(seed):
+    return random_unit_rows(6, 4, np.random.default_rng(seed))
+
+
 def _save_embeddings(path, seed):
-    embeddings = random_unit_rows(6, 4, np.random.default_rng(seed))
-    evaluation.save_embeddings(path, embeddings, source_corpus=f"seed {seed}")
+    evaluation.save_embeddings(path, _embedding_rows(seed), source_corpus=f"seed {seed}")
 
 
-# name: (write a seed-dependent file at path, suffix of the file checked,
-# which write fails: the embedding dump writes its .emb, then the sidecar)
+# name: (write a seed-dependent file at path, which write fails: the
+# embedding dump stages its .emb, then the sidecar)
 ATOMIC_WRITERS = {
     "save_tsv": (
         lambda path, seed: datagen.save_tsv(datagen.gen_parallel_corpus(LEXICON, 8, 2, 2, seed=seed), path),
-        "",
         1,
     ),
     "save_sts_tsv": (
         lambda path, seed: datagen.save_sts_tsv(datagen.gen_sts_pairs(LEXICON, 8, seed=seed), path),
-        "",
         1,
     ),
     "save_nli_tsv": (
         lambda path, seed: datagen.save_nli_tsv(datagen.gen_nli_triples(LEXICON, 8, seed=seed), path),
-        "",
         1,
     ),
     "save_mining_json": (
         lambda path, seed: datagen.save_mining_json(
             datagen.gen_mining_corpus(LEXICON, 20, 20, 0.2, seed=seed), path
         ),
-        "",
         1,
     ),
-    "write_json": (lambda path, seed: cli._write_json(path, {"seed": seed}), "", 1),
-    "save_embeddings": (_save_embeddings, "", 1),
-    "embedding_sidecar": (_save_embeddings, ".json", 2),
+    "write_json": (lambda path, seed: cli._write_json(path, {"seed": seed}), 1),
+    "save_embeddings": (_save_embeddings, 1),
+    "embedding_sidecar": (_save_embeddings, 2),
     "save_checkpoint": (
         lambda path, seed: save_checkpoint(path, *[init_params(10, 4, 3, np.random.default_rng(seed))] * 2),
-        "",
         1,
     ),
 }
@@ -392,8 +390,9 @@ ATOMIC_WRITERS = {
 @pytest.mark.parametrize("name", list(ATOMIC_WRITERS))
 def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
     # the n-th file opened for writing takes half of its bytes, then the disk
-    # is full: the previous file must survive byte for byte, with no .tmp left
-    write, suffix, nth = ATOMIC_WRITERS[name]
+    # is full: every previous file must survive byte for byte, with no .tmp
+    # left, and an embedding dump must still load with its previous rows
+    write, nth = ATOMIC_WRITERS[name]
     path = str(tmp_path / "out")
     write(path, 1)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -426,5 +425,6 @@ def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
     with pytest.raises(OSError, match="No space"):
         write(path, 2)
     assert len(opened) == nth
-    assert (tmp_path / ("out" + suffix)).read_bytes() == before["out" + suffix]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    if name in ("save_embeddings", "embedding_sidecar"):
+        np.testing.assert_array_equal(evaluation.load_embeddings(path), _embedding_rows(1))

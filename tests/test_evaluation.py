@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_unit_rows
+from helpers import (
+    random_unit_rows,
+    reference_margin_score,
+    reference_mine_bitext,
+    reference_search_threshold,
+)
 
 from dualmoco.encoder import init_params, encode_batch
 from dualmoco.errors import (
@@ -214,7 +219,7 @@ class TestMineBitext:
         a, b, _ = self.planted_instance(rng, n=4, pairs=2)
         lam = 0.1
         union = mine_bitext(a, b, k=2, threshold=lam)
-        exhaustive = mine_bitext(a, b, k=2, threshold=lam, exhaustive=True)
+        exhaustive = reference_mine_bitext(a, b, k=2, threshold=lam, exhaustive=True)
         candidate_set = {(i, j) for i, j, _ in union.scored}
         expected = [p for p in exhaustive.accepted if p in candidate_set]
         assert sorted(union.accepted) == sorted(expected)
@@ -223,9 +228,91 @@ class TestMineBitext:
         rng = np.random.default_rng(14)
         a, b, _ = self.planted_instance(rng)
         union = {(i, j): s for i, j, s in mine_bitext(a, b, k=2).scored}
-        exhaustive = {(i, j): s for i, j, s in mine_bitext(a, b, k=2, exhaustive=True).scored}
+        exhaustive = {(i, j): s for i, j, s in reference_mine_bitext(a, b, k=2, exhaustive=True).scored}
         for pair, score in union.items():
             assert exhaustive[pair] == pytest.approx(score, abs=1e-12)
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result as its exact repr, or its error type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as e:  # the reference and the array code must fail alike
+        return type(e).__name__, str(e)
+
+
+def tie_heavy_rows(rng, n, d):
+    """Rows drawn from a small pool of 0.1-rounded vectors with signed zeros."""
+    pool = np.round(rng.uniform(-1, 1, size=(max(1, n // 2), d)), 1)
+    pool[rng.random(pool.shape) < 0.2] = -0.0
+    return pool[rng.integers(0, len(pool), size=n)]
+
+
+class TestMatchesPerElementReference:
+    """The array code reproduces the per-candidate loops bit for bit."""
+
+    def test_margin_score_index_arrays(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            n_a, n_b = (int(x) for x in rng.integers(1, 9, size=2))
+            sims = np.round(rng.uniform(-1, 1, size=(n_a, n_b)), int(rng.integers(1, 3)))
+            sims[rng.random(sims.shape) < 0.15] = -0.0
+            sims[rng.random(sims.shape) < 0.15] = 0.0
+            width = int(rng.integers(1, 5))
+            nn_a, nn_b = (
+                Neighbors(np.zeros((n, width), dtype=int), np.round(rng.uniform(-1, 1, (n, width)), 1))
+                for n in (n_a, n_b)
+            )
+            i = rng.integers(0, n_a, size=12)
+            j = rng.integers(0, n_b, size=12)
+            for k in range(1, 5):
+                for variant in ("distance", "ratio"):
+                    got = outcome(lambda: margin_score(i, j, sims, nn_a, nn_b, k, variant).tolist())
+                    want = outcome(lambda: [
+                        reference_margin_score(int(x), int(y), sims, nn_a, nn_b, k, variant)
+                        for x, y in zip(i, j)
+                    ])
+                    assert got == want
+                    x, y = int(i[0]), int(j[0])
+                    assert outcome(lambda: float(margin_score(x, y, sims, nn_a, nn_b, k, variant))) == (
+                        outcome(reference_margin_score, x, y, sims, nn_a, nn_b, k, variant)
+                    )
+
+    def test_mine_bitext_scored_and_accepted(self):
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            n_a, n_b = (int(x) for x in rng.integers(1, 13, size=2))
+            d = int(rng.integers(1, 6))
+            if case % 3 == 0:
+                a, b = random_unit_rows(n_a, d, rng), random_unit_rows(n_b, d, rng)
+            elif case % 3 == 1:  # one-hot rows on side A: every similarity is a 0.1-rounded entry of B
+                a, b = np.eye(d)[rng.integers(0, d, size=n_a)], tie_heavy_rows(rng, n_b, d)
+            else:
+                a, b = tie_heavy_rows(rng, n_a, d), tie_heavy_rows(rng, n_b, d)
+            for k in range(1, 5):
+                for variant in ("distance", "ratio"):
+                    for threshold in (float("-inf"), 0.0, float(rng.uniform(-0.5, 1.5))):
+                        got = outcome(lambda: mine_bitext(a, b, k, variant, threshold))
+                        want = outcome(lambda: reference_mine_bitext(a, b, k, variant, threshold))
+                        assert got == want
+
+    def test_search_threshold_with_ties_signed_zeros_and_adjacent_doubles(self):
+        rng = np.random.default_rng(32)
+        for case in range(1000):
+            n = int(rng.integers(0, 30))
+            scores = np.round(rng.uniform(-1, 1, size=n), int(rng.integers(1, 4)))
+            scores[rng.random(n) < 0.1] = -0.0
+            scores[rng.random(n) < 0.1] = 0.0
+            step = rng.random(n) < 0.3
+            scores[step] = np.nextafter(scores[step], rng.choice([-np.inf, np.inf], size=int(step.sum())))
+            if case % 3 == 0 and n:
+                scores[rng.random(n) < 0.5] = np.nextafter(scores[0], np.inf)
+            pairs = rng.integers(0, 8, size=(n, 2))
+            scored = [(int(i), int(j), float(s)) for (i, j), s in zip(pairs, scores)]
+            gold = [(int(i), int(j)) for i, j in rng.integers(0, 8, size=(int(rng.integers(0, 12)), 2))]
+            got = outcome(search_threshold, scored, gold)
+            want = outcome(reference_search_threshold, scored, gold)
+            assert got == want
 
 
 class TestF1:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import reference_average_ranks
+
 from dualmoco.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -132,6 +134,19 @@ class TestSpearman:
     def test_average_ranks_on_ties(self):
         np.testing.assert_allclose(average_ranks([1.0, 1.0, 2.0]), [1.5, 1.5, 3.0])
         np.testing.assert_allclose(average_ranks([5.0, 5.0, 5.0]), [2.0, 2.0, 2.0])
+
+    def test_average_ranks_match_tie_walking_reference_bitwise(self):
+        rng = np.random.default_rng(24)
+        for case in range(2000):
+            n = int(rng.integers(0, 40))
+            xs = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            xs[rng.random(n) < 0.15] = -0.0
+            xs[rng.random(n) < 0.15] = 0.0
+            step = rng.random(n) < 0.2
+            xs[step] = np.nextafter(xs[step], np.inf)
+            if case % 10 == 0:
+                xs[rng.random(n) < 0.2] = np.nan
+            assert average_ranks(xs).tobytes() == reference_average_ranks(xs).tobytes()
 
     def test_tied_input_against_hand_computation(self):
         xs = [1.0, 1.0, 2.0]

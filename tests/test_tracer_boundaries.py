@@ -1,4 +1,5 @@
-"""Every layer boundary the benchmark tracer wraps names a function in dualmoco.
+"""Every layer boundary the benchmark tracer wraps names a function in dualmoco,
+and the mining counters it reads keep their meaning.
 
 The tracer skips a boundary whose function is gone and reports it as absent,
 so a rename would otherwise drop a per-layer metric without failing anything.
@@ -7,6 +8,12 @@ so a rename would otherwise drop a per-layer metric without failing anything.
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from helpers import random_unit_rows
+
+from dualmoco import evaluation
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -28,3 +35,25 @@ def test_every_boundary_names_a_dualmoco_callable():
         if not callable(getattr(importlib.import_module(f"dualmoco.{module_name}"), attr, None))
     ]
     assert absent == []
+
+
+def test_mining_counters_read_whole_candidate_lists(monkeypatch):
+    tracer = load_tracer()
+    for module_name, attr, *_ in (*tracer.BOUNDARIES, *tracer.COUNT_ONLY):
+        module = importlib.import_module(f"dualmoco.{module_name}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after the test
+    trace = tracer.Tracer()
+    assert tracer.install(trace) == []
+    rng = np.random.default_rng(40)
+    val = evaluation.mine_bitext(random_unit_rows(30, 6, rng), random_unit_rows(25, 6, rng))
+    lam, _ = evaluation.search_threshold(val.scored, [(i, j) for i, j, _ in val.scored[::3]])
+    assert np.isfinite(lam)
+    test = evaluation.mine_bitext(random_unit_rows(20, 6, rng), random_unit_rows(35, 6, rng), threshold=lam)
+    summary = trace.summary()
+    mining = summary["layers"]["evaluation.mine_bitext"]
+    assert mining["calls"] == 2
+    assert mining["candidates"] == len(val.scored) + len(test.scored)
+    assert mining["thresholded_candidates"] == len(test.scored)
+    assert mining["accepted"] == len(test.accepted)
+    assert summary["layers"]["evaluation.search_threshold"]["calls"] == 1
+    assert summary["counters"]["evaluation.margin_score_calls"] == 2

@@ -291,7 +291,7 @@ class TestTrain:
         r2 = train(small_config(), corpus, sts_pairs=sts)
         assert r1.step_records == r2.step_records
         assert r1.epoch_records == r2.epoch_records
-        for a, b in zip(r1.params_a.arrays(), r2.params_a.arrays()):
+        for a, b in zip(r1.state.base_a.arrays(), r2.state.base_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_zero_weight_nli_matches_disabled(self, small_world):
@@ -299,7 +299,7 @@ class TestTrain:
         plain = train(small_config(), corpus)
         zero = train(small_config(nli_weight=0.0), corpus, nli_data=nli)
         assert plain.step_records == zero.step_records
-        for a, b in zip(plain.params_a.arrays(), zero.params_a.arrays()):
+        for a, b in zip(plain.state.base_a.arrays(), zero.state.base_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_loss_decreases_on_average(self, small_world):
@@ -368,7 +368,7 @@ class TestTrain:
         newest = result.state.queue_a.insertion_order()[-config.batch_size :]
         # the final step's keys were encoded with the post-update params,
         # which are exactly the returned base params
-        replay = encode_batch(result.params_a, snapshots[-1][1], config.pooling)
+        replay = encode_batch(result.state.base_a, snapshots[-1][1], config.pooling)
         np.testing.assert_allclose(newest, replay, atol=1e-12)
 
     def test_step_probe_sees_every_step(self, small_world):
