@@ -1,7 +1,12 @@
 """Evaluation harness over frozen embedding matrices.
 
-Nearest-neighbor search is exact (blocked dense dot products, ties broken
-toward the lower index). Bitext mining scores candidate pairs with a
+Nearest-neighbor search is exact: dense dot products over blocks of query
+rows, then a per-row selection of the k best columns rather than a sort of
+the whole row (the argmax for k = 1; for k > 1 a partition finds the k-th
+largest value, and only the entries at or above it are ordered). Neighbors
+come out by descending similarity with ties broken toward the lower index,
+the order a stable sort of each row would give. A NaN similarity has no
+rank and is refused. Bitext mining scores candidate pairs with a
 neighborhood-corrected margin: the raw cosine is offset (or divided) by the
 average similarity of each side's k nearest neighbors, which counteracts
 hubs that are close to everything. The acceptance threshold is swept on a
@@ -53,12 +58,39 @@ class MiningResult:
 
 
 def top_k_from_sims(sims: np.ndarray, k: int) -> Neighbors:
-    """Exact top-k per row of a similarity matrix; ties keep the lower index."""
+    """Exact top-k per row of a similarity matrix, by selection.
+
+    Row i's neighbors are its k largest entries by descending value, ties
+    going to the lower column index (+0.0 and -0.0 tie), exactly as the
+    first k columns of a stable descending sort of the row. For k = 1 that
+    is the argmax; for k > 1 the entries at or above the row's k-th largest
+    value (k or more, when values tie) are ordered and the first k kept.
+    Both selections surface a NaN in the row into the selected values, and
+    a NaN raises DegenerateInputError. The result owns (n, k) arrays only.
+    """
     n, m = sims.shape
     if k < 1 or k > m:
         raise KTooLargeError(f"k={k} not in [1, {m}]")
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    return Neighbors(order, np.take_along_axis(sims, order, axis=1))
+    if k == 1:
+        cols = sims.argmax(axis=1)[:, None]
+        top = np.take_along_axis(sims, cols, axis=1)
+    else:
+        # the k largest of each row, unordered, with the k-th largest first;
+        # copied so the partitioned n x m block is freed before the mask
+        top = np.partition(sims, m - k, axis=1)[:, m - k:].copy()
+    nan_rows = np.isnan(top).any(axis=1)
+    if nan_rows.any():
+        raise DegenerateInputError(f"similarity row {int(nan_rows.argmax())} holds NaN")
+    if k > 1:
+        rows, cols = np.nonzero(sims >= top[:, :1])
+        vals = sims[rows, cols]
+        # nonzero lists each row's columns ascending and lexsort is stable, so
+        # equal values stay in column order
+        order = np.lexsort((-vals, rows))
+        starts = np.searchsorted(rows, np.arange(n))  # each row's first entry
+        take = order[starts[:, None] + np.arange(k)]
+        cols, top = cols[take], vals[take]
+    return Neighbors(cols, top)
 
 
 def nn_search(queries: np.ndarray, corpus: np.ndarray, k: int, block_size: int = 512) -> Neighbors:
@@ -75,7 +107,10 @@ def nn_search(queries: np.ndarray, corpus: np.ndarray, k: int, block_size: int =
     sims = np.empty((queries.shape[0], k))
     for start in range(0, queries.shape[0], block_size):
         stop = min(start + block_size, queries.shape[0])
-        block = top_k_from_sims(queries[start:stop] @ corpus.T, k)
+        try:
+            block = top_k_from_sims(queries[start:stop] @ corpus.T, k)
+        except DegenerateInputError as e:
+            raise DegenerateInputError(f"query block starting at row {start}: {e}") from e
         indices[start:stop] = block.indices
         sims[start:stop] = block.sims
     return Neighbors(indices, sims)
@@ -235,7 +270,7 @@ def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") 
 
 
 def load_embeddings(path: str) -> np.ndarray:
-    """Read an embedding dump and verify it against its sidecar."""
+    """Read an embedding dump, verify it against its sidecar and refuse non-finite rows."""
     (count, dim), (embeddings,), digest = read_tensor_file(
         path, EMBEDDING_MAGIC, 2, lambda header: [header]
     )
@@ -252,4 +287,7 @@ def load_embeddings(path: str) -> np.ndarray:
             raise CorpusParseError(
                 f"{path}: {key} {value!r} does not match sidecar value {sidecar.get(key)!r}"
             )
+    bad_rows = ~np.isfinite(embeddings).all(axis=1)
+    if bad_rows.any():
+        raise CorpusParseError(f"{path}: row {int(bad_rows.argmax())} holds a NaN or infinite value")
     return embeddings

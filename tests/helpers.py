@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from dualmoco.errors import EmptySideError, KTooLargeError, NoGoldPairsError, ZeroDenominatorError
-from dualmoco.evaluation import RATIO_EPS, MiningResult, Neighbors, top_k_from_sims
+from dualmoco.evaluation import RATIO_EPS, MiningResult, Neighbors
 
 
 def central_difference(scalar_fn: Callable[[], float], arrays: Sequence[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
@@ -64,10 +64,20 @@ def random_token_batch(
 
 
 # ---------------------------------------------------------------------------
-# Per-element references: the per-candidate margin and mining, the cursor
-# threshold sweep and the tie-walking average ranks that the array code in
-# dualmoco.evaluation and dualmoco.numerics must reproduce bit for bit.
+# Per-element references: the full-row sort top-k, the per-candidate margin
+# and mining, the cursor threshold sweep and the tie-walking average ranks
+# that the array code in dualmoco.evaluation and dualmoco.numerics must
+# reproduce bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def reference_top_k(sims: np.ndarray, k: int) -> Neighbors:
+    """First k columns of a stable descending sort of each row."""
+    n, m = sims.shape
+    if k < 1 or k > m:
+        raise KTooLargeError(f"k={k} not in [1, {m}]")
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return Neighbors(order, np.take_along_axis(sims, order, axis=1))
 
 
 def reference_margin_score(
@@ -106,8 +116,8 @@ def reference_mine_bitext(
     if embs_a.shape[0] == 0 or embs_b.shape[0] == 0:
         raise EmptySideError("both mining sides must be non-empty")
     sims = embs_a @ embs_b.T
-    nn_a = top_k_from_sims(sims, k)
-    nn_b = top_k_from_sims(sims.T, k)
+    nn_a = reference_top_k(sims, k)
+    nn_b = reference_top_k(sims.T, k)
     if exhaustive:
         candidates = [(i, j) for i in range(embs_a.shape[0]) for j in range(embs_b.shape[0])]
     else:

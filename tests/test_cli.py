@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualmoco
 from dualmoco import cli
+from dualmoco.evaluation import save_embeddings
 from dualmoco.errors import NumericalFailureError
 
 
@@ -259,6 +261,18 @@ class TestEvaluationCommands:
                 "--out", str(tmp_path / "retrieval.json")]
         assert cli.main(argv) == 3
         assert "checksum" in capsys.readouterr().err
+        assert not (tmp_path / "retrieval.json").exists()
+
+    def test_nan_in_embedding_dump_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        embs = rng.normal(size=(6, 4))
+        embs[3, 1] = np.nan
+        save_embeddings(str(tmp_path / "a.emb"), embs)
+        save_embeddings(str(tmp_path / "b.emb"), rng.normal(size=(6, 4)))
+        argv = ["eval-retrieval", "--src", str(tmp_path / "a.emb"), "--tgt", str(tmp_path / "b.emb"),
+                "--out", str(tmp_path / "retrieval.json")]
+        assert cli.main(argv) == 3
+        assert "row 3" in capsys.readouterr().err
         assert not (tmp_path / "retrieval.json").exists()
 
     def test_oversized_checkpoint_header_exits_3(self, pipeline, tmp_path):

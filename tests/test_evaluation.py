@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     reference_margin_score,
     reference_mine_bitext,
     reference_search_threshold,
+    reference_top_k,
 )
 
 from dualmoco.encoder import init_params, encode_batch
@@ -114,6 +116,19 @@ class TestNnSearch:
         rng = np.random.default_rng(5)
         with pytest.raises(DimensionMismatchError):
             nn_search(random_unit_rows(2, 3, rng), random_unit_rows(5, 4, rng), 1)
+
+    def test_nan_similarity_is_refused(self):
+        sims = np.array([[0.5, 0.9, 0.9, 0.1], [0.5, np.nan, 0.9, 0.1], [np.nan] * 4])
+        for k in (1, 2, 3, 4):
+            with pytest.raises(DegenerateInputError, match="row 1"):
+                top_k_from_sims(sims, k)
+            with pytest.raises(DegenerateInputError, match="row 1"):
+                top_k_from_sims(np.asfortranarray(sims), k)
+        corpus = random_unit_rows(5, 3, np.random.default_rng(9))
+        queries = corpus[[0, 1, 2]].copy()
+        queries[2, 1] = np.nan
+        with pytest.raises(DegenerateInputError, match="block starting at row 2: similarity row 0 holds NaN"):
+            nn_search(queries, corpus, 2, block_size=2)
 
 
 class TestRetrievalAccuracy:
@@ -315,6 +330,83 @@ class TestMatchesPerElementReference:
             assert got == want
 
 
+def sort_reference_cases(rng):
+    """1-40 x 1-40 matrices: random, 0.1-rounded, signed zeros and +/-inf rows."""
+    for case in range(400):
+        n, m = (int(x) for x in rng.integers(1, 41, size=2))
+        sims = rng.normal(size=(n, m))
+        if case % 4 >= 1:
+            sims = np.round(sims, 1)
+        if case % 4 >= 2:
+            sims[rng.random(sims.shape) < 0.2] = -0.0
+            sims[rng.random(sims.shape) < 0.2] = 0.0
+        if case % 4 == 3:
+            sims[rng.random(n) < 0.2] = np.inf
+            sims[rng.random(n) < 0.2] = -np.inf
+            sims[rng.random(sims.shape) < 0.1] = rng.choice([np.inf, -np.inf])
+        yield sims
+
+
+class TestTopKMatchesSortReference:
+    """Selection returns the first k columns of a stable descending sort, byte for byte."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for a, b in ((got.indices, want.indices), (got.sims, want.sims)):
+            assert (a.shape, a.dtype) == (b.shape, b.dtype)
+            assert a.tobytes() == b.tobytes()
+
+    def test_every_k_on_row_major_and_transposed_views(self):
+        rng = np.random.default_rng(33)
+        for sims in sort_reference_cases(rng):
+            for view in (sims, np.ascontiguousarray(sims.T).T, sims.T):
+                for k in range(1, view.shape[1] + 1):
+                    self.assert_same(top_k_from_sims(view, k), reference_top_k(view, k))
+
+    def test_nn_search_blocks(self):
+        rng = np.random.default_rng(34)
+        for case in range(60):
+            n_q, n_c = (int(x) for x in rng.integers(1, 41, size=2))
+            d = int(rng.integers(1, 6))
+            if case % 2:
+                queries, corpus = random_unit_rows(n_q, d, rng), random_unit_rows(n_c, d, rng)
+            else:
+                queries, corpus = tie_heavy_rows(rng, n_q, d), tie_heavy_rows(rng, n_c, d)
+            for block_size in (1, 7, 512):
+                for k in range(1, n_c + 1):
+                    blocks = [
+                        reference_top_k(queries[start:start + block_size] @ corpus.T, k)
+                        for start in range(0, n_q, block_size)
+                    ]
+                    want = Neighbors(
+                        np.concatenate([b.indices for b in blocks]), np.concatenate([b.sims for b in blocks])
+                    )
+                    self.assert_same(nn_search(queries, corpus, k, block_size=block_size), want)
+
+
+class TestTopKMemory:
+    def test_results_hold_only_n_by_k_elements(self):
+        sims = np.round(np.random.default_rng(35).normal(size=(50, 40)), 1)
+        for view in (sims, sims.T):
+            for k in (1, 3, view.shape[1]):
+                result = top_k_from_sims(view, k)
+                for array in (result.indices, result.sims):
+                    while array.base is not None:
+                        array = array.base
+                    assert array.size == view.shape[0] * k
+
+    def test_peak_allocation_on_a_search_block(self):
+        sims = np.random.default_rng(36).normal(size=(512, 2000))
+        for k, blocks in ((1, 1.0), (3, 1.5)):
+            tracemalloc.start()
+            try:
+                top_k_from_sims(sims, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < blocks * sims.nbytes
+
+
 class TestF1:
     def test_exact_match(self):
         assert f1([(0, 1), (2, 3)], [(0, 1), (2, 3)]) == (1.0, 1.0, 1.0)
@@ -498,6 +590,15 @@ class TestEmbeddingDump:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorpusParseError, match="checksum"):
             load_embeddings(str(path))
+
+    def test_non_finite_row_rejected(self, tmp_path):
+        path = tmp_path / "vectors.emb"
+        for value in (np.nan, np.inf, -np.inf):
+            embs = random_unit_rows(5, 3, np.random.default_rng(28))
+            embs[2, 1] = embs[4, 0] = value
+            save_embeddings(str(path), embs)
+            with pytest.raises(CorpusParseError, match="row 2 holds a NaN or infinite value"):
+                load_embeddings(str(path))
 
     def test_sidecar_shape_checked(self, tmp_path):
         path = tmp_path / "vectors.emb"

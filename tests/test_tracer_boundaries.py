@@ -1,5 +1,5 @@
 """Every layer boundary the benchmark tracer wraps names a function in dualmoco,
-and the mining counters it reads keep their meaning.
+and the top-k span and mining counters it reads keep their meaning.
 
 The tracer skips a boundary whose function is gone and reports it as absent,
 so a rename would otherwise drop a per-layer metric without failing anything.
@@ -37,13 +37,31 @@ def test_every_boundary_names_a_dualmoco_callable():
     assert absent == []
 
 
-def test_mining_counters_read_whole_candidate_lists(monkeypatch):
+def install_tracer(monkeypatch):
+    """Wrap every boundary in a fresh trace; monkeypatch restores the originals."""
     tracer = load_tracer()
     for module_name, attr, *_ in (*tracer.BOUNDARIES, *tracer.COUNT_ONLY):
         module = importlib.import_module(f"dualmoco.{module_name}")
-        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after the test
+        monkeypatch.setattr(module, attr, getattr(module, attr))
     trace = tracer.Tracer()
     assert tracer.install(trace) == []
+    return trace
+
+
+def test_top_k_is_one_span_per_search_block_and_mining_side(monkeypatch):
+    trace = install_tracer(monkeypatch)
+    rng = np.random.default_rng(41)
+    src, tgt = random_unit_rows(1100, 4, rng), random_unit_rows(1100, 4, rng)
+    evaluation.retrieval_accuracy(src, tgt)
+    layers = trace.summary()["layers"]
+    assert layers["evaluation.nn_search"]["calls"] == 2
+    assert layers["evaluation.top_k"]["calls"] == 2 * 3  # 1,100 queries in 512-row blocks, both ways
+    evaluation.mine_bitext(random_unit_rows(30, 4, rng), random_unit_rows(25, 4, rng))
+    assert trace.summary()["layers"]["evaluation.top_k"]["calls"] == 2 * 3 + 2
+
+
+def test_mining_counters_read_whole_candidate_lists(monkeypatch):
+    trace = install_tracer(monkeypatch)
     rng = np.random.default_rng(40)
     val = evaluation.mine_bitext(random_unit_rows(30, 6, rng), random_unit_rows(25, 6, rng))
     lam, _ = evaluation.search_threshold(val.scored, [(i, j) for i, j, _ in val.scored[::3]])
