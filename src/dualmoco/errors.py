@@ -87,4 +87,4 @@ class ZeroDenominatorError(DualMocoError):
 
 
 class NumericalFailureError(DualMocoError):
-    """A non-finite loss or gradient during training."""
+    """A non-finite loss, gradient or output value."""

@@ -31,6 +31,7 @@ from .errors import (
     KTooLargeError,
     LengthMismatchError,
     NoGoldPairsError,
+    NumericalFailureError,
     ZeroDenominatorError,
 )
 from .numerics import spearman_correlation
@@ -257,8 +258,17 @@ def sts_eval(
 # ---------------------------------------------------------------------------
 
 
+def _first_non_finite_row(embeddings: np.ndarray) -> int | None:
+    bad_rows = ~np.isfinite(embeddings).all(axis=1)
+    return int(bad_rows.argmax()) if bad_rows.any() else None
+
+
 def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") -> None:
+    """Write an embedding dump and its sidecar; refuse rows that load_embeddings would."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    bad = _first_non_finite_row(embeddings)
+    if bad is not None:
+        raise NumericalFailureError(f"{path}: row {bad} holds a NaN or infinite value")
     data = pack_tensor_file(EMBEDDING_MAGIC, embeddings.shape, [embeddings])
     sidecar = {
         "count": embeddings.shape[0],
@@ -287,7 +297,7 @@ def load_embeddings(path: str) -> np.ndarray:
             raise CorpusParseError(
                 f"{path}: {key} {value!r} does not match sidecar value {sidecar.get(key)!r}"
             )
-    bad_rows = ~np.isfinite(embeddings).all(axis=1)
-    if bad_rows.any():
-        raise CorpusParseError(f"{path}: row {int(bad_rows.argmax())} holds a NaN or infinite value")
+    bad = _first_non_finite_row(embeddings)
+    if bad is not None:
+        raise CorpusParseError(f"{path}: row {bad} holds a NaN or infinite value")
     return embeddings

@@ -21,10 +21,13 @@ import numpy as np
 from .encoder import (
     EncoderGrads,
     EncoderParams,
+    PackedBatch,
     Pooling,
     TokenSeq,
     encode_backward,
     encode_batch,
+    forward_batch,
+    pack_batch,
 )
 from .errors import (
     BatchExceedsCapacityError,
@@ -166,24 +169,28 @@ def _nce_batch(
     """Per-row contrastive losses and query gradients.
 
     Row i classifies positives[i] against the shared negatives in a
-    (1 + filled)-way softmax over similarities / temperature. Max-logit
-    subtraction keeps exp() in range even at temperature 0.01.
+    (1 + filled)-way softmax over similarities / temperature. The logits go
+    into one array, which is then divided by the temperature, shifted by its
+    row maximum (so exp() stays in range even at temperature 0.01) and
+    exponentiated in place: exp runs once per logit, and the softmax is
+    probs = e / z with z the row sum of e. The inputs are only read.
     """
     if temperature <= 0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
-    s_pos = np.sum(queries * positives, axis=1, keepdims=True)
-    if negatives.shape[0]:
-        logits = np.concatenate([s_pos, queries @ negatives.T], axis=1) / temperature
-    else:
-        logits = s_pos / temperature
+    logits = np.empty((queries.shape[0], 1 + negatives.shape[0]))
+    np.sum(queries * positives, axis=1, out=logits[:, 0])
+    np.matmul(queries, negatives.T, out=logits[:, 1:])
+    logits /= temperature
+    positive = logits[:, 0].copy()
     peak = logits.max(axis=1, keepdims=True)
-    lse = peak + np.log(np.sum(np.exp(logits - peak), axis=1, keepdims=True))
-    losses = (lse - logits[:, :1]).ravel()
-    probs = np.exp(logits - lse)
+    e = np.exp(np.subtract(logits, peak, out=logits), out=logits)
+    z = e.sum(axis=1, keepdims=True)
+    losses = (peak + np.log(z)).ravel() - positive
+    probs = np.divide(e, z, out=e)
     grad_q = probs[:, :1] * positives - positives
-    if negatives.shape[0]:
-        grad_q = grad_q + probs[:, 1:] @ negatives
-    return losses, grad_q / temperature
+    grad_q += probs[:, 1:] @ negatives
+    grad_q /= temperature
+    return losses, grad_q
 
 
 def info_nce(
@@ -225,15 +232,17 @@ def softmax_entropy(similarities: np.ndarray, temperature: float) -> float:
     return float(lse - np.dot(probs, logits))
 
 
-def _check_batches(batch_a: Sequence[TokenSeq], batch_b: Sequence[TokenSeq]) -> None:
+def _check_batches(
+    batch_a: Sequence[TokenSeq] | PackedBatch, batch_b: Sequence[TokenSeq] | PackedBatch
+) -> None:
     if len(batch_a) != len(batch_b):
         raise BatchLengthMismatchError(f"batch sizes differ: {len(batch_a)} vs {len(batch_b)}")
 
 
 def bidirectional_loss(
     state: DualMocoState,
-    batch_a: Sequence[TokenSeq],
-    batch_b: Sequence[TokenSeq],
+    batch_a: Sequence[TokenSeq] | PackedBatch,
+    batch_b: Sequence[TokenSeq] | PackedBatch,
     pooling: Pooling | str,
 ) -> LossValue:
     """Mean contrastive loss in both directions; reads state without mutating it."""
@@ -243,34 +252,37 @@ def bidirectional_loss(
 
 def loss_and_gradients(
     state: DualMocoState,
-    batch_a: Sequence[TokenSeq],
-    batch_b: Sequence[TokenSeq],
+    batch_a: Sequence[TokenSeq] | PackedBatch,
+    batch_b: Sequence[TokenSeq] | PackedBatch,
     pooling: Pooling | str,
 ) -> tuple[LossValue, EncoderGrads, EncoderGrads]:
     """Bidirectional loss plus gradients for both base towers.
 
     Keys come from the momentum towers and the queues, so they contribute no
     gradient; grads_a stems from the a->b direction only and grads_b from
-    b->a, each averaged over the batch.
+    b->a, each averaged over the batch. Each side is packed once, and each
+    query forward pass is reused by its backward pass.
     """
     _check_batches(batch_a, batch_b)
     pooling = Pooling(pooling)
+    batch_a = pack_batch(batch_a, state.base_a.vocab_size)
+    batch_b = pack_batch(batch_b, state.base_b.vocab_size)
     n = len(batch_a)
 
-    queries_a = encode_batch(state.base_a, batch_a, pooling)
-    queries_b = encode_batch(state.base_b, batch_b, pooling)
+    queries_a = forward_batch(state.base_a, batch_a, pooling)
+    queries_b = forward_batch(state.base_b, batch_b, pooling)
     keys_b = encode_batch(state.momentum_b, batch_b, pooling)
     keys_a = encode_batch(state.momentum_a, batch_a, pooling)
 
     fwd_losses, fwd_grad_q = _nce_batch(
-        queries_a, keys_b, state.queue_b.negatives(), state.temperature
+        queries_a.h, keys_b, state.queue_b.negatives(), state.temperature
     )
     bwd_losses, bwd_grad_q = _nce_batch(
-        queries_b, keys_a, state.queue_a.negatives(), state.temperature
+        queries_b.h, keys_a, state.queue_a.negatives(), state.temperature
     )
 
-    grads_a = encode_backward(state.base_a, batch_a, pooling, fwd_grad_q / n)
-    grads_b = encode_backward(state.base_b, batch_b, pooling, bwd_grad_q / n)
+    grads_a = encode_backward(state.base_a, batch_a, pooling, fwd_grad_q / n, queries_a)
+    grads_b = encode_backward(state.base_b, batch_b, pooling, bwd_grad_q / n, queries_b)
 
     forward = float(fwd_losses.mean())
     backward = float(bwd_losses.mean())
@@ -279,8 +291,8 @@ def loss_and_gradients(
 
 def advance_state(
     state: DualMocoState,
-    batch_a: Sequence[TokenSeq],
-    batch_b: Sequence[TokenSeq],
+    batch_a: Sequence[TokenSeq] | PackedBatch,
+    batch_b: Sequence[TokenSeq] | PackedBatch,
     pooling: Pooling | str,
 ) -> None:
     """EMA-update both momentum towers, then enqueue the batch's fresh keys.

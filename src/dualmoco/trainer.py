@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluation
 from .datagen import NliTriple, ParallelCorpus, StsPair, NLI_LABELS
-from .encoder import Pooling, encode_backward, encode_batch, init_params
+from .encoder import Pooling, encode_backward, encode_batch, forward_batch, init_params, pack_batch
 from .errors import (
     ConfigError,
     EmptyCorpusError,
@@ -317,16 +317,16 @@ def step_gradients(
     nli_loss = 0.0
     head_grads: list[np.ndarray] = []
     if head is not None and nli_batch:
-        hp = encode_batch(state.base_a, [t.premise for t in nli_batch], pooling)
-        hh = encode_batch(state.base_a, [t.hypothesis for t in nli_batch], pooling)
+        premises = pack_batch([t.premise for t in nli_batch], state.base_a.vocab_size)
+        hypotheses = pack_batch([t.hypothesis for t in nli_batch], state.base_a.vocab_size)
+        hp = forward_batch(state.base_a, premises, pooling)
+        hh = forward_batch(state.base_a, hypotheses, pooling)
         rng = dropout_rng if nli_dropout > 0.0 else None
         nli_loss, raw_head_grads, g_hp, g_hh = nli_loss_and_grads(
-            head, hp, hh, [t.label for t in nli_batch], dropout=nli_dropout, dropout_rng=rng
+            head, hp.h, hh.h, [t.label for t in nli_batch], dropout=nli_dropout, dropout_rng=rng
         )
-        extra = encode_backward(state.base_a, [t.premise for t in nli_batch], pooling, g_hp)
-        extra.add_scaled(
-            encode_backward(state.base_a, [t.hypothesis for t in nli_batch], pooling, g_hh)
-        )
+        extra = encode_backward(state.base_a, premises, pooling, g_hp, hp)
+        extra.add_scaled(encode_backward(state.base_a, hypotheses, pooling, g_hh, hh))
         grads_a.add_scaled(extra, nli_weight)
         head_grads = [nli_weight * g for g in raw_head_grads]
     return loss, nli_loss, list(grads_a.arrays()) + list(grads_b.arrays()) + head_grads
@@ -350,7 +350,8 @@ def train(
 
     Each step: gradients of the bidirectional loss (plus the weighted
     inference objective when enabled), global clip, AdamW, EMA update of the
-    momentum towers, re-encode and enqueue the batch's keys. The last
+    momentum towers, re-encode and enqueue the batch's keys. Each side's
+    batch is packed once per step and shared by all of these. The last
     partial batch of every epoch is dropped so enqueue sizes stay constant.
     Per-epoch rows carry retrieval accuracy on the validation split and,
     when similarity pairs are supplied, their rank correlation.
@@ -359,7 +360,7 @@ def train(
     and updated in place every step; the result holds those same objects.
 
     `step_probe` is called once per step with the live pre-update state and
-    the step's batches. It must not mutate anything (metrics collection
+    the step's token batches. It must not mutate anything (metrics collection
     only), and must copy what it keeps: the state changes after it returns.
     """
     config.validate()
@@ -408,14 +409,16 @@ def train(
         order = shuffle_rng.permutation(len(train_pairs))
         for b in range(steps_per_epoch):
             sel = order[b * config.batch_size : (b + 1) * config.batch_size]
-            batch_a = [train_pairs[i].tokens_a for i in sel]
-            batch_b = [train_pairs[i].tokens_b for i in sel]
+            tokens_a = [train_pairs[i].tokens_a for i in sel]
+            tokens_b = [train_pairs[i].tokens_b for i in sel]
 
             lr = lr_at(
                 step, lr_max=config.lr_max, warmup_steps=config.warmup_steps, total_steps=total_steps
             )
             if step_probe is not None:
-                step_probe(step, state, batch_a, batch_b)
+                step_probe(step, state, tokens_a, tokens_b)
+            batch_a = pack_batch(tokens_a, vocab_a)
+            batch_b = pack_batch(tokens_b, vocab_b)
             nli_batch = None
             if head is not None:
                 nli_batch = [

@@ -1,14 +1,18 @@
-"""Shared test utilities: finite differences, error metrics, random data, and
-per-element reference implementations of the array-coded evaluation paths."""
+"""Shared test utilities: finite differences, error metrics, random data, a
+hand-built embedding dump, the two-exp contrastive kernel, and per-element
+reference implementations of the array-coded evaluation paths."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Callable, Sequence
 
 import numpy as np
 
+from dualmoco.encoder import pack_tensor_file
 from dualmoco.errors import EmptySideError, KTooLargeError, NoGoldPairsError, ZeroDenominatorError
-from dualmoco.evaluation import RATIO_EPS, MiningResult, Neighbors
+from dualmoco.evaluation import EMBEDDING_MAGIC, RATIO_EPS, MiningResult, Neighbors
 
 
 def central_difference(scalar_fn: Callable[[], float], arrays: Sequence[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
@@ -61,6 +65,44 @@ def random_token_batch(
         [int(t) for t in rng.integers(0, vocab, size=rng.integers(min_len, max_len + 1))]
         for _ in range(n)
     ]
+
+
+def write_embedding_dump(path: str, embeddings: np.ndarray) -> None:
+    """An embedding dump with a sidecar whose checksum matches, written without
+    save_embeddings, which refuses non-finite rows; the loader's own checks
+    then see whatever the rows hold."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    data = pack_tensor_file(EMBEDDING_MAGIC, embeddings.shape, [embeddings])
+    sidecar = {
+        "count": embeddings.shape[0],
+        "dim": embeddings.shape[1],
+        "source_corpus": "",
+        "checksum": hashlib.sha256(data).hexdigest(),
+    }
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+
+
+def reference_nce_batch(
+    queries: np.ndarray, positives: np.ndarray, negatives: np.ndarray, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The contrastive kernel with two exp passes: one for the log-sum-exp,
+    one for probs = exp(logits - lse)."""
+    s_pos = np.sum(queries * positives, axis=1, keepdims=True)
+    if negatives.shape[0]:
+        logits = np.concatenate([s_pos, queries @ negatives.T], axis=1) / temperature
+    else:
+        logits = s_pos / temperature
+    peak = logits.max(axis=1, keepdims=True)
+    lse = peak + np.log(np.sum(np.exp(logits - peak), axis=1, keepdims=True))
+    losses = (lse - logits[:, :1]).ravel()
+    probs = np.exp(logits - lse)
+    grad_q = probs[:, :1] * positives - positives
+    if negatives.shape[0]:
+        grad_q = grad_q + probs[:, 1:] @ negatives
+    return losses, grad_q / temperature
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import write_embedding_dump
+
 import dualmoco
 from dualmoco import cli
+from dualmoco.encoder import load_checkpoint, save_checkpoint
 from dualmoco.evaluation import save_embeddings
 from dualmoco.errors import NumericalFailureError
 
@@ -267,13 +270,24 @@ class TestEvaluationCommands:
         rng = np.random.default_rng(0)
         embs = rng.normal(size=(6, 4))
         embs[3, 1] = np.nan
-        save_embeddings(str(tmp_path / "a.emb"), embs)
+        write_embedding_dump(str(tmp_path / "a.emb"), embs)
         save_embeddings(str(tmp_path / "b.emb"), rng.normal(size=(6, 4)))
         argv = ["eval-retrieval", "--src", str(tmp_path / "a.emb"), "--tgt", str(tmp_path / "b.emb"),
                 "--out", str(tmp_path / "retrieval.json")]
         assert cli.main(argv) == 3
         assert "row 3" in capsys.readouterr().err
         assert not (tmp_path / "retrieval.json").exists()
+
+    def test_nan_checkpoint_embed_exits_4_without_a_dump(self, pipeline, tmp_path, capsys):
+        _, data, run = pipeline
+        params_a, params_b = load_checkpoint(str(run / "checkpoint.bin"))
+        params_b.embedding[:] = np.nan
+        save_checkpoint(str(tmp_path / "checkpoint.bin"), params_a, params_b)
+        argv = ["embed", "--checkpoint", str(tmp_path / "checkpoint.bin"), "--data", str(data),
+                "--split", "test", "--out", str(tmp_path / "emb")]
+        assert cli.main(argv) == 4
+        assert "row 0 holds a NaN or infinite value" in capsys.readouterr().err
+        assert not (tmp_path / "emb" / "test_b.emb").exists()
 
     def test_oversized_checkpoint_header_exits_3(self, pipeline, tmp_path):
         _, data, run = pipeline

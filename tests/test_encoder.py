@@ -13,8 +13,10 @@ from dualmoco.encoder import (
     encode,
     encode_backward,
     encode_batch,
+    forward_batch,
     init_params,
     load_checkpoint,
+    pack_batch,
     save_checkpoint,
 )
 from dualmoco.errors import (
@@ -191,6 +193,46 @@ class TestEncodeBatch:
             encode_batch(params, [[0], [1, 2], [3, -1]], Pooling.MEAN)
         with pytest.raises(TokenOutOfRangeError, match=f"batch item 1: token id {2**70} "):
             encode_batch(params, [[0], [1, 2**70]], Pooling.MEAN)
+
+
+class TestPackedBatch:
+    def test_encode_batch_on_packed_equals_token_lists_bitwise(self):
+        rng = np.random.default_rng(6)
+        params = wide_params(rng)
+        for n in (0, 1, 2, 64, 300):
+            batch = random_token_batch(rng, n, params.vocab_size, min_len=1, max_len=12)
+            packed = pack_batch(batch, params.vocab_size)
+            assert len(packed) == n
+            for pooling in Pooling:
+                got = encode_batch(params, packed, pooling)
+                assert got.shape == (n, params.d_out)
+                assert got.tobytes() == encode_batch(params, batch, pooling).tobytes(), (n, pooling)
+
+    @pytest.mark.parametrize("pooling", list(Pooling))
+    def test_backward_reusing_forward_equals_own_forward_bitwise(self, pooling):
+        rng = np.random.default_rng(7)
+        params = wide_params(rng, ties=pooling is Pooling.MAX)
+        batch = random_token_batch(rng, 64, params.vocab_size, min_len=1, max_len=12)
+        upstream = rng.normal(size=(64, params.d_out))
+        packed = pack_batch(batch, params.vocab_size)
+        reused = encode_backward(params, packed, pooling, upstream, forward_batch(params, packed, pooling))
+        own = encode_backward(params, batch, pooling, upstream)
+        assert [g.tobytes() for g in reused.arrays()] == [g.tobytes() for g in own.arrays()]
+
+    def test_pack_for_larger_vocab_is_checked_against_each_tower(self, params):
+        # packed for a 60-token tower, used with the fixture's 10-token one
+        packed = pack_batch([[0, 1], [2, 3, 4], [5, 42, 7], [12]], 60)
+        upstream = np.zeros((4, params.d_out))
+        for call in (
+            lambda: encode_batch(params, packed, Pooling.MEAN),
+            lambda: encode_backward(params, packed, Pooling.MAX, upstream),
+            lambda: forward_batch(params, packed, Pooling.FIRST),
+        ):
+            with pytest.raises(TokenOutOfRangeError, match=r"batch item 2: token id 42 outside \[0, 10\)"):
+                call()
+        assert pack_batch(packed, 43) is packed
+        with pytest.raises(TokenOutOfRangeError, match="batch item 2: token id 42 "):
+            pack_batch(packed, 42)
 
 
 class TestEncodeBackward:

@@ -10,6 +10,7 @@ from helpers import (
     reference_mine_bitext,
     reference_search_threshold,
     reference_top_k,
+    write_embedding_dump,
 )
 
 from dualmoco.encoder import init_params, encode_batch
@@ -21,6 +22,7 @@ from dualmoco.errors import (
     KTooLargeError,
     LengthMismatchError,
     NoGoldPairsError,
+    NumericalFailureError,
     ZeroDenominatorError,
 )
 from dualmoco.evaluation import (
@@ -596,9 +598,18 @@ class TestEmbeddingDump:
         for value in (np.nan, np.inf, -np.inf):
             embs = random_unit_rows(5, 3, np.random.default_rng(28))
             embs[2, 1] = embs[4, 0] = value
-            save_embeddings(str(path), embs)
+            write_embedding_dump(str(path), embs)
             with pytest.raises(CorpusParseError, match="row 2 holds a NaN or infinite value"):
                 load_embeddings(str(path))
+
+    def test_writer_refuses_non_finite_rows(self, tmp_path):
+        path = tmp_path / "vectors.emb"
+        for value in (np.nan, np.inf, -np.inf):
+            embs = random_unit_rows(5, 3, np.random.default_rng(28))
+            embs[2, 1] = embs[4, 0] = value
+            with pytest.raises(NumericalFailureError, match="row 2 holds a NaN or infinite value"):
+                save_embeddings(str(path), embs)
+            assert not path.exists() and not (tmp_path / "vectors.emb.json").exists()
 
     def test_sidecar_shape_checked(self, tmp_path):
         path = tmp_path / "vectors.emb"

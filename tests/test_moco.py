@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_error, random_token_batch, random_unit_rows
+from helpers import (
+    central_difference,
+    max_rel_error,
+    random_token_batch,
+    random_unit_rows,
+    reference_nce_batch,
+)
 
-from dualmoco.encoder import EncoderParams, Pooling, encode, encode_batch, init_params
+from dualmoco import moco
+from dualmoco.encoder import EncoderParams, Pooling, encode, encode_backward, encode_batch, init_params
 from dualmoco.errors import (
     BatchExceedsCapacityError,
     BatchLengthMismatchError,
@@ -419,6 +426,67 @@ class TestMocoStep:
         numeric_b = central_difference(objective, state.base_b.arrays(), step=1e-6)
         assert max_rel_error(grads_a.arrays(), numeric_a) < 1e-5
         assert max_rel_error(grads_b.arrays(), numeric_b) < 1e-5
+
+
+class TestNceKernel:
+    """The one-exp kernel against the two-exp reference, over queue fills,
+    temperatures and batch sizes; the inputs must come back bit-unchanged."""
+
+    @pytest.mark.parametrize("fill", [0, 37, 256])
+    @pytest.mark.parametrize("temperature", [0.01, 0.04, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 5, 64, 128])
+    def test_matches_two_exp_reference(self, fill, temperature, n):
+        rng = np.random.default_rng(1000 * fill + n + int(100 * temperature))
+        queue = MemoryQueue.empty(256, 32)
+        if fill:
+            enqueue_batch(queue, random_unit_rows(fill, 32, rng))
+        queries = random_unit_rows(n, 32, rng)
+        positives = random_unit_rows(n, 32, rng)
+        before = [a.tobytes() for a in (queue.slots, queries, positives)]
+        losses, grads = moco._nce_batch(queries, positives, queue.negatives(), temperature)
+        assert [a.tobytes() for a in (queue.slots, queries, positives)] == before
+        want_losses, want_grads = reference_nce_batch(queries, positives, queue.negatives(), temperature)
+        assert losses.shape == (n,) and grads.shape == (n, 32)
+        assert np.max(np.abs(losses - want_losses)) <= 1e-12
+        assert np.max(np.abs(grads - want_grads)) <= 1e-12
+
+    def test_aliased_inputs_are_only_read(self):
+        # queries that are their own positives, negatives that are the queries
+        rng = np.random.default_rng(2)
+        queries = random_unit_rows(16, 8, rng)
+        before = queries.tobytes()
+        losses, grads = moco._nce_batch(queries, queries, queries, 0.05)
+        assert queries.tobytes() == before
+        want_losses, want_grads = reference_nce_batch(queries, queries, queries, 0.05)
+        assert np.max(np.abs(losses - want_losses)) <= 1e-12
+        assert np.max(np.abs(grads - want_grads)) <= 1e-12
+
+
+class TestPackedStep:
+    @pytest.mark.parametrize("pooling", list(Pooling))
+    def test_gradients_equal_token_list_passes_bitwise(self, pooling):
+        # loss_and_gradients packs each side once and reuses each query
+        # forward pass; the same step from token lists, with encode_backward
+        # running its own forward pass, must give the same bits
+        rng = np.random.default_rng(30)
+        state = tiny_state(rng, vocab=40, d_emb=16, d_out=16, capacity=64, temperature=0.05)
+        enqueue_batch(state.queue_a, random_unit_rows(40, 16, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(40, 16, rng))
+        batch_a = random_token_batch(rng, 24, 40, min_len=1, max_len=12)
+        batch_b = random_token_batch(rng, 24, 40, min_len=1, max_len=12)
+        loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
+
+        keys_a = encode_batch(state.momentum_a, batch_a, pooling)
+        keys_b = encode_batch(state.momentum_b, batch_b, pooling)
+        queries_a = encode_batch(state.base_a, batch_a, pooling)
+        queries_b = encode_batch(state.base_b, batch_b, pooling)
+        fwd, g_a = moco._nce_batch(queries_a, keys_b, state.queue_b.negatives(), state.temperature)
+        bwd, g_b = moco._nce_batch(queries_b, keys_a, state.queue_a.negatives(), state.temperature)
+        want_a = encode_backward(state.base_a, batch_a, pooling, g_a / 24)
+        want_b = encode_backward(state.base_b, batch_b, pooling, g_b / 24)
+        assert (loss.forward, loss.backward) == (float(fwd.mean()), float(bwd.mean()))
+        for got, want in ((grads_a, want_a), (grads_b, want_b)):
+            assert [g.tobytes() for g in got.arrays()] == [w.tobytes() for w in want.arrays()]
 
 
 class TestStateSerialization:

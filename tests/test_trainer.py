@@ -6,14 +6,14 @@ import pytest
 from helpers import central_difference, central_difference_at, max_rel_error, random_unit_rows
 
 from dualmoco import datagen, trainer
-from dualmoco.encoder import encode_batch, init_params
+from dualmoco.encoder import encode_backward, encode_batch, init_params
 from dualmoco.errors import (
     ConfigError,
     EmptyCorpusError,
     InvalidLabelError,
     NumericalFailureError,
 )
-from dualmoco.moco import LossValue, enqueue_batch, new_state
+from dualmoco.moco import LossValue, enqueue_batch, loss_and_gradients, new_state
 from dualmoco.trainer import (
     AdamWState,
     TrainConfig,
@@ -432,3 +432,42 @@ class TestStepGradientLinearity:
         # head blocks scale linearly with alpha
         for idx in range(6, 12):
             np.testing.assert_allclose(combined[idx], alpha * nli_unit[idx], atol=1e-12)
+
+    def test_nli_gradients_equal_token_list_passes_bitwise(self, small_world):
+        # step_gradients packs the premises and hypotheses once and reuses
+        # their forward passes; the same sums from token lists, with
+        # encode_backward running its own forward pass, give the same bits
+        lexicon, corpus, nli, _ = small_world
+        rng = np.random.default_rng(6)
+        params_a = init_params(lexicon.vocab_size_a, 8, 8, rng)
+        params_b = init_params(lexicon.vocab_size_b, 8, 8, rng)
+        state = new_state(params_a, params_b, 0.9, 32, 0.07)
+        enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
+        head = init_nli_head(8, rng)
+        pairs = corpus.split("train")[:8]
+        batch_a = [p.tokens_a for p in pairs]
+        batch_b = [p.tokens_b for p in pairs]
+        nli_batch = nli[:12]
+        _, nli_loss, got = step_gradients(
+            state, batch_a, batch_b, "mean", head=head, nli_batch=nli_batch, nli_weight=0.3,
+            nli_dropout=0.1, dropout_rng=np.random.default_rng(9),
+        )
+
+        _, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, "mean")
+        premises = [t.premise for t in nli_batch]
+        hypotheses = [t.hypothesis for t in nli_batch]
+        want_loss, head_grads, g_hp, g_hh = nli_loss_and_grads(
+            head,
+            encode_batch(state.base_a, premises, "mean"),
+            encode_batch(state.base_a, hypotheses, "mean"),
+            [t.label for t in nli_batch],
+            dropout=0.1,
+            dropout_rng=np.random.default_rng(9),
+        )
+        extra = encode_backward(state.base_a, premises, "mean", g_hp)
+        extra.add_scaled(encode_backward(state.base_a, hypotheses, "mean", g_hh))
+        grads_a.add_scaled(extra, 0.3)
+        want = [*grads_a.arrays(), *grads_b.arrays(), *(0.3 * g for g in head_grads)]
+        assert nli_loss == want_loss
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
