@@ -229,6 +229,14 @@ def cmd_train(config: RunConfig) -> int:
     if config.nli_enabled:
         nli = datagen.load_nli_tsv(str(data_dir / NLI_FILE))
     vocab_a, vocab_b = _load_vocab_sizes(data_dir)
+    vocab_a = vocab_a if vocab_a is not None else corpus.max_token_a() + 1
+    vocab_b = vocab_b if vocab_b is not None else corpus.max_token_b() + 1
+    if vocab_a != vocab_b:
+        # a checkpoint holds both towers under one shape header
+        raise ConfigError(
+            f"the towers need one vocabulary size: side A has {vocab_a} tokens, "
+            f"side B has {vocab_b}; set vocab_size_a and vocab_size_b in {GEN_CONFIG_FILE}"
+        )
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -131,14 +131,82 @@ class PackedBatch:
         return len(self.lengths)
 
 
+class TokenTable(NamedTuple):
+    """Token sequences flattened and range-checked once, without the pooling
+    gather: sequence i is ids[starts[i] : starts[i] + lengths[i]]. A batch
+    of any of its sequences is then an index gather (`gather_batch`).
+
+    A table may hold a whole corpus side for a whole run, so it stores
+    32-bit integers where the vocabulary allows; batches gathered from it
+    hold intp, as pack_batch's do.
+    """
+
+    ids: np.ndarray  # (total,) token ids, sequence by sequence
+    lengths: np.ndarray  # (n,)
+    starts: np.ndarray  # (n,) offset of each sequence in ids
+
+
 def _out_of_range(
-    ids: np.ndarray, starts: np.ndarray, position: int, vocab_size: int
+    ids: np.ndarray, starts: np.ndarray, position: int, vocab_size: int, item: str
 ) -> TokenOutOfRangeError:
     # the last sentence starting at or before the bad position holds it
-    item = int(np.searchsorted(starts, position, side="right")) - 1
+    index = int(np.searchsorted(starts, position, side="right")) - 1
     return TokenOutOfRangeError(
-        f"batch item {item}: token id {ids[position]} outside [0, {vocab_size})"
+        f"{item} {index}: token id {ids[position]} outside [0, {vocab_size})"
     )
+
+
+def _flatten(
+    sequences: Sequence[TokenSeq], vocab_size: int, item: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ids, lengths and starts (intp) of non-empty sequences with ids in
+    [0, vocab_size); otherwise TokenOutOfRangeError names the first
+    offending sequence as `item` and its index."""
+    n = len(sequences)
+    lengths = np.fromiter(map(len, sequences), np.intp, n)
+    starts = np.cumsum(lengths) - lengths
+    try:
+        ids = np.fromiter(chain.from_iterable(sequences), np.intp, int(lengths.sum()))
+    except OverflowError:  # an id too large for intp: range-check the Python ints instead
+        ids = np.fromiter(chain.from_iterable(sequences), object, int(lengths.sum()))
+    bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size and (not bad.size or starts[empty[0]] <= bad[0]):
+        raise TokenOutOfRangeError(f"{item} {empty[0]}: empty token sequence")
+    if bad.size:
+        raise _out_of_range(ids, starts, bad[0], vocab_size, item)
+    return ids, lengths, starts
+
+
+def pack_tokens(sequences: Sequence[TokenSeq], vocab_size: int, item: str) -> TokenTable:
+    """Flatten and check sequences once into a TokenTable.
+
+    Every sequence must be non-empty with ids in [0, vocab_size); otherwise
+    TokenOutOfRangeError names the first offending sequence as `item` and
+    its index (as in "side A of training pair 17").
+    """
+    ids, lengths, starts = _flatten(sequences, vocab_size, item)
+    dtype = np.int32 if max(vocab_size, len(ids)) <= np.iinfo(np.int32).max else np.intp
+    return TokenTable(ids.astype(dtype), lengths.astype(dtype), starts.astype(dtype))
+
+
+def _packed_batch(ids: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> PackedBatch:
+    """The PackedBatch of checked sequences: adds the position-by-position gather."""
+    n = len(lengths)
+    # Sentences longest first, each length's in batch order. A match against
+    # the lengths present finds this order without an argsort, whose code
+    # pages alone add about 0.2 MB to the peak RSS of a short CLI process.
+    counts = np.bincount(lengths, minlength=1)
+    order = np.nonzero(lengths == np.flatnonzero(counts)[::-1, None])[1]
+    restore = np.empty(n, np.intp)
+    restore[order] = np.arange(n)
+    live = (n - np.cumsum(counts)[:-1]).tolist()
+    # Row t of this (longest length, n) grid holds the offset of token t of
+    # every sentence, longest first; the sentences still running at t are a
+    # prefix of the row, so the mask reads the rows' prefixes in order.
+    position = np.arange(len(live))[:, None]
+    by_position = ids[(starts[order] + position)[position < lengths[order]]]
+    return PackedBatch(ids, lengths, starts, by_position, tuple(live), restore, int(ids.max()) if n else -1)
 
 
 def pack_batch(batch: Sequence[TokenSeq] | PackedBatch, vocab_size: int) -> PackedBatch:
@@ -152,32 +220,19 @@ def pack_batch(batch: Sequence[TokenSeq] | PackedBatch, vocab_size: int) -> Pack
     if isinstance(batch, PackedBatch):
         if batch.max_id >= vocab_size:
             bad = int(np.argmax(batch.ids >= vocab_size))
-            raise _out_of_range(batch.ids, batch.starts, bad, vocab_size)
+            raise _out_of_range(batch.ids, batch.starts, bad, vocab_size, "batch item")
         return batch
-    n = len(batch)
-    lengths = np.fromiter(map(len, batch), np.intp, n)
+    return _packed_batch(*_flatten(batch, vocab_size, "batch item"))
+
+
+def gather_batch(table: TokenTable, selection: np.ndarray) -> PackedBatch:
+    """The PackedBatch of table sequences `selection`, in that order; equal,
+    field by field, to pack_batch of the same sequences as token lists."""
+    lengths = table.lengths[selection].astype(np.intp)
     starts = np.cumsum(lengths) - lengths
-    try:
-        ids = np.fromiter(chain.from_iterable(batch), np.intp, int(lengths.sum()))
-    except OverflowError:  # an id too large for intp: range-check the Python ints instead
-        ids = np.fromiter(chain.from_iterable(batch), object, int(lengths.sum()))
-    bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size and (not bad.size or starts[empty[0]] <= bad[0]):
-        raise TokenOutOfRangeError(f"batch item {empty[0]}: empty token sequence")
-    if bad.size:
-        raise _out_of_range(ids, starts, bad[0], vocab_size)
-    # Sentences longest first, each length's in batch order. A match against
-    # the lengths present finds this order without an argsort, whose code
-    # pages alone add about 0.2 MB to the peak RSS of a short CLI process.
-    counts = np.bincount(lengths, minlength=1)
-    order = np.nonzero(lengths == np.flatnonzero(counts)[::-1, None])[1]
-    restore = np.empty(n, np.intp)
-    restore[order] = np.arange(n)
-    live = (n - np.cumsum(counts)[:-1]).tolist()
-    heads = starts[order]
-    by_position = np.concatenate([ids[heads[:k] + t] for t, k in enumerate(live)]) if n else ids
-    return PackedBatch(ids, lengths, starts, by_position, tuple(live), restore, int(ids.max()) if n else -1)
+    offsets = np.repeat(table.starts[selection] - starts, lengths)
+    ids = table.ids[offsets + np.arange(len(offsets))].astype(np.intp)
+    return _packed_batch(ids, lengths, starts)
 
 
 class Forward(NamedTuple):
@@ -262,12 +317,15 @@ def encode_backward(
     pooling: Pooling | str,
     upstream: np.ndarray,
     forward: Forward | None = None,
+    out: EncoderGrads | None = None,
 ) -> EncoderGrads:
     """Gradient of sum_i upstream[i] . h_i with respect to the parameters.
 
     `forward` is forward_batch(params, batch, pooling), the pass whose
     outputs received `upstream`; it is reused as is, and run here only when
-    it is not given. Exact chain rule through normalization, tanh, the
+    it is not given. The gradient goes into `out` when it is given (its
+    arrays are zeroed first, then accumulated as new ones would be) and into
+    new arrays otherwise. Exact chain rule through normalization, tanh, the
     affine projection, and pooling. Max pooling routes each dimension's
     subgradient to the earliest token position attaining the maximum. The
     embedding gradient is scattered in sentence-then-token order, so repeated
@@ -279,7 +337,12 @@ def encode_backward(
         raise ShapeMismatchError(
             f"upstream shape {upstream.shape} != ({len(batch)}, {params.d_out})"
         )
-    grads = EncoderGrads.zeros_like(params)
+    if out is None:
+        grads = EncoderGrads.zeros_like(params)
+    else:
+        grads = out
+        for a in grads.arrays():
+            a.fill(0.0)
     if len(batch) == 0:
         return grads
 

@@ -169,27 +169,32 @@ def _nce_batch(
     """Per-row contrastive losses and query gradients.
 
     Row i classifies positives[i] against the shared negatives in a
-    (1 + filled)-way softmax over similarities / temperature. The logits go
-    into one array, which is then divided by the temperature, shifted by its
-    row maximum (so exp() stays in range even at temperature 0.01) and
-    exponentiated in place: exp runs once per logit, and the softmax is
-    probs = e / z with z the row sum of e. The inputs are only read.
+    (1 + filled)-way softmax over similarities / temperature. The queries
+    are divided by the temperature before the products, so the logits come
+    out scaled; they go into one array, which is shifted by its row maximum
+    (so exp() stays in range even at temperature 0.01) and exponentiated in
+    place: exp runs once per logit. With e that array and z its row sums,
+    the softmax is e / z, and the query gradient
+
+        grad_q = (e[:, 1:] @ negatives + (e[:, :1] - z) * positives) / (z * T)
+
+    takes 1/z on the (n, d) result instead of dividing all of e. The inputs
+    are only read.
     """
     if temperature <= 0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
+    scaled = queries / temperature
     logits = np.empty((queries.shape[0], 1 + negatives.shape[0]))
-    np.sum(queries * positives, axis=1, out=logits[:, 0])
-    np.matmul(queries, negatives.T, out=logits[:, 1:])
-    logits /= temperature
+    np.sum(scaled * positives, axis=1, out=logits[:, 0])
+    np.matmul(scaled, negatives.T, out=logits[:, 1:])
     positive = logits[:, 0].copy()
     peak = logits.max(axis=1, keepdims=True)
     e = np.exp(np.subtract(logits, peak, out=logits), out=logits)
     z = e.sum(axis=1, keepdims=True)
     losses = (peak + np.log(z)).ravel() - positive
-    probs = np.divide(e, z, out=e)
-    grad_q = probs[:, :1] * positives - positives
-    grad_q += probs[:, 1:] @ negatives
-    grad_q /= temperature
+    grad_q = e[:, 1:] @ negatives
+    grad_q += (e[:, :1] - z) * positives
+    grad_q /= z * temperature
     return losses, grad_q
 
 
@@ -255,13 +260,15 @@ def loss_and_gradients(
     batch_a: Sequence[TokenSeq] | PackedBatch,
     batch_b: Sequence[TokenSeq] | PackedBatch,
     pooling: Pooling | str,
+    out: tuple[EncoderGrads, EncoderGrads] | None = None,
 ) -> tuple[LossValue, EncoderGrads, EncoderGrads]:
     """Bidirectional loss plus gradients for both base towers.
 
     Keys come from the momentum towers and the queues, so they contribute no
     gradient; grads_a stems from the a->b direction only and grads_b from
     b->a, each averaged over the batch. Each side is packed once, and each
-    query forward pass is reused by its backward pass.
+    query forward pass is reused by its backward pass. The gradients are
+    written into `out` (grads_a, grads_b) when it is given.
     """
     _check_batches(batch_a, batch_b)
     pooling = Pooling(pooling)
@@ -281,8 +288,9 @@ def loss_and_gradients(
         queries_b.h, keys_a, state.queue_a.negatives(), state.temperature
     )
 
-    grads_a = encode_backward(state.base_a, batch_a, pooling, fwd_grad_q / n, queries_a)
-    grads_b = encode_backward(state.base_b, batch_b, pooling, bwd_grad_q / n, queries_b)
+    out_a, out_b = out if out is not None else (None, None)
+    grads_a = encode_backward(state.base_a, batch_a, pooling, fwd_grad_q / n, queries_a, out_a)
+    grads_b = encode_backward(state.base_b, batch_b, pooling, bwd_grad_q / n, queries_b, out_b)
 
     forward = float(fwd_losses.mean())
     backward = float(bwd_losses.mean())

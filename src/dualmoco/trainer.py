@@ -14,13 +14,25 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import evaluation
 from .datagen import NliTriple, ParallelCorpus, StsPair, NLI_LABELS
-from .encoder import Pooling, encode_backward, encode_batch, forward_batch, init_params, pack_batch
+from .encoder import (
+    EncoderGrads,
+    EncoderParams,
+    PackedBatch,
+    Pooling,
+    encode_backward,
+    encode_batch,
+    forward_batch,
+    gather_batch,
+    init_params,
+    pack_batch,
+    pack_tokens,
+)
 from .errors import (
     ConfigError,
     EmptyCorpusError,
@@ -99,10 +111,37 @@ def lr_at(step: int, *, lr_max: float, warmup_steps: int, total_steps: int) -> f
     return lr_max * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def clip_gradients(grads: Sequence[np.ndarray], max_norm: float) -> list[np.ndarray]:
+class FlatTensors(list):
+    """Tensors that are consecutive views, in order, of the 1-D buffer `flat`;
+    tensor k holds elements bounds[k] to bounds[k + 1] of it."""
+
+    def __init__(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
+        self.flat = flat
+        self.bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        lo_hi = zip(self.bounds.tolist(), self.bounds[1:].tolist())
+        super().__init__(flat[lo:hi].reshape(shape) for (lo, hi), shape in zip(lo_hi, shapes))
+
+    @classmethod
+    def copy_of(cls, arrays: Sequence[np.ndarray]) -> "FlatTensors":
+        return cls(np.concatenate([np.ravel(a) for a in arrays]), [a.shape for a in arrays])
+
+
+def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays as one flat buffer: their own when they are FlatTensors
+    (with no element replaced), else a concatenated copy."""
+    flat = getattr(arrays, "flat", None)
+    if flat is not None and all(a.base is flat for a in arrays):
+        return flat
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def clip_gradients(grads: Sequence[np.ndarray], max_norm: float) -> Sequence[np.ndarray]:
     """Scale all gradients by max_norm/g when the global L2 norm g exceeds max_norm.
 
-    A non-finite g raises NumericalFailureError.
+    g is summed tensor by tensor, in order. Within the bound `grads` itself
+    is returned; above it, FlatTensors over one new buffer holding every
+    gradient times the scale, from a single whole-buffer product. A
+    non-finite g raises NumericalFailureError.
     """
     if max_norm <= 0:
         raise ConfigError(f"grad_clip must be > 0 (got {max_norm})")
@@ -110,22 +149,35 @@ def clip_gradients(grads: Sequence[np.ndarray], max_norm: float) -> list[np.ndar
     if not math.isfinite(total):
         raise NumericalFailureError(f"non-finite global gradient norm: {total}")
     if total <= max_norm:
-        return list(grads)
-    scale = max_norm / total
-    return [g * scale for g in grads]
+        return grads
+    return FlatTensors(_joined(grads) * (max_norm / total), [g.shape for g in grads])
 
 
 @dataclass
 class AdamWState:
-    """First/second-moment accumulators plus the shared step counter."""
+    """First/second-moment accumulators, the shared step counter, and scratch.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    The moments of all tensors live in one flat buffer each, with m[k] and
+    v[k] the views of tensor k. The scratch buffers, of the same length,
+    let a step run without allocating.
+    """
+
+    m: FlatTensors
+    v: FlatTensors
+    scratch: tuple[np.ndarray, np.ndarray]
+    finite: np.ndarray  # bool
     t: int = 0
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray]) -> "AdamWState":
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], 0)
+        shapes = [p.shape for p in params]
+        total = sum(p.size for p in params)
+        return cls(
+            FlatTensors(np.zeros(total), shapes),
+            FlatTensors(np.zeros(total), shapes),
+            (np.empty(total), np.empty(total)),
+            np.empty(total, dtype=bool),
+        )
 
 
 def adamw_step(
@@ -139,8 +191,14 @@ def adamw_step(
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
 
-    Updates params, state.m, state.v and state.t. A non-finite updated
-    parameter raises NumericalFailureError.
+    Updates params, state.m, state.v and state.t. The update is a fixed
+    sequence of whole-buffer operations into the state's scratch, each
+    rounding as the formula's elementwise operation does, so it matches the
+    per-tensor formula bit for bit. When params and grads are FlatTensors,
+    as `train` lays them out, nothing is allocated; other arrays are joined
+    into copies and the parameters written back. A non-finite updated
+    parameter raises NumericalFailureError naming the first such tensor's
+    index in params, once every tensor is updated.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params, grads and optimizer state must be parallel")
@@ -149,16 +207,26 @@ def adamw_step(
             raise ShapeMismatchError(f"param shape {p.shape} != grad shape {g.shape}")
     state.t += 1
     t = state.t
-    for k, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
-        if not np.isfinite(p).all():
-            raise NumericalFailureError(f"non-finite value in parameter {k} after AdamW step {t}")
+    p, g = _joined(params), _joined(grads)
+    joined_copy = p is not getattr(params, "flat", None)
+    m, v, (s, u) = state.m.flat, state.v.flat, state.scratch
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=s)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=u)  # v_hat
+    s /= np.add(np.sqrt(u, out=u), ADAM_EPS, out=u)
+    s += np.multiply(p, weight_decay, out=u)
+    s *= lr
+    p -= s
+    if joined_copy:
+        for target, updated in zip(params, FlatTensors(p, [a.shape for a in params])):
+            target[...] = updated
+    if not np.isfinite(p, out=state.finite).all():
+        first = int(np.argmin(state.finite))
+        k = int(np.searchsorted(state.m.bounds, first, side="right")) - 1
+        raise NumericalFailureError(f"non-finite value in parameter {k} after AdamW step {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +274,26 @@ def _label_index(label: str | int) -> int:
         raise InvalidLabelError(f"unknown label {label!r}; expected one of {NLI_LABELS}") from None
 
 
+def _label_indices(labels: Sequence[str | int]) -> np.ndarray:
+    return np.fromiter(map(_label_index, labels), np.intp, len(labels))
+
+
+class NliBatch(NamedTuple):
+    """Inference triples packed for tower A, with their label indices."""
+
+    premises: PackedBatch
+    hypotheses: PackedBatch
+    labels: np.ndarray  # (n,) indices into NLI_LABELS
+
+
+def _pack_nli(triples: Sequence[NliTriple], vocab_size: int) -> NliBatch:
+    return NliBatch(
+        pack_batch([t.premise for t in triples], vocab_size),
+        pack_batch([t.hypothesis for t in triples], vocab_size),
+        _label_indices([t.label for t in triples]),
+    )
+
+
 def nli_loss_and_grads(
     head: NliHead,
     h_premise: np.ndarray,
@@ -221,7 +309,7 @@ def nli_loss_and_grads(
     """
     hp = np.atleast_2d(np.asarray(h_premise, dtype=np.float64))
     hh = np.atleast_2d(np.asarray(h_hypothesis, dtype=np.float64))
-    idx = np.array([_label_index(l) for l in labels], dtype=np.intp)
+    idx = _label_indices(labels)
     n = hp.shape[0]
 
     diff = hp - hh
@@ -297,38 +385,46 @@ class TrainResult:
 
 def step_gradients(
     state: DualMocoState,
-    batch_a: Sequence,
-    batch_b: Sequence,
+    batch_a: Sequence | PackedBatch,
+    batch_b: Sequence | PackedBatch,
     pooling: Pooling | str,
     head: NliHead | None = None,
-    nli_batch: Sequence[NliTriple] | None = None,
+    nli_batch: Sequence[NliTriple] | NliBatch | None = None,
     nli_weight: float = 0.0,
     nli_dropout: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
+    out: Sequence[np.ndarray] | None = None,
 ) -> tuple[LossValue, float, list[np.ndarray]]:
     """Gradients of the full step objective, flattened to one array list.
 
     The list is ordered [base_a tensors, base_b tensors, head tensors]; the
     inference term contributes exactly nli_weight times its own gradient on
     the shared encoder, so the combined gradient is the sum of the two
-    objectives' gradients.
+    objectives' gradients. When `out` is given (arrays in the same order,
+    head tensors included when the head is), the gradients are written into
+    it and `out` itself is returned as the list.
     """
-    loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
+    grads_out = None if out is None else (EncoderGrads(*out[:3]), EncoderGrads(*out[3:6]))
+    loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling, grads_out)
     nli_loss = 0.0
     head_grads: list[np.ndarray] = []
     if head is not None and nli_batch:
-        premises = pack_batch([t.premise for t in nli_batch], state.base_a.vocab_size)
-        hypotheses = pack_batch([t.hypothesis for t in nli_batch], state.base_a.vocab_size)
+        if not isinstance(nli_batch, NliBatch):
+            nli_batch = _pack_nli(nli_batch, state.base_a.vocab_size)
+        premises, hypotheses, labels = nli_batch
         hp = forward_batch(state.base_a, premises, pooling)
         hh = forward_batch(state.base_a, hypotheses, pooling)
         rng = dropout_rng if nli_dropout > 0.0 else None
         nli_loss, raw_head_grads, g_hp, g_hh = nli_loss_and_grads(
-            head, hp.h, hh.h, [t.label for t in nli_batch], dropout=nli_dropout, dropout_rng=rng
+            head, hp.h, hh.h, labels, dropout=nli_dropout, dropout_rng=rng
         )
         extra = encode_backward(state.base_a, premises, pooling, g_hp, hp)
         extra.add_scaled(encode_backward(state.base_a, hypotheses, pooling, g_hh, hh))
         grads_a.add_scaled(extra, nli_weight)
-        head_grads = [nli_weight * g for g in raw_head_grads]
+        head_out = out[6:] if out is not None else [None] * len(raw_head_grads)
+        head_grads = [np.multiply(nli_weight, g, out=o) for g, o in zip(raw_head_grads, head_out)]
+    if out is not None:
+        return loss, nli_loss, out
     return loss, nli_loss, list(grads_a.arrays()) + list(grads_b.arrays()) + head_grads
 
 
@@ -350,14 +446,19 @@ def train(
 
     Each step: gradients of the bidirectional loss (plus the weighted
     inference objective when enabled), global clip, AdamW, EMA update of the
-    momentum towers, re-encode and enqueue the batch's keys. Each side's
-    batch is packed once per step and shared by all of these. The last
-    partial batch of every epoch is dropped so enqueue sizes stay constant.
-    Per-epoch rows carry retrieval accuracy on the validation split and,
-    when similarity pairs are supplied, their rank correlation.
+    momentum towers, re-encode and enqueue the batch's keys. Each side of
+    the training split (and each field of the inference triples) is
+    flattened and range-checked once per corpus, before the first step; a
+    step's batch is an index gather from it, shared by all of the above. The
+    last partial batch of every epoch is dropped so enqueue sizes stay
+    constant. Per-epoch rows carry retrieval accuracy on the validation
+    split and, when similarity pairs are supplied, their rank correlation.
 
     One DualMocoState, one AdamWState and the inference head are built here
     and updated in place every step; the result holds those same objects.
+    Every trainable tensor (base A, base B, then the head) is a view of one
+    flat buffer, and the step's gradients are written into one more, so
+    clipping and AdamW work on whole buffers.
 
     `step_probe` is called once per step with the live pre-update state and
     the step's token batches. It must not mutate anything (metrics collection
@@ -374,6 +475,16 @@ def train(
 
     vocab_a = vocab_size_a if vocab_size_a is not None else corpus.max_token_a() + 1
     vocab_b = vocab_size_b if vocab_size_b is not None else corpus.max_token_b() + 1
+    side_a = pack_tokens([p.tokens_a for p in train_pairs], vocab_a, "side A of training pair")
+    side_b = pack_tokens([p.tokens_b for p in train_pairs], vocab_b, "side B of training pair")
+
+    nli_on = nli_data is not None and len(nli_data) > 0 and config.nli_weight > 0.0
+    if nli_on:
+        premises = pack_tokens([t.premise for t in nli_data], vocab_a, "premise of inference triple")
+        hypotheses = pack_tokens(
+            [t.hypothesis for t in nli_data], vocab_a, "hypothesis of inference triple"
+        )
+        nli_labels = _label_indices([t.label for t in nli_data])
 
     seed_seq = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng, nli_rng, dropout_rng = (
@@ -382,23 +493,24 @@ def train(
 
     params_a = init_params(vocab_a, config.d_emb, config.d_out, init_rng)
     params_b = init_params(vocab_b, config.d_emb, config.d_out, init_rng)
+    head = init_nli_head(config.d_out, init_rng) if nli_on else None
+    trainable = FlatTensors.copy_of(
+        [*params_a.arrays(), *params_b.arrays(), *(head.arrays() if head is not None else ())]
+    )
+    params_a, params_b = EncoderParams(*trainable[:3]), EncoderParams(*trainable[3:6])
+    if head is not None:
+        head = NliHead(*trainable[6:])
+    grads = FlatTensors(np.zeros_like(trainable.flat), [a.shape for a in trainable])
+    opt = AdamWState.for_params(trainable)
 
     # Parameter sharing for the no-momentum ablation is an EMA with m = 0:
     # the momentum towers become exact copies of the bases after every step.
     m_eff = 0.0 if config.ablation_no_momentum else config.momentum
     state = new_state(params_a, params_b, m_eff, config.queue_capacity, config.temperature)
 
-    nli_on = nli_data is not None and len(nli_data) > 0 and config.nli_weight > 0.0
-    head = init_nli_head(config.d_out, init_rng) if nli_on else None
-    nli_order: np.ndarray | None = None
     nli_cursor = 0
     if nli_on:
         nli_order = nli_rng.permutation(len(nli_data))
-
-    trainable = list(state.base_a.arrays()) + list(state.base_b.arrays())
-    if head is not None:
-        trainable += list(head.arrays())
-    opt = AdamWState.for_params(trainable)
 
     steps_per_epoch = len(train_pairs) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
@@ -409,22 +521,24 @@ def train(
         order = shuffle_rng.permutation(len(train_pairs))
         for b in range(steps_per_epoch):
             sel = order[b * config.batch_size : (b + 1) * config.batch_size]
-            tokens_a = [train_pairs[i].tokens_a for i in sel]
-            tokens_b = [train_pairs[i].tokens_b for i in sel]
-
             lr = lr_at(
                 step, lr_max=config.lr_max, warmup_steps=config.warmup_steps, total_steps=total_steps
             )
             if step_probe is not None:
-                step_probe(step, state, tokens_a, tokens_b)
-            batch_a = pack_batch(tokens_a, vocab_a)
-            batch_b = pack_batch(tokens_b, vocab_b)
+                step_probe(
+                    step,
+                    state,
+                    [train_pairs[i].tokens_a for i in sel],
+                    [train_pairs[i].tokens_b for i in sel],
+                )
+            batch_a = gather_batch(side_a, sel)
+            batch_b = gather_batch(side_b, sel)
             nli_batch = None
             if head is not None:
-                nli_batch = [
-                    nli_data[nli_order[(nli_cursor + j) % len(nli_data)]]
-                    for j in range(config.nli_batch_size)
-                ]
+                rows = nli_order[(nli_cursor + np.arange(config.nli_batch_size)) % len(nli_data)]
+                nli_batch = NliBatch(
+                    gather_batch(premises, rows), gather_batch(hypotheses, rows), nli_labels[rows]
+                )
                 nli_cursor = (nli_cursor + config.nli_batch_size) % len(nli_data)
             loss, nli_loss, grad_list = step_gradients(
                 state,
@@ -436,6 +550,7 @@ def train(
                 nli_weight=config.nli_weight,
                 nli_dropout=config.nli_dropout,
                 dropout_rng=dropout_rng,
+                out=grads,
             )
             _ensure_finite(loss, step)
             if not math.isfinite(nli_loss):

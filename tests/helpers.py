@@ -1,18 +1,29 @@
 """Shared test utilities: finite differences, error metrics, random data, a
-hand-built embedding dump, the two-exp contrastive kernel, and per-element
-reference implementations of the array-coded evaluation paths."""
+hand-built embedding dump, the two-exp contrastive kernel, the per-tensor
+optimizer steps, and per-element reference implementations of the
+array-coded evaluation paths."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from dualmoco.encoder import pack_tensor_file
-from dualmoco.errors import EmptySideError, KTooLargeError, NoGoldPairsError, ZeroDenominatorError
+from dualmoco.errors import (
+    ConfigError,
+    EmptySideError,
+    KTooLargeError,
+    NoGoldPairsError,
+    NumericalFailureError,
+    ShapeMismatchError,
+    ZeroDenominatorError,
+)
 from dualmoco.evaluation import EMBEDDING_MAGIC, RATIO_EPS, MiningResult, Neighbors
+from dualmoco.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def central_difference(scalar_fn: Callable[[], float], arrays: Sequence[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
@@ -103,6 +114,44 @@ def reference_nce_batch(
     if negatives.shape[0]:
         grad_q = grad_q + probs[:, 1:] @ negatives
     return losses, grad_q / temperature
+
+
+def reference_clip_gradients(grads: Sequence[np.ndarray], max_norm: float) -> list[np.ndarray]:
+    """Global-norm clipping tensor by tensor: the inputs within max_norm,
+    else each tensor times max_norm / norm."""
+    if max_norm <= 0:
+        raise ConfigError(f"grad_clip must be > 0 (got {max_norm})")
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if not math.isfinite(total):
+        raise NumericalFailureError(f"non-finite global gradient norm: {total}")
+    if total <= max_norm:
+        return list(grads)
+    scale = max_norm / total
+    return [g * scale for g in grads]
+
+
+def reference_adamw_step(
+    params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state, lr: float, weight_decay: float
+) -> None:
+    """AdamW tensor by tensor, in place on params and on state.m[k],
+    state.v[k] and state.t; stops at the first tensor left non-finite."""
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise ShapeMismatchError("params, grads and optimizer state must be parallel")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ShapeMismatchError(f"param shape {p.shape} != grad shape {g.shape}")
+    state.t += 1
+    t = state.t
+    for k, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+        if not np.isfinite(p).all():
+            raise NumericalFailureError(f"non-finite value in parameter {k} after AdamW step {t}")
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,36 @@ class TestTrain:
         assert params_a.vocab_size == corpus.max_token_a() + 1
         assert params_b.vocab_size == corpus.max_token_b() + 1
 
+    def test_unequal_corpus_vocabularies_exit_2_before_writing(self, tmp_path, capsys):
+        # no gen_config.json: the sizes come from the corpus, 50 on side A and 30 on side B
+        rng = np.random.default_rng(8)
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = []
+        for i in range(300):
+            side_a = rng.integers(0, 50, size=rng.integers(3, 8))
+            side_b = rng.integers(0, 30, size=rng.integers(3, 8))
+            side_a[0], side_b[0] = (49, 29) if i == 0 else (side_a[0], side_b[0])
+            split = "train" if i < 250 else "validation"
+            rows.append(f"{' '.join(map(str, side_a))}\t{' '.join(map(str, side_b))}\t1 2\t{split}\n")
+        (data / "parallel.tsv").write_text("".join(rows))
+        run = tmp_path / "run"
+        assert cli.main(tiny_train_args(data, run)) == 2
+        err = capsys.readouterr().err
+        assert "50" in err and "30" in err
+        assert not run.exists()
+
+    def test_unequal_gen_config_vocabularies_exit_2_before_writing(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        (copy / "gen_config.json").write_text('{"vocab_size_a": 120, "vocab_size_b": 95}')
+        run = tmp_path / "run"
+        assert cli.main(tiny_train_args(copy, run)) == 2
+        err = capsys.readouterr().err
+        assert "120" in err and "95" in err
+        assert not run.exists()
+
     def test_nan_loss_exits_4(self, pipeline, tmp_path, monkeypatch):
         _, data, _ = pipeline
 

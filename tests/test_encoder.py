@@ -14,9 +14,11 @@ from dualmoco.encoder import (
     encode_backward,
     encode_batch,
     forward_batch,
+    gather_batch,
     init_params,
     load_checkpoint,
     pack_batch,
+    pack_tokens,
     save_checkpoint,
 )
 from dualmoco.errors import (
@@ -233,6 +235,35 @@ class TestPackedBatch:
         assert pack_batch(packed, 43) is packed
         with pytest.raises(TokenOutOfRangeError, match="batch item 2: token id 42 "):
             pack_batch(packed, 42)
+
+
+class TestTokenTable:
+    """A corpus flattened once by pack_tokens; gathered batches must equal
+    pack_batch of the same sentences as token lists, field by field."""
+
+    FIELDS = ("ids", "lengths", "starts", "by_position", "restore")
+
+    def test_gathered_batch_equals_packed_token_lists(self):
+        rng = np.random.default_rng(11)
+        # many tied lengths, and sentences of one token
+        corpus = random_token_batch(rng, 500, 37, min_len=1, max_len=4)
+        corpus += [[int(t)] for t in rng.integers(0, 37, size=40)]
+        table = pack_tokens(corpus, 37, "sentence")
+        selections = [np.arange(0), np.arange(3), np.array([520, 7, 520, 3])]
+        selections += [rng.permutation(len(corpus))[:n] for n in (1, 2, 16, 64, 128, 540)]
+        for sel in selections:
+            got = gather_batch(table, sel)
+            want = pack_batch([corpus[i] for i in sel], 37)
+            for name in self.FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, len(sel))
+            assert got.live == want.live and got.max_id == want.max_id
+
+    def test_errors_name_the_item_and_its_index(self):
+        with pytest.raises(TokenOutOfRangeError, match=r"side A of training pair 2: token id 9 outside \[0, 9\)"):
+            pack_tokens([[1, 2], [3], [4, 9, 9]], 9, "side A of training pair")
+        with pytest.raises(TokenOutOfRangeError, match="premise 1: empty token sequence"):
+            pack_tokens([[1], [], [-1]], 9, "premise")
 
 
 class TestEncodeBackward:

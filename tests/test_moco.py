@@ -450,6 +450,24 @@ class TestNceKernel:
         assert np.max(np.abs(losses - want_losses)) <= 1e-12
         assert np.max(np.abs(grads - want_grads)) <= 1e-12
 
+    @pytest.mark.parametrize("fill", [0, 4096])
+    @pytest.mark.parametrize("temperature", [0.01, 0.04])
+    def test_matches_reference_at_multitask_scale(self, fill, temperature):
+        # batch 128 against a full 4,096-entry queue, as `train --nli
+        # --batch-size 128 --queue-size 4096` runs it, and against none
+        rng = np.random.default_rng(fill + int(1000 * temperature))
+        queue = MemoryQueue.empty(4096, 32)
+        if fill:
+            enqueue_batch(queue, random_unit_rows(fill, 32, rng))
+        queries = random_unit_rows(128, 32, rng)
+        positives = random_unit_rows(128, 32, rng)
+        before = [a.tobytes() for a in (queue.slots, queries, positives)]
+        losses, grads = moco._nce_batch(queries, positives, queue.negatives(), temperature)
+        assert [a.tobytes() for a in (queue.slots, queries, positives)] == before
+        want_losses, want_grads = reference_nce_batch(queries, positives, queue.negatives(), temperature)
+        assert np.max(np.abs(losses - want_losses)) <= 1e-12
+        assert np.max(np.abs(grads - want_grads)) <= 1e-12
+
     def test_aliased_inputs_are_only_read(self):
         # queries that are their own positives, negatives that are the queries
         rng = np.random.default_rng(2)

@@ -1,9 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import central_difference, central_difference_at, max_rel_error, random_unit_rows
+from helpers import (
+    central_difference,
+    central_difference_at,
+    max_rel_error,
+    random_unit_rows,
+    reference_adamw_step,
+    reference_clip_gradients,
+)
 
 from dualmoco import datagen, trainer
 from dualmoco.encoder import encode_backward, encode_batch, init_params
@@ -12,10 +20,12 @@ from dualmoco.errors import (
     EmptyCorpusError,
     InvalidLabelError,
     NumericalFailureError,
+    TokenOutOfRangeError,
 )
 from dualmoco.moco import LossValue, enqueue_batch, loss_and_gradients, new_state
 from dualmoco.trainer import (
     AdamWState,
+    FlatTensors,
     TrainConfig,
     adamw_step,
     clip_gradients,
@@ -202,6 +212,80 @@ class TestAdamW:
             adamw_step(p, [np.zeros(3)], AdamWState.for_params(p), 0.1, 0.0)
 
 
+class TestFlatOptimizerMatchesPerTensorReference:
+    """clip_gradients and adamw_step on the flat buffers `train` lays out
+    (two towers and the inference head), against the per-tensor loops."""
+
+    @staticmethod
+    def trainable(rng):
+        arrays = [*init_params(40, 8, 8, rng).arrays(), *init_params(40, 8, 8, rng).arrays()]
+        return arrays + list(init_nli_head(8, rng).arrays())
+
+    @pytest.mark.parametrize("max_norm", [1e6, 0.05])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_steps_match_reference_bitwise(self, max_norm, weight_decay):
+        rng = np.random.default_rng(12)
+        arrays = self.trainable(rng)
+        params = FlatTensors.copy_of(arrays)
+        ref = [a.copy() for a in arrays]
+        grads = FlatTensors(np.zeros_like(params.flat), [a.shape for a in arrays])
+        opt, ref_opt = AdamWState.for_params(params), AdamWState.for_params(ref)
+        total, warmup = 24, 6
+        lrs, clipped = [], 0
+        for step in range(total):
+            lr = lr_at(step, lr_max=0.05, warmup_steps=warmup, total_steps=total)
+            lrs.append(lr)
+            for g in grads:
+                g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-3, 2)
+            ref_grads = [g.copy() for g in grads]
+            got = clip_gradients(grads, max_norm)
+            want = reference_clip_gradients(ref_grads, max_norm)
+            clipped += got is not grads
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            adamw_step(params, got, opt, lr=lr, weight_decay=weight_decay)
+            reference_adamw_step(ref, want, ref_opt, lr=lr, weight_decay=weight_decay)
+            assert opt.t == ref_opt.t == step + 1
+            assert [p.tobytes() for p in params] == [r.tobytes() for r in ref]
+            assert opt.m.flat.tobytes() == ref_opt.m.flat.tobytes()
+            assert opt.v.flat.tobytes() == ref_opt.v.flat.tobytes()
+        assert clipped == (total if max_norm < 1 else 0)
+        assert lrs[1] < lrs[warmup] and lrs[-1] < lrs[warmup]  # warmup and decay both ran
+        assert all(p.base is params.flat for p in params)
+
+    def test_flat_step_allocates_no_buffer(self):
+        rng = np.random.default_rng(13)
+        params = FlatTensors.copy_of([rng.normal(size=(400, 64)), rng.normal(size=(64,))])
+        grads = FlatTensors(rng.normal(size=params.flat.size), [p.shape for p in params])
+        opt = AdamWState.for_params(params)
+        adamw_step(params, grads, opt, lr=1e-3, weight_decay=1e-4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            adamw_step(params, grads, opt, lr=1e-3, weight_decay=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < params.flat.nbytes // 100
+
+    @pytest.mark.parametrize("bad_tensor, element", [(0, 0), (2, -1), (4, 0), (5, 0)])
+    def test_overflow_names_the_tensor(self, bad_tensor, element):
+        # theta = -1.7e308 stepped by lr = 1e308 against a unit gradient
+        # overflows to -inf in one tensor of the flat buffer
+        shapes = [(3,), (2, 2), (4,), (1,), (2, 3), (5,)]
+        params = FlatTensors(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+        grads = FlatTensors(np.zeros_like(params.flat), shapes)
+        params[bad_tensor].flat[element] = -1.7e308
+        grads[bad_tensor].flat[element] = 1.0
+        ref, ref_grads = [p.copy() for p in params], [g.copy() for g in grads]
+        message = f"parameter {bad_tensor} after AdamW step 1"
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalFailureError, match=message):
+                adamw_step(params, grads, AdamWState.for_params(params), lr=1e308, weight_decay=0.0)
+            with pytest.raises(NumericalFailureError, match=message):
+                reference_adamw_step(ref, ref_grads, AdamWState.for_params(ref), 1e308, 0.0)
+
+
 class TestNliHead:
     def test_uniform_logits_give_log3(self):
         head = init_nli_head(4, np.random.default_rng(0))
@@ -381,6 +465,29 @@ class TestTrain:
         # every step sees the trainer's one live state, not a snapshot
         assert all(state is result.state for _, state in seen)
 
+    def test_trainable_tensors_are_views_of_one_buffer(self, small_world):
+        _, corpus, nli, _ = small_world
+        result = train(small_config(epochs=1), corpus, nli_data=nli)
+        trainable = [
+            *result.state.base_a.arrays(), *result.state.base_b.arrays(), *result.nli_head.arrays()
+        ]
+        flat = trainable[0].base
+        assert flat.ndim == 1 and flat.size == sum(a.size for a in trainable)
+        assert all(a.base is flat for a in trainable)
+        address = flat.__array_interface__["data"][0]
+        offsets = [a.__array_interface__["data"][0] - address for a in trainable]
+        assert offsets == np.cumsum([0] + [a.nbytes for a in trainable[:-1]]).tolist()
+
+    def test_out_of_range_id_raises_before_the_first_step(self, small_world):
+        _, corpus, _, _ = small_world
+        train_pairs = corpus.split("train")
+        top = max(max(p.tokens_b) for p in train_pairs)
+        first = next(i for i, p in enumerate(train_pairs) if top in p.tokens_b)
+        steps = []
+        with pytest.raises(TokenOutOfRangeError, match=f"side B of training pair {first}: token id {top}"):
+            train(small_config(), corpus, vocab_size_b=top, step_probe=lambda *args: steps.append(args))
+        assert steps == []
+
     def test_nan_guard(self):
         with pytest.raises(NumericalFailureError):
             _ensure_finite(LossValue(float("nan"), 0.0, 0.0), 3)
@@ -432,6 +539,26 @@ class TestStepGradientLinearity:
         # head blocks scale linearly with alpha
         for idx in range(6, 12):
             np.testing.assert_allclose(combined[idx], alpha * nli_unit[idx], atol=1e-12)
+
+    def test_gradients_written_into_out_equal_new_arrays_bitwise(self, small_world):
+        # train hands step_gradients its flat gradient buffer, still holding
+        # the previous step's values; the result must not depend on them
+        lexicon, corpus, nli, _ = small_world
+        rng = np.random.default_rng(7)
+        params_a = init_params(lexicon.vocab_size_a, 8, 8, rng)
+        params_b = init_params(lexicon.vocab_size_b, 8, 8, rng)
+        state = new_state(params_a, params_b, 0.9, 32, 0.07)
+        enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
+        enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
+        head = init_nli_head(8, rng)
+        pairs = corpus.split("train")[:8]
+        args = (state, [p.tokens_a for p in pairs], [p.tokens_b for p in pairs], "mean")
+        kwargs = dict(head=head, nli_batch=nli[:12], nli_weight=0.3)
+        _, _, want = step_gradients(*args, **kwargs)
+        out = FlatTensors(rng.normal(size=sum(w.size for w in want)), [w.shape for w in want])
+        _, _, got = step_gradients(*args, **kwargs, out=out)
+        assert got is out
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_nli_gradients_equal_token_list_passes_bitwise(self, small_world):
         # step_gradients packs the premises and hypotheses once and reuses
