@@ -15,7 +15,6 @@ aligned sentence the unique maximum-Jaccard match of its partner.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
@@ -30,6 +29,10 @@ NLI_LABELS = ("entailment", "neutral", "contradiction")
 SPLITS = ("train", "validation", "test")
 
 _MAX_SAMPLING_ATTEMPTS = 2000
+_MAX_LEN = 20  # concepts per sentence at most
+# Side-A sets per step of the mining audit: at 1,000 side-B sets and 10
+# concepts a set, a block gathers at most 320 kB of incidence rows.
+_AUDIT_BLOCK = 32
 
 
 @dataclass
@@ -135,18 +138,24 @@ def nli_label(premise_concepts: Iterable[int], hypothesis_concepts: Iterable[int
 
 def _render(
     concepts: Sequence[int],
-    surface: np.ndarray,
-    noise: np.ndarray,
+    surface: list[int],
+    noise: list[int],
     noise_rate: float,
     rng: np.random.Generator,
 ) -> tuple[int, ...]:
-    """Surface tokens for a concept sequence with function tokens mixed in."""
+    """Surface tokens for a concept sequence with function tokens mixed in;
+    `surface` and `noise` are the lexicon's token ids as Python lists."""
     tokens: list[int] = []
     for c in concepts:
         if noise_rate > 0.0 and rng.random() < noise_rate:
-            tokens.append(int(noise[rng.integers(len(noise))]))
-        tokens.append(int(surface[c]))
+            tokens.append(noise[rng.integers(len(noise))])
+        tokens.append(surface[c])
     return tuple(tokens)
+
+
+def _draw_concepts(rng: np.random.Generator, pool: int | np.ndarray, size: int) -> tuple[int, ...]:
+    """`size` distinct concepts drawn from `pool`, as Python ints."""
+    return tuple(rng.choice(pool, size=size, replace=False).tolist())
 
 
 def _reorder(concepts: tuple[int, ...], rule: str) -> tuple[int, ...]:
@@ -162,10 +171,14 @@ class _ConceptSampler:
     low-overlap) across everything sampled so far.
 
     With max_overlap < 1 a candidate is rejected when its Jaccard with any
-    seen set reaches max_overlap. A seen set sharing no concept with the
-    candidate has Jaccard 0, which passes for every max_overlap > 0, so only
-    the seen sets listed under the candidate's concepts in a concept -> seen
-    index map are tested, with the same float test an all-pairs scan makes.
+    seen set reaches max_overlap. A concept x seen-set incidence matrix of
+    0/1 bytes, whose columns double in number as it fills, gives the number
+    of concepts the candidate shares with every seen set in one gather and
+    one sum. The float test an all-pairs scan makes, m / (n + |s| - m) >=
+    max_overlap for m shared concepts, grows with m at fixed n + |s|, so
+    for each candidate length n and seen set s it fails from one least m
+    on; those counts, kept per seen set for every n up to _MAX_LEN, turn
+    the test into one comparison of the whole count array.
     """
 
     def __init__(self, lexicon: ConceptLexicon, rng: np.random.Generator, max_overlap: float = 1.0):
@@ -176,7 +189,16 @@ class _ConceptSampler:
         self.max_overlap = max_overlap  # reject Jaccard >= this vs existing sets
         self.seen: list[frozenset[int]] = []
         self._seen_lookup: set[frozenset[int]] = set()
-        self._by_concept: dict[int, list[int]] = {}  # concept -> indices into seen
+        self._incidence = np.zeros((lexicon.concept_count, 64), dtype=np.uint8)
+        self._fail_at = np.zeros((_MAX_LEN + 1, 64), dtype=np.uint8)  # [n, k]: least failing m
+        # [n + |s|]: least m failing the float test; 255, above any count, if none does
+        self._fail_by_total = np.array(
+            [
+                min((m for m in range(1, total // 2 + 1) if m / (total - m) >= max_overlap), default=255)
+                for total in range(2 * _MAX_LEN + 1)
+            ],
+            dtype=np.uint8,
+        )
 
     def draw(self, length: int) -> tuple[int, ...]:
         if length > self.lexicon.concept_count:
@@ -184,15 +206,10 @@ class _ConceptSampler:
                 f"sentence length {length} exceeds concept inventory {self.lexicon.concept_count}"
             )
         for _ in range(_MAX_SAMPLING_ATTEMPTS):
-            seq = tuple(
-                int(c) for c in self.rng.choice(self.lexicon.concept_count, size=length, replace=False)
-            )
+            seq = _draw_concepts(self.rng, self.lexicon.concept_count, length)
             cand = frozenset(seq)
             if self._acceptable(cand):
-                for c in cand:
-                    self._by_concept.setdefault(c, []).append(len(self.seen))
-                self.seen.append(cand)
-                self._seen_lookup.add(cand)
+                self._add(cand)
                 return seq
         raise ConfigError(
             "could not sample a sufficiently distinct concept sequence; "
@@ -203,15 +220,27 @@ class _ConceptSampler:
         if self.max_overlap >= 1.0:
             # only exact duplicates are rejected; hash lookup suffices
             return cand not in self._seen_lookup
-        shared = Counter(chain.from_iterable(self._by_concept.get(c, ()) for c in cand))
-        n = len(cand)
-        return all(m / (n + len(self.seen[k]) - m) < self.max_overlap for k, m in shared.items())
+        k = len(self.seen)
+        shared = np.add.reduce(self._incidence[list(cand), :k], axis=0, dtype=np.uint8)
+        return not (shared >= self._fail_at[len(cand), :k]).any()
+
+    def _add(self, cand: frozenset[int]) -> None:
+        k = len(self.seen)
+        self.seen.append(cand)
+        self._seen_lookup.add(cand)
+        if self.max_overlap >= 1.0:
+            return
+        if k == self._incidence.shape[1]:
+            self._incidence = np.concatenate([self._incidence, np.zeros_like(self._incidence)], axis=1)
+            self._fail_at = np.concatenate([self._fail_at, np.zeros_like(self._fail_at)], axis=1)
+        self._incidence[list(cand), k] = 1
+        self._fail_at[:, k] = self._fail_by_total[len(cand) : len(cand) + _MAX_LEN + 1]
 
 
 def _check_len_range(len_range: tuple[int, int]) -> None:
     lo, hi = len_range
-    if not (3 <= lo <= hi <= 20):
-        raise ConfigError(f"len_range must satisfy 3 <= lo <= hi <= 20 (got {len_range})")
+    if not (3 <= lo <= hi <= _MAX_LEN):
+        raise ConfigError(f"len_range must satisfy 3 <= lo <= hi <= {_MAX_LEN} (got {len_range})")
 
 
 def gen_parallel_corpus(
@@ -235,15 +264,15 @@ def gen_parallel_corpus(
 
     rng = np.random.default_rng(seed)
     sampler = _ConceptSampler(lexicon, rng)
+    surface_a, noise_a = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
+    surface_b, noise_b = lexicon.surface_b.tolist(), lexicon.noise_b.tolist()
     corpus = ParallelCorpus()
     for split, count in (("train", n_train), ("validation", n_val), ("test", n_test)):
         for _ in range(count):
             length = int(rng.integers(len_range[0], len_range[1] + 1))
             concepts = sampler.draw(length)
-            tokens_a = _render(concepts, lexicon.surface_a, lexicon.noise_a, noise_rate, rng)
-            tokens_b = _render(
-                _reorder(concepts, reorder_b), lexicon.surface_b, lexicon.noise_b, noise_rate, rng
-            )
+            tokens_a = _render(concepts, surface_a, noise_a, noise_rate, rng)
+            tokens_b = _render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng)
             corpus.pairs.append(PairExample(tokens_a, tokens_b, concepts, split))
     return corpus
 
@@ -272,6 +301,8 @@ def gen_mining_corpus(
 
     rng = np.random.default_rng(seed)
     sampler = _ConceptSampler(lexicon, rng, max_overlap=0.5)
+    surface_a, noise_a = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
+    surface_b, noise_b = lexicon.surface_b.tolist(), lexicon.noise_b.tolist()
     n_gold = int(parallel_fraction * min(n_a, n_b))
 
     seqs_a: list[tuple[int, ...]] = []
@@ -281,23 +312,19 @@ def gen_mining_corpus(
         length = int(rng.integers(len_range[0], len_range[1] + 1))
         concepts = sampler.draw(length)
         gold_seq_ids.append(len(seqs_a))
-        seqs_a.append(_render(concepts, lexicon.surface_a, lexicon.noise_a, noise_rate, rng))
-        seqs_b.append(_render(
-            _reorder(concepts, reorder_b), lexicon.surface_b, lexicon.noise_b, noise_rate, rng
-        ))
+        seqs_a.append(_render(concepts, surface_a, noise_a, noise_rate, rng))
+        seqs_b.append(_render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng))
     concept_sets_a = [sampler.seen[i] for i in range(n_gold)]
     concept_sets_b = list(concept_sets_a)
     while len(seqs_a) < n_a:
         length = int(rng.integers(len_range[0], len_range[1] + 1))
         concepts = sampler.draw(length)
-        seqs_a.append(_render(concepts, lexicon.surface_a, lexicon.noise_a, noise_rate, rng))
+        seqs_a.append(_render(concepts, surface_a, noise_a, noise_rate, rng))
         concept_sets_a.append(frozenset(concepts))
     while len(seqs_b) < n_b:
         length = int(rng.integers(len_range[0], len_range[1] + 1))
         concepts = sampler.draw(length)
-        seqs_b.append(_render(
-            _reorder(concepts, reorder_b), lexicon.surface_b, lexicon.noise_b, noise_rate, rng
-        ))
+        seqs_b.append(_render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng))
         concept_sets_b.append(frozenset(concepts))
 
     pos_a = rng.permutation(n_a)
@@ -323,24 +350,29 @@ def _audit_overlap(
 ) -> None:
     """Cross-check that every non-gold cross pair shares < 50% of concepts.
 
-    A pair sharing no concept has Jaccard 0, so for each side-A set only the
-    side-B sets listed under its concepts in a concept -> side-B index map
-    are tested; that still re-verifies every non-gold cross pair, and the
-    first failing pair is the one an all-pairs scan in side order reports.
+    Side-A sets are taken _AUDIT_BLOCK at a time, in generation order. A
+    block's shared-concept counts against every side-B set are the rows of a
+    concept x side-B incidence of 0/1 bytes gathered at the block's concepts
+    and summed set by set, with no float product; the float Jaccard test an
+    all-pairs scan makes then runs on the whole block. Failing pairs are
+    visited in row-major order, so the first non-gold one is the pair that
+    scan, in generation order of side A and then side B, reports.
     """
-    b_by_concept: dict[int, list[int]] = {}
-    for j, sb in enumerate(sets_b):
-        for c in sb:
-            b_by_concept.setdefault(c, []).append(j)
-    placed_a = {int(pos_a[i]): s for i, s in enumerate(sets_a)}
-    for i, sa in placed_a.items():
-        shared = Counter(chain.from_iterable(b_by_concept.get(c, ()) for c in sa))
-        for jb in sorted(shared):
-            j = int(pos_b[jb])
-            if (i, j) in gold:
-                continue
-            m = shared[jb]
-            if m / (len(sa) + len(sets_b[jb]) - m) >= 0.5:
+    len_a = np.fromiter(map(len, sets_a), dtype=np.int16, count=len(sets_a))
+    len_b = np.fromiter(map(len, sets_b), dtype=np.int16, count=len(sets_b))
+    flat_a = np.fromiter(chain.from_iterable(sets_a), dtype=np.intp, count=int(len_a.sum()))
+    flat_b = np.fromiter(chain.from_iterable(sets_b), dtype=np.intp, count=int(len_b.sum()))
+    incidence_b = np.zeros((max(flat_a.max(), flat_b.max()) + 1, len(sets_b)), dtype=np.uint8)
+    incidence_b[flat_b, np.repeat(np.arange(len(sets_b)), len_b)] = 1
+    starts_a = np.concatenate([[0], np.cumsum(len_a)])
+    for lo in range(0, len(sets_a), _AUDIT_BLOCK):
+        hi = min(lo + _AUDIT_BLOCK, len(sets_a))
+        rows = incidence_b[flat_a[starts_a[lo] : starts_a[hi]]]
+        shared = np.add.reduceat(rows, starts_a[lo:hi] - starts_a[lo], axis=0, dtype=np.uint8)
+        fails = shared / (len_a[lo:hi, None] + len_b - shared) >= 0.5
+        for ia, jb in zip(*np.nonzero(fails)):
+            i, j = int(pos_a[lo + ia]), int(pos_b[jb])
+            if (i, j) not in gold:
                 raise ConfigError(
                     f"generation audit failed: non-gold pair ({i}, {j}) shares >= 50% of concepts"
                 )
@@ -362,20 +394,20 @@ def gen_sts_pairs(
         raise ConfigError(f"n must be >= 1 (got {n})")
     _check_len_range(len_range)
     rng = np.random.default_rng(seed)
+    surface, noise = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
+    all_concepts = np.arange(lexicon.concept_count)
     pairs: list[StsPair] = []
     for _ in range(n):
         length = int(rng.integers(len_range[0], len_range[1] + 1))
-        s1 = tuple(int(c) for c in rng.choice(lexicon.concept_count, size=length, replace=False))
+        s1 = _draw_concepts(rng, lexicon.concept_count, length)
         overlap = int(rng.integers(0, length + 1))
-        shared = list(s1[:overlap])
-        remaining = np.delete(np.arange(lexicon.concept_count), s1)
-        fresh = [int(c) for c in rng.choice(remaining, size=length - overlap, replace=False)]
-        s2 = tuple(shared + fresh)
+        remaining = np.delete(all_concepts, s1)
+        s2 = s1[:overlap] + _draw_concepts(rng, remaining, length - overlap)
         gold = overlap / len(set(s1) | set(s2))
         pairs.append(
             StsPair(
-                _render(s1, lexicon.surface_a, lexicon.noise_a, noise_rate, rng),
-                _render(s2, lexicon.surface_a, lexicon.noise_a, noise_rate, rng),
+                _render(s1, surface, noise, noise_rate, rng),
+                _render(s2, surface, noise, noise_rate, rng),
                 gold,
             )
         )
@@ -394,32 +426,31 @@ def gen_nli_triples(
         raise ConfigError(f"n must be >= 1 (got {n})")
     _check_len_range(len_range)
     rng = np.random.default_rng(seed)
-    triples: list[NliTriple] = []
+    surface, noise = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
     all_concepts = np.arange(lexicon.concept_count)
+    triples: list[NliTriple] = []
     for i in range(n):
         want = NLI_LABELS[i % len(NLI_LABELS)]
         length = int(rng.integers(len_range[0], len_range[1] + 1))
-        prem = tuple(int(c) for c in rng.choice(lexicon.concept_count, size=length, replace=False))
+        prem = _draw_concepts(rng, lexicon.concept_count, length)
         if want == "entailment":
             size = int(rng.integers(1, length))
-            keep = sorted(rng.choice(length, size=size, replace=False))
+            keep = sorted(rng.choice(length, size=size, replace=False).tolist())
             hyp = tuple(prem[k] for k in keep)
         elif want == "contradiction":
             pool = np.delete(all_concepts, prem)
             hlen = int(rng.integers(len_range[0], len_range[1] + 1))
-            hyp = tuple(int(c) for c in rng.choice(pool, size=hlen, replace=False))
+            hyp = _draw_concepts(rng, pool, hlen)
         else:
             shared_n = int(rng.integers(1, length))
-            shared = list(prem[:shared_n])
             pool = np.delete(all_concepts, prem)
             fresh_n = int(rng.integers(1, len_range[1]))
-            fresh = [int(c) for c in rng.choice(pool, size=fresh_n, replace=False)]
-            hyp = tuple(shared + fresh)
+            hyp = prem[:shared_n] + _draw_concepts(rng, pool, fresh_n)
         assert nli_label(prem, hyp) == want
         triples.append(
             NliTriple(
-                _render(prem, lexicon.surface_a, lexicon.noise_a, noise_rate, rng),
-                _render(hyp, lexicon.surface_a, lexicon.noise_a, noise_rate, rng),
+                _render(prem, surface, noise, noise_rate, rng),
+                _render(hyp, surface, noise, noise_rate, rng),
                 want,
             )
         )
@@ -532,18 +563,54 @@ def save_mining_json(corpus: MiningCorpus, path: str) -> None:
     atomic_write({path: (json.dumps(doc) + "\n").encode("utf-8")})
 
 
+def _mining_side(doc: dict, key: str, path: str) -> list[tuple[int, ...]]:
+    """doc[key] as sentences: each a non-empty list of JSON integers (no
+    booleans), checked by type over the whole side before any is converted."""
+    side = doc[key]
+    if (
+        type(side) is not list
+        or not set(map(type, side)) <= {list}
+        or not all(side)
+        or not set(map(type, chain.from_iterable(side))) <= {int}
+    ):
+        if type(side) is not list:
+            raise CorpusParseError(f"{path}: {key} must be a list of sentences")
+        for n, sentence in enumerate(side):
+            if type(sentence) is not list or not sentence:
+                raise CorpusParseError(
+                    f"{path}: {key}[{n}] must be a non-empty list of token ids (got {sentence!r})"
+                )
+            for t in sentence:
+                if type(t) is not int:
+                    raise CorpusParseError(f"{path}: {key}[{n}] token {t!r} is not an integer")
+    return [tuple(s) for s in side]
+
+
 def load_mining_json(path: str) -> MiningCorpus:
+    """A mining corpus as save_mining_json writes it. Tokens must be JSON
+    integers and gold pairs in-range [side_a index, side_b index] pairs;
+    anything else raises CorpusParseError naming the file and the item."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise CorpusParseError(f"{path}: invalid JSON ({e})") from e
     try:
-        return MiningCorpus(
-            side_a=[tuple(int(t) for t in s) for s in doc["side_a"]],
-            side_b=[tuple(int(t) for t in s) for s in doc["side_b"]],
-            gold_pairs=[(int(i), int(j)) for i, j in doc["gold_pairs"]],
-            parallel_fraction=float(doc["parallel_fraction"]),
-        )
+        side_a, side_b = _mining_side(doc, "side_a", path), _mining_side(doc, "side_b", path)
+        gold_pairs = []
+        for n, pair in enumerate(doc["gold_pairs"]):
+            if not (
+                type(pair) is list
+                and len(pair) == 2
+                and type(pair[0]) is int
+                and type(pair[1]) is int
+                and 0 <= pair[0] < len(side_a)
+                and 0 <= pair[1] < len(side_b)
+            ):
+                raise CorpusParseError(
+                    f"{path}: gold_pairs[{n}] {pair!r} is not an in-range [side_a index, side_b index] pair"
+                )
+            gold_pairs.append((pair[0], pair[1]))
+        return MiningCorpus(side_a, side_b, gold_pairs, float(doc["parallel_fraction"]))
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusParseError(f"{path}: malformed mining corpus ({e})") from e

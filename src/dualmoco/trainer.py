@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -135,22 +136,29 @@ def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays])
 
 
-def clip_gradients(grads: Sequence[np.ndarray], max_norm: float) -> Sequence[np.ndarray]:
+def clip_gradients(
+    grads: Sequence[np.ndarray], max_norm: float, scratch: np.ndarray | None = None
+) -> Sequence[np.ndarray]:
     """Scale all gradients by max_norm/g when the global L2 norm g exceeds max_norm.
 
-    g is summed tensor by tensor, in order. Within the bound `grads` itself
-    is returned; above it, FlatTensors over one new buffer holding every
-    gradient times the scale, from a single whole-buffer product. A
-    non-finite g raises NumericalFailureError.
+    The squares of all gradients land in one buffer, `scratch` when given
+    (it must hold as many elements as all gradients together), and g is
+    summed from it tensor by tensor, in order, as per-tensor sums would be. Within the bound
+    `grads` itself is returned; above it, FlatTensors over one new buffer
+    holding every gradient times the scale, from a single whole-buffer
+    product. A non-finite g raises NumericalFailureError.
     """
     if max_norm <= 0:
         raise ConfigError(f"grad_clip must be > 0 (got {max_norm})")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    flat = _joined(grads)
+    square = np.multiply(flat, flat, out=scratch)
+    bounds = list(accumulate((g.size for g in grads), initial=0))
+    total = math.sqrt(sum(float(square[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])))
     if not math.isfinite(total):
         raise NumericalFailureError(f"non-finite global gradient norm: {total}")
     if total <= max_norm:
         return grads
-    return FlatTensors(_joined(grads) * (max_norm / total), [g.shape for g in grads])
+    return FlatTensors(flat * (max_norm / total), [g.shape for g in grads])
 
 
 @dataclass
@@ -556,7 +564,7 @@ def train(
             if not math.isfinite(nli_loss):
                 raise NumericalFailureError(f"non-finite inference loss at step {step}")
 
-            clipped = clip_gradients(grad_list, config.grad_clip)
+            clipped = clip_gradients(grad_list, config.grad_clip, scratch=opt.scratch[0])
             adamw_step(trainable, clipped, opt, lr, config.weight_decay)
             advance_state(state, batch_a, batch_b, config.pooling)
 

@@ -1,7 +1,7 @@
 """Shared test utilities: finite differences, error metrics, random data, a
 hand-built embedding dump, the two-exp contrastive kernel, the per-tensor
-optimizer steps, and per-element reference implementations of the
-array-coded evaluation paths."""
+optimizer steps, per-element reference implementations of the array-coded
+evaluation paths, and the per-token generator draws and rendering."""
 
 from __future__ import annotations
 
@@ -267,3 +267,26 @@ def reference_average_ranks(xs: Sequence[float] | np.ndarray) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# Per-token references for dualmoco.datagen: concept draws converted element
+# by element with int(), and rendering that indexes the lexicon's arrays and
+# converts every token. Generation with these patched in must write the same
+# bytes as the list-backed code.
+# ---------------------------------------------------------------------------
+
+
+def reference_draw_concepts(rng: np.random.Generator, pool, size: int) -> tuple[int, ...]:
+    return tuple(int(c) for c in rng.choice(pool, size=size, replace=False))
+
+
+def reference_render(
+    concepts: Sequence[int], surface, noise, noise_rate: float, rng: np.random.Generator
+) -> tuple[int, ...]:
+    tokens: list[int] = []
+    for c in concepts:
+        if noise_rate > 0.0 and rng.random() < noise_rate:
+            tokens.append(int(noise[rng.integers(len(noise))]))
+        tokens.append(int(surface[c]))
+    return tuple(tokens)

@@ -341,6 +341,27 @@ class TestEvaluationCommands:
         assert {"lambda", "validation_f1", "precision", "recall", "f1", "pairs"} == set(doc)
         assert isinstance(doc["pairs"], list)
 
+    def test_mine_refuses_malformed_corpus(self, pipeline, tmp_path, capsys):
+        # float tokens in the first sentence and a gold pair past both sides
+        _, data, run = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / "mining_test.json"
+        doc = json.loads(path.read_text())
+        doc["side_a"][0] = [t + 0.9 for t in doc["side_a"][0]]
+        doc["gold_pairs"].append([4000, 4000])
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "mining.json"
+        argv = ["mine", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(copy),
+                "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert "mining_test.json: side_a[0] token" in capsys.readouterr().err
+        assert not out.exists()
+        doc["side_a"][0] = [round(t - 0.9) for t in doc["side_a"][0]]
+        path.write_text(json.dumps(doc))
+        assert cli.main(argv) == 3
+        assert "mining_test.json: gold_pairs" in capsys.readouterr().err
+
     def test_eval_sts(self, pipeline, tmp_path):
         _, data, run = pipeline
         out = tmp_path / "sts.json"

@@ -1,7 +1,12 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dualmoco import datagen
+from helpers import reference_draw_concepts, reference_render
+
+from dualmoco import cli, datagen
 from dualmoco.datagen import (
     gen_mining_corpus,
     gen_nli_triples,
@@ -180,7 +185,7 @@ class TestGenMiningCorpus:
 
 def all_pairs_acceptable(self, cand):
     """The all-pairs `_ConceptSampler._acceptable` scan, kept as the reference
-    for the concept-indexed one."""
+    for the whole-array one."""
     if self.max_overlap >= 1.0:
         return cand not in self._seen_lookup
     return all(len(cand & s) / len(cand | s) < self.max_overlap for s in self.seen)
@@ -188,7 +193,7 @@ def all_pairs_acceptable(self, cand):
 
 def all_pairs_audit(sets_a, sets_b, pos_a, pos_b, gold):
     """The all-pairs `_audit_overlap` scan, kept as the reference for the
-    concept-indexed one."""
+    blocked whole-array one."""
     placed_a = {int(pos_a[i]): s for i, s in enumerate(sets_a)}
     placed_b = {int(pos_b[j]): s for j, s in enumerate(sets_b)}
     for i, sa in placed_a.items():
@@ -222,6 +227,33 @@ class TestConceptIndex:
         if len_range == (3, 4):
             # on 60 concepts, a large share of short draws overlaps a seen set
             assert verdicts.count(False) > 0.3 * len(verdicts)
+
+    @pytest.mark.parametrize("max_overlap", [0.3, 1 / 3, 0.6, 0.75, 0.999])
+    def test_sampler_thresholds_match_all_pairs_scan(self, monkeypatch, max_overlap):
+        # 12 concepts: every threshold rejects, and the low ones run out
+        small = make_lexicon(concept_count=12, noise_count=4, seed=0)
+
+        def draws():
+            rng = np.random.default_rng(7)
+            sampler = datagen._ConceptSampler(small, rng, max_overlap=max_overlap)
+            out = []
+            try:
+                while len(out) < 60:
+                    out.append(sampler.draw(int(rng.integers(3, 6))))
+            except ConfigError as e:
+                out.append(str(e))
+            return out, rng.random()
+
+        verdicts = []
+
+        def reference(self, cand):
+            verdicts.append(all_pairs_acceptable(self, cand))
+            return verdicts[-1]
+
+        indexed = draws()
+        monkeypatch.setattr(datagen._ConceptSampler, "_acceptable", reference)
+        assert draws() == indexed
+        assert verdicts.count(False) > 0
 
     def test_max_overlap_must_be_positive(self, lexicon):
         with pytest.raises(ConfigError, match="max_overlap"):
@@ -266,6 +298,62 @@ class TestConceptIndex:
             assert results[0] == results[1]
             outcomes.add(results[0] is None)
         assert outcomes == {True, False}
+
+
+class TestMatchesPerPairReferences:
+    """gen-data with the per-token draws and rendering and the all-pairs
+    overlap scans patched in writes the same bytes as the array code."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            (),
+            ("--concepts", "120", "--len-max", "4", "--seed", "3"),
+            ("--noise-rate", "0", "--reorder-b", "identity", "--seed", "4"),
+        ],
+    )
+    def test_gen_data_byte_identical(self, tmp_path, monkeypatch, extra):
+        args = [
+            "--train-pairs", "150", "--val-pairs", "30", "--test-pairs", "30",
+            "--sts-pairs", "60", "--nli-triples", "60",
+            "--mining-side-a", "90", "--mining-side-b", "70", *extra,
+        ]
+        assert cli.main(["gen-data", "--out", str(tmp_path / "new"), *args]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(datagen, "_draw_concepts", reference_draw_concepts)
+            patch.setattr(datagen, "_render", reference_render)
+            patch.setattr(datagen._ConceptSampler, "_acceptable", all_pairs_acceptable)
+            patch.setattr(datagen, "_audit_overlap", all_pairs_audit)
+            assert cli.main(["gen-data", "--out", str(tmp_path / "ref"), *args]) == 0
+        names = sorted(p.name for p in (tmp_path / "new").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "ref").iterdir())
+        for name in names:
+            new, ref = (tmp_path / side / name for side in ("new", "ref"))
+            if name == cli.GEN_CONFIG_FILE:
+                configs = [json.loads(p.read_text()) for p in (new, ref)]
+                assert [c.pop("out_dir") for c in configs] == [str(new.parent), str(ref.parent)]
+                assert configs[0] == configs[1]
+            else:
+                assert new.read_bytes() == ref.read_bytes(), name
+
+    def test_audit_memory_bounded(self, monkeypatch):
+        # 1,000 sets per side; a dense cross matrix of 2-byte counts would
+        # alone take n_a * n_b * 2 bytes
+        calls = []
+        monkeypatch.setattr(datagen, "_audit_overlap", lambda *args: calls.append(args))
+        lexicon = make_lexicon(380, 20, seed=1)
+        gen_mining_corpus(lexicon, 1000, 1000, 0.1, seed=5)
+        monkeypatch.undo()
+        (args,) = calls
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            datagen._audit_overlap(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1000 * 1000 * 2
 
 
 class TestGenStsPairs:
@@ -376,6 +464,62 @@ class TestFileRoundTrips:
         path.write_text('{"side_a": []}')
         with pytest.raises(CorpusParseError):
             load_mining_json(str(path))
+
+    @pytest.fixture
+    def mining_doc(self):
+        return {
+            "side_a": [[1, 2, 3], [4, 5], [6]],
+            "side_b": [[7, 8], [9, 10, 11]],
+            "gold_pairs": [[0, 1], [2, 0]],
+            "parallel_fraction": 0.5,
+        }
+
+    def load_doc(self, tmp_path, doc):
+        path = tmp_path / "mining.json"
+        path.write_text(json.dumps(doc))
+        return load_mining_json(str(path))
+
+    def test_mining_json_well_formed_loads(self, tmp_path, mining_doc):
+        corpus = self.load_doc(tmp_path, mining_doc)
+        assert corpus.side_a == [(1, 2, 3), (4, 5), (6,)]
+        assert corpus.gold_pairs == [(0, 1), (2, 0)]
+
+    @pytest.mark.parametrize(
+        "side, sentence, token, item",
+        [
+            ("side_a", 0, 1.9, r"side_a\[0\] token 1.9 "),
+            ("side_b", 1, True, r"side_b\[1\] token True "),
+            ("side_a", 2, "7", r"side_a\[2\] token '7' "),
+            ("side_b", 0, None, r"side_b\[0\] token None "),
+            ("side_a", 1, [4], r"side_a\[1\] token \[4\] "),
+        ],
+    )
+    def test_mining_json_non_integer_token_rejected(
+        self, tmp_path, mining_doc, side, sentence, token, item
+    ):
+        mining_doc[side][sentence][-1] = token
+        with pytest.raises(CorpusParseError, match=r"mining\.json: " + item):
+            self.load_doc(tmp_path, mining_doc)
+
+    @pytest.mark.parametrize("sentence", [[], "123", 5, {"1": 2}])
+    def test_mining_json_bad_sentence_rejected(self, tmp_path, mining_doc, sentence):
+        mining_doc["side_b"][1] = sentence
+        with pytest.raises(CorpusParseError, match=r"mining\.json: side_b\[1\] must be a non-empty list"):
+            self.load_doc(tmp_path, mining_doc)
+
+    def test_mining_json_side_not_a_list_rejected(self, tmp_path, mining_doc):
+        mining_doc["side_a"] = "1 2 3"
+        with pytest.raises(CorpusParseError, match=r"mining\.json: side_a must be a list"):
+            self.load_doc(tmp_path, mining_doc)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[3, 0], [0, 2], [-1, 0], [0, -1], [4000, 4000], [0], [0, 1, 1], [True, 0], [0, 1.0], "01"],
+    )
+    def test_mining_json_bad_gold_pair_rejected(self, tmp_path, mining_doc, pair):
+        mining_doc["gold_pairs"].append(pair)
+        with pytest.raises(CorpusParseError, match=r"mining\.json: gold_pairs\[2\] "):
+            self.load_doc(tmp_path, mining_doc)
 
     def test_lf_line_endings(self, lexicon, tmp_path):
         corpus = gen_parallel_corpus(lexicon, 5, 0, 0, seed=27)

@@ -268,6 +268,36 @@ class TestFlatOptimizerMatchesPerTensorReference:
             tracemalloc.stop()
         assert peak - start < params.flat.nbytes // 100
 
+    @pytest.mark.parametrize("max_norm", [1e6, 0.05])
+    def test_clip_into_scratch_matches_reference_bitwise(self, max_norm):
+        # tensor sizes around numpy's pairwise-summation blocks (8 and 128)
+        rng = np.random.default_rng(14)
+        shapes = [(7,), (9, 17), (129,), (40, 8), (1,), (300, 33), (256,)]
+        grads = FlatTensors(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+        opt = AdamWState.for_params(grads)
+        for _ in range(5):
+            grads.flat[...] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-3, 2)
+            want = reference_clip_gradients([g.copy() for g in grads], max_norm)
+            got = clip_gradients(grads, max_norm, scratch=opt.scratch[0])
+            assert (got is grads) == (max_norm > 1)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_clip_within_bound_allocates_no_buffer(self):
+        rng = np.random.default_rng(15)
+        grads = FlatTensors(rng.normal(size=400 * 64 + 64), [(400, 64), (64,)])
+        scratch = AdamWState.for_params(grads).scratch[0]
+        clip_gradients(grads, 1e6, scratch=scratch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = clip_gradients(grads, 1e6, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is grads
+        assert peak - start < grads.flat.nbytes // 100
+
     @pytest.mark.parametrize("bad_tensor, element", [(0, 0), (2, -1), (4, 0), (5, 0)])
     def test_overflow_names_the_tensor(self, bad_tensor, element):
         # theta = -1.7e308 stepped by lr = 1e308 against a unit gradient
