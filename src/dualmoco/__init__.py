@@ -45,14 +45,10 @@ from .moco import (
     DualMocoState,
     LossValue,
     MemoryQueue,
-    bidirectional_loss,
     enqueue_batch,
-    info_nce,
-    info_nce_query_grad,
     loss_and_gradients,
     momentum_update,
     new_state,
-    softmax_entropy,
 )
 from .numerics import cosine_similarity, l2_normalize, spearman_correlation
 from .trainer import (
@@ -62,7 +58,6 @@ from .trainer import (
     adamw_step,
     clip_gradients,
     lr_at,
-    nli_forward_loss,
     train,
 )
 

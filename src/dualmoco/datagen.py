@@ -536,6 +536,8 @@ def load_sts_tsv(path: str) -> list[StsPair]:
             gold = float(cols[2])
         except ValueError as e:
             raise CorpusParseError(f"{path}:{lineno}: bad gold similarity {cols[2]!r}") from e
+        if not 0.0 <= gold <= 1.0:  # false for NaN too
+            raise CorpusParseError(f"{path}:{lineno}: gold similarity {cols[2]!r} outside [0, 1]")
         pairs.append(StsPair(_ints(cols[0], path, lineno), _ints(cols[1], path, lineno), gold))
     return pairs
 

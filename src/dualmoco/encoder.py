@@ -209,19 +209,12 @@ def _packed_batch(ids: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> P
     return PackedBatch(ids, lengths, starts, by_position, tuple(live), restore, int(ids.max()) if n else -1)
 
 
-def pack_batch(batch: Sequence[TokenSeq] | PackedBatch, vocab_size: int) -> PackedBatch:
-    """Pack a batch for towers with `vocab_size` tokens.
+def pack_batch(batch: Sequence[TokenSeq], vocab_size: int) -> PackedBatch:
+    """Pack a batch of token lists for towers with `vocab_size` tokens.
 
     Every sequence must be non-empty with ids in [0, vocab_size); otherwise
-    TokenOutOfRangeError names the first offending batch item. A batch that
-    is already packed is returned as it is, once its ids are checked against
-    vocab_size.
+    TokenOutOfRangeError names the first offending batch item.
     """
-    if isinstance(batch, PackedBatch):
-        if batch.max_id >= vocab_size:
-            bad = int(np.argmax(batch.ids >= vocab_size))
-            raise _out_of_range(batch.ids, batch.starts, bad, vocab_size, "batch item")
-        return batch
     return _packed_batch(*_flatten(batch, vocab_size, "batch item"))
 
 
@@ -246,13 +239,11 @@ class Forward(NamedTuple):
 
 def encode(params: EncoderParams, tokens: TokenSeq, pooling: Pooling | str) -> np.ndarray:
     """Encode one token sequence into a unit-norm vector of dimension d_out."""
-    return forward_batch(params, [tokens], pooling).h[0]
+    return encode_batch(params, [tokens], pooling)[0]
 
 
-def forward_batch(
-    params: EncoderParams, batch: Sequence[TokenSeq] | PackedBatch, pooling: Pooling | str
-) -> Forward:
-    """Forward pass over a batch (token lists or a PackedBatch).
+def forward_batch(params: EncoderParams, packed: PackedBatch, pooling: Pooling | str) -> Forward:
+    """Forward pass over a packed batch, whose ids must fit the tower.
 
     Each sentence's row is a pure function of its own tokens, computed with
     the same floating-point operations in the same order whatever the batch
@@ -272,7 +263,9 @@ def forward_batch(
     - bias, tanh and the row norms are elementwise or per row.
     """
     pooling = Pooling(pooling)
-    packed = pack_batch(batch, params.vocab_size)
+    if packed.max_id >= params.vocab_size:
+        bad = int(np.argmax(packed.ids >= params.vocab_size))
+        raise _out_of_range(packed.ids, packed.starts, bad, params.vocab_size, "batch item")
     if pooling is Pooling.MAX:
         pooled = np.maximum.reduceat(params.embedding[packed.ids], packed.starts, axis=0)
     elif pooling is Pooling.FIRST:
@@ -297,7 +290,10 @@ def forward_batch(
 def encode_batch(
     params: EncoderParams, batch: Sequence[TokenSeq] | PackedBatch, pooling: Pooling | str
 ) -> np.ndarray:
-    """Encode a batch; row i is bit-identical to encode(params, batch[i], pooling)."""
+    """Encode a batch of token lists or a PackedBatch; row i is bit-identical
+    to encode(params, batch[i], pooling)."""
+    if not isinstance(batch, PackedBatch):
+        batch = pack_batch(batch, params.vocab_size)
     return forward_batch(params, batch, pooling).h
 
 
@@ -313,29 +309,29 @@ def _scatter_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> N
 
 def encode_backward(
     params: EncoderParams,
-    batch: Sequence[TokenSeq] | PackedBatch,
+    packed: PackedBatch,
     pooling: Pooling | str,
     upstream: np.ndarray,
-    forward: Forward | None = None,
+    forward: Forward,
     out: EncoderGrads | None = None,
 ) -> EncoderGrads:
     """Gradient of sum_i upstream[i] . h_i with respect to the parameters.
 
-    `forward` is forward_batch(params, batch, pooling), the pass whose
-    outputs received `upstream`; it is reused as is, and run here only when
-    it is not given. The gradient goes into `out` when it is given (its
-    arrays are zeroed first, then accumulated as new ones would be) and into
-    new arrays otherwise. Exact chain rule through normalization, tanh, the
-    affine projection, and pooling. Max pooling routes each dimension's
-    subgradient to the earliest token position attaining the maximum. The
-    embedding gradient is scattered in sentence-then-token order, so repeated
-    ids accumulate in the same order as a per-sentence loop would.
+    `forward` is forward_batch(params, packed, pooling), the pass whose
+    outputs received `upstream`; it is reused as is. The gradient goes into
+    `out` when it is given (its arrays are zeroed first, then accumulated as
+    new ones would be) and into new arrays otherwise. Exact chain rule
+    through normalization, tanh, the affine projection, and pooling. Max
+    pooling routes each dimension's subgradient to the earliest token
+    position attaining the maximum. The embedding gradient is scattered in
+    sentence-then-token order, so repeated ids accumulate in the same order
+    as a per-sentence loop would.
     """
     pooling = Pooling(pooling)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (len(batch), params.d_out):
+    if upstream.shape != (len(packed), params.d_out):
         raise ShapeMismatchError(
-            f"upstream shape {upstream.shape} != ({len(batch)}, {params.d_out})"
+            f"upstream shape {upstream.shape} != ({len(packed)}, {params.d_out})"
         )
     if out is None:
         grads = EncoderGrads.zeros_like(params)
@@ -343,11 +339,10 @@ def encode_backward(
         grads = out
         for a in grads.arrays():
             a.fill(0.0)
-    if len(batch) == 0:
+    if len(packed) == 0:
         return grads
 
-    packed = pack_batch(batch, params.vocab_size)
-    h, z, norms, pooled = forward if forward is not None else forward_batch(params, packed, pooling)
+    h, z, norms, pooled = forward
     ids, lengths, starts = packed.ids, packed.lengths, packed.starts
 
     # normalization: dz = (g - (g.h) h) / ||z||, rowwise

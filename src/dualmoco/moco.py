@@ -9,6 +9,10 @@ so gradients reach only the two base encoders.
 
 Queues start empty and the loss uses only the filled region, so early steps
 see fewer (or zero) negatives instead of fabricated ones.
+
+The step functions, loss_and_gradients and advance_state, take batches
+packed by encoder.pack_batch or encoder.gather_batch; the key encodes go
+through encode_batch.
 """
 
 from __future__ import annotations
@@ -23,18 +27,15 @@ from .encoder import (
     EncoderParams,
     PackedBatch,
     Pooling,
-    TokenSeq,
     encode_backward,
     encode_batch,
     forward_batch,
-    pack_batch,
 )
 from .errors import (
     BatchExceedsCapacityError,
     BatchLengthMismatchError,
     DimensionMismatchError,
     NonPositiveTemperatureError,
-    NonUnitInputError,
     NonUnitKeyError,
     ShapeMismatchError,
 )
@@ -69,12 +70,6 @@ class MemoryQueue:
     def negatives(self) -> np.ndarray:
         """The filled entries, in storage order (order is irrelevant to the loss)."""
         return self.slots[: self.filled] if self.filled < self.capacity else self.slots
-
-    def insertion_order(self) -> np.ndarray:
-        """Filled entries oldest-to-newest, recovered from write_index."""
-        if self.filled < self.capacity:
-            return self.slots[: self.filled]
-        return np.concatenate([self.slots[self.write_index :], self.slots[: self.write_index]])
 
 
 def enqueue_batch(queue: MemoryQueue, keys: np.ndarray | Sequence[np.ndarray]) -> None:
@@ -157,12 +152,6 @@ class LossValue:
     backward: float
 
 
-def _check_unit(v: np.ndarray, what: str) -> None:
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise NonUnitInputError(f"{what} has norm {norm:.9f}, expected 1")
-
-
 def _nce_batch(
     queries: np.ndarray, positives: np.ndarray, negatives: np.ndarray, temperature: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -198,67 +187,15 @@ def _nce_batch(
     return losses, grad_q
 
 
-def info_nce(
-    query: np.ndarray, positive_key: np.ndarray, queue: MemoryQueue, temperature: float
-) -> float:
-    """Contrastive loss for one query against its positive key and the queue."""
-    query = np.asarray(query, dtype=np.float64)
-    positive_key = np.asarray(positive_key, dtype=np.float64)
-    _check_unit(query, "query")
-    _check_unit(positive_key, "positive key")
-    losses, _ = _nce_batch(query[None, :], positive_key[None, :], queue.negatives(), temperature)
-    return float(losses[0])
-
-
-def info_nce_query_grad(
-    query: np.ndarray, positive_key: np.ndarray, queue: MemoryQueue, temperature: float
-) -> np.ndarray:
-    """d loss / d query with keys and queue treated as constants."""
-    query = np.asarray(query, dtype=np.float64)
-    positive_key = np.asarray(positive_key, dtype=np.float64)
-    _check_unit(query, "query")
-    _check_unit(positive_key, "positive key")
-    _, grads = _nce_batch(query[None, :], positive_key[None, :], queue.negatives(), temperature)
-    return grads[0]
-
-
-def softmax_entropy(similarities: np.ndarray, temperature: float) -> float:
-    """Entropy (nats) of the softmax over similarities / temperature.
-
-    Non-decreasing in temperature for fixed similarities; low temperatures
-    concentrate mass on the hardest entries.
-    """
-    if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
-    logits = np.asarray(similarities, dtype=np.float64) / temperature
-    peak = logits.max()
-    lse = peak + np.log(np.sum(np.exp(logits - peak)))
-    probs = np.exp(logits - lse)
-    return float(lse - np.dot(probs, logits))
-
-
-def _check_batches(
-    batch_a: Sequence[TokenSeq] | PackedBatch, batch_b: Sequence[TokenSeq] | PackedBatch
-) -> None:
+def _check_batches(batch_a: PackedBatch, batch_b: PackedBatch) -> None:
     if len(batch_a) != len(batch_b):
         raise BatchLengthMismatchError(f"batch sizes differ: {len(batch_a)} vs {len(batch_b)}")
 
 
-def bidirectional_loss(
-    state: DualMocoState,
-    batch_a: Sequence[TokenSeq] | PackedBatch,
-    batch_b: Sequence[TokenSeq] | PackedBatch,
-    pooling: Pooling | str,
-) -> LossValue:
-    """Mean contrastive loss in both directions; reads state without mutating it."""
-    loss, _, _ = loss_and_gradients(state, batch_a, batch_b, pooling)
-    return loss
-
-
 def loss_and_gradients(
     state: DualMocoState,
-    batch_a: Sequence[TokenSeq] | PackedBatch,
-    batch_b: Sequence[TokenSeq] | PackedBatch,
+    batch_a: PackedBatch,
+    batch_b: PackedBatch,
     pooling: Pooling | str,
     out: tuple[EncoderGrads, EncoderGrads] | None = None,
 ) -> tuple[LossValue, EncoderGrads, EncoderGrads]:
@@ -266,14 +203,13 @@ def loss_and_gradients(
 
     Keys come from the momentum towers and the queues, so they contribute no
     gradient; grads_a stems from the a->b direction only and grads_b from
-    b->a, each averaged over the batch. Each side is packed once, and each
-    query forward pass is reused by its backward pass. The gradients are
-    written into `out` (grads_a, grads_b) when it is given.
+    b->a, each averaged over the batch. The batches come from pack_batch or
+    gather_batch, and each query forward pass is reused by its backward
+    pass. The gradients are written into `out` (grads_a, grads_b) when it is
+    given.
     """
     _check_batches(batch_a, batch_b)
     pooling = Pooling(pooling)
-    batch_a = pack_batch(batch_a, state.base_a.vocab_size)
-    batch_b = pack_batch(batch_b, state.base_b.vocab_size)
     n = len(batch_a)
 
     queries_a = forward_batch(state.base_a, batch_a, pooling)
@@ -298,10 +234,7 @@ def loss_and_gradients(
 
 
 def advance_state(
-    state: DualMocoState,
-    batch_a: Sequence[TokenSeq] | PackedBatch,
-    batch_b: Sequence[TokenSeq] | PackedBatch,
-    pooling: Pooling | str,
+    state: DualMocoState, batch_a: PackedBatch, batch_b: PackedBatch, pooling: Pooling | str
 ) -> None:
     """EMA-update both momentum towers, then enqueue the batch's fresh keys.
 

@@ -2,6 +2,10 @@
 clipping, an optional 3-way inference head trained jointly with the
 contrastive objective, and the ablation switches used by the sweep harness.
 
+`train` packs the corpus once and hands every step function packed batches
+(step_gradients takes PackedBatch sides and an NliBatch); clip_gradients and
+adamw_step work in place on FlatTensors, one flat buffer per role.
+
 Reproducibility contract: given the same config and corpus, two runs produce
 bit-identical metrics logs. Every source of randomness draws from its own
 seeded stream (parameter init, batch shuffling, inference-head batching,
@@ -14,8 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .encoder import (
     forward_batch,
     gather_batch,
     init_params,
-    pack_batch,
     pack_tokens,
 )
 from .errors import (
@@ -44,11 +46,6 @@ from .errors import (
 from .moco import DualMocoState, LossValue, advance_state, loss_and_gradients, new_state
 
 logger = logging.getLogger(__name__)
-
-# Read-only observer called as probe(step, state, batch_a, batch_b) before each
-# step. The state is the trainer's live one, updated in place after the probe
-# returns, so a probe must copy whatever it keeps.
-StepProbe = Callable[[int, DualMocoState, Sequence, Sequence], None]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -127,38 +124,28 @@ class FlatTensors(list):
         return cls(np.concatenate([np.ravel(a) for a in arrays]), [a.shape for a in arrays])
 
 
-def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays as one flat buffer: their own when they are FlatTensors
-    (with no element replaced), else a concatenated copy."""
-    flat = getattr(arrays, "flat", None)
-    if flat is not None and all(a.base is flat for a in arrays):
-        return flat
-    return np.concatenate([np.ravel(a) for a in arrays])
-
-
 def clip_gradients(
-    grads: Sequence[np.ndarray], max_norm: float, scratch: np.ndarray | None = None
-) -> Sequence[np.ndarray]:
-    """Scale all gradients by max_norm/g when the global L2 norm g exceeds max_norm.
+    grads: FlatTensors, max_norm: float, scratch: np.ndarray | None = None
+) -> FlatTensors:
+    """Scale all gradients, in place, by max_norm/g when their global L2 norm g
+    exceeds max_norm; return grads.
 
-    The squares of all gradients land in one buffer, `scratch` when given
-    (it must hold as many elements as all gradients together), and g is
-    summed from it tensor by tensor, in order, as per-tensor sums would be. Within the bound
-    `grads` itself is returned; above it, FlatTensors over one new buffer
-    holding every gradient times the scale, from a single whole-buffer
-    product. A non-finite g raises NumericalFailureError.
+    The squares of grads.flat land in one buffer, `scratch` when given (of
+    the same length), and g is summed from it tensor by tensor, in order, as
+    per-tensor sums would be. Above the bound grads.flat is multiplied by the
+    scale in one whole-buffer product. A non-finite g raises
+    NumericalFailureError.
     """
     if max_norm <= 0:
         raise ConfigError(f"grad_clip must be > 0 (got {max_norm})")
-    flat = _joined(grads)
-    square = np.multiply(flat, flat, out=scratch)
-    bounds = list(accumulate((g.size for g in grads), initial=0))
+    square = np.multiply(grads.flat, grads.flat, out=scratch)
+    bounds = grads.bounds.tolist()
     total = math.sqrt(sum(float(square[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])))
     if not math.isfinite(total):
         raise NumericalFailureError(f"non-finite global gradient norm: {total}")
-    if total <= max_norm:
-        return grads
-    return FlatTensors(flat * (max_norm / total), [g.shape for g in grads])
+    if total > max_norm:
+        grads.flat *= max_norm / total
+    return grads
 
 
 @dataclass
@@ -189,34 +176,26 @@ class AdamWState:
 
 
 def adamw_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    state: AdamWState,
-    lr: float,
-    weight_decay: float,
+    params: FlatTensors, grads: FlatTensors, state: AdamWState, lr: float, weight_decay: float
 ) -> None:
     """Bias-corrected Adam moments with decoupled weight decay, in place:
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
 
     Updates params, state.m, state.v and state.t. The update is a fixed
-    sequence of whole-buffer operations into the state's scratch, each
-    rounding as the formula's elementwise operation does, so it matches the
-    per-tensor formula bit for bit. When params and grads are FlatTensors,
-    as `train` lays them out, nothing is allocated; other arrays are joined
-    into copies and the parameters written back. A non-finite updated
-    parameter raises NumericalFailureError naming the first such tensor's
-    index in params, once every tensor is updated.
+    sequence of whole-buffer operations on params.flat and grads.flat into
+    the state's scratch, each rounding as the formula's elementwise
+    operation does, so it matches the per-tensor formula bit for bit and
+    allocates nothing. A non-finite updated parameter raises
+    NumericalFailureError naming the first such tensor's index in params,
+    once every tensor is updated.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatchError("params, grads and optimizer state must be parallel")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"param shape {p.shape} != grad shape {g.shape}")
+    shapes = [p.shape for p in params]
+    if shapes != [g.shape for g in grads] or shapes != [m.shape for m in state.m]:
+        raise ShapeMismatchError(f"param shapes {shapes} != grad or moment shapes")
     state.t += 1
     t = state.t
-    p, g = _joined(params), _joined(grads)
-    joined_copy = p is not getattr(params, "flat", None)
+    p, g = params.flat, grads.flat
     m, v, (s, u) = state.m.flat, state.v.flat, state.scratch
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
@@ -228,9 +207,6 @@ def adamw_step(
     s += np.multiply(p, weight_decay, out=u)
     s *= lr
     p -= s
-    if joined_copy:
-        for target, updated in zip(params, FlatTensors(p, [a.shape for a in params])):
-            target[...] = updated
     if not np.isfinite(p, out=state.finite).all():
         first = int(np.argmin(state.finite))
         k = int(np.searchsorted(state.m.bounds, first, side="right")) - 1
@@ -271,18 +247,14 @@ def init_nli_head(d_out: int, rng: np.random.Generator) -> NliHead:
     return NliHead(w1, b1, w2, b2, w3, b3)
 
 
-def _label_index(label: str | int) -> int:
-    if isinstance(label, (int, np.integer)):
-        if 0 <= int(label) < N_CLASSES:
-            return int(label)
-        raise InvalidLabelError(f"label index {label} outside [0, {N_CLASSES})")
+def _label_index(label: str) -> int:
     try:
         return NLI_LABELS.index(label)
     except ValueError:
         raise InvalidLabelError(f"unknown label {label!r}; expected one of {NLI_LABELS}") from None
 
 
-def _label_indices(labels: Sequence[str | int]) -> np.ndarray:
+def _label_indices(labels: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(_label_index, labels), np.intp, len(labels))
 
 
@@ -294,30 +266,22 @@ class NliBatch(NamedTuple):
     labels: np.ndarray  # (n,) indices into NLI_LABELS
 
 
-def _pack_nli(triples: Sequence[NliTriple], vocab_size: int) -> NliBatch:
-    return NliBatch(
-        pack_batch([t.premise for t in triples], vocab_size),
-        pack_batch([t.hypothesis for t in triples], vocab_size),
-        _label_indices([t.label for t in triples]),
-    )
-
-
 def nli_loss_and_grads(
     head: NliHead,
     h_premise: np.ndarray,
     h_hypothesis: np.ndarray,
-    labels: Sequence[str | int],
+    labels: np.ndarray,
     dropout: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
     """Mean cross-entropy plus gradients for the head and both sentence inputs.
 
-    Dropout (inverted scaling) applies to the two hidden layers only when a
+    `labels` holds the gold indices into NLI_LABELS, as `train` converts
+    them once per corpus. Dropout (inverted scaling) applies to the two hidden layers only when a
     dropout rng is supplied; gradient checks run with it disabled.
     """
     hp = np.atleast_2d(np.asarray(h_premise, dtype=np.float64))
     hh = np.atleast_2d(np.asarray(h_hypothesis, dtype=np.float64))
-    idx = _label_indices(labels)
     n = hp.shape[0]
 
     diff = hp - hh
@@ -341,10 +305,10 @@ def nli_loss_and_grads(
 
     peak = logits.max(axis=1, keepdims=True)
     lse = peak + np.log(np.sum(np.exp(logits - peak), axis=1, keepdims=True))
-    loss = float(np.mean(lse.ravel() - logits[np.arange(n), idx]))
+    loss = float(np.mean(lse.ravel() - logits[np.arange(n), labels]))
 
     dlogits = np.exp(logits - lse)
-    dlogits[np.arange(n), idx] -= 1.0
+    dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
 
     dw3 = h2.T @ dlogits
@@ -370,14 +334,6 @@ def nli_loss_and_grads(
     return loss, [dw1, db1, dw2, db2, dw3, db3], grad_hp, grad_hh
 
 
-def nli_forward_loss(
-    head: NliHead, h_premise: np.ndarray, h_hypothesis: np.ndarray, gold: str | int
-) -> float:
-    """Cross-entropy of one premise/hypothesis pair against its gold label."""
-    loss, _, _, _ = nli_loss_and_grads(head, h_premise[None, :], h_hypothesis[None, :], [gold])
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -393,11 +349,11 @@ class TrainResult:
 
 def step_gradients(
     state: DualMocoState,
-    batch_a: Sequence | PackedBatch,
-    batch_b: Sequence | PackedBatch,
+    batch_a: PackedBatch,
+    batch_b: PackedBatch,
     pooling: Pooling | str,
     head: NliHead | None = None,
-    nli_batch: Sequence[NliTriple] | NliBatch | None = None,
+    nli_batch: NliBatch | None = None,
     nli_weight: float = 0.0,
     nli_dropout: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
@@ -405,7 +361,8 @@ def step_gradients(
 ) -> tuple[LossValue, float, list[np.ndarray]]:
     """Gradients of the full step objective, flattened to one array list.
 
-    The list is ordered [base_a tensors, base_b tensors, head tensors]; the
+    Both sides come from pack_batch or gather_batch, and the inference
+    triples as an NliBatch packed for tower A. The list is ordered [base_a tensors, base_b tensors, head tensors]; the
     inference term contributes exactly nli_weight times its own gradient on
     the shared encoder, so the combined gradient is the sum of the two
     objectives' gradients. When `out` is given (arrays in the same order,
@@ -416,9 +373,7 @@ def step_gradients(
     loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling, grads_out)
     nli_loss = 0.0
     head_grads: list[np.ndarray] = []
-    if head is not None and nli_batch:
-        if not isinstance(nli_batch, NliBatch):
-            nli_batch = _pack_nli(nli_batch, state.base_a.vocab_size)
+    if head is not None and nli_batch is not None:
         premises, hypotheses, labels = nli_batch
         hp = forward_batch(state.base_a, premises, pooling)
         hh = forward_batch(state.base_a, hypotheses, pooling)
@@ -448,7 +403,6 @@ def train(
     sts_pairs: Sequence[StsPair] | None = None,
     vocab_size_a: int | None = None,
     vocab_size_b: int | None = None,
-    step_probe: StepProbe | None = None,
 ) -> TrainResult:
     """Run the full contrastive (optionally multitask) optimization.
 
@@ -467,10 +421,6 @@ def train(
     Every trainable tensor (base A, base B, then the head) is a view of one
     flat buffer, and the step's gradients are written into one more, so
     clipping and AdamW work on whole buffers.
-
-    `step_probe` is called once per step with the live pre-update state and
-    the step's token batches. It must not mutate anything (metrics collection
-    only), and must copy what it keeps: the state changes after it returns.
     """
     config.validate()
     train_pairs = corpus.split("train")
@@ -532,13 +482,6 @@ def train(
             lr = lr_at(
                 step, lr_max=config.lr_max, warmup_steps=config.warmup_steps, total_steps=total_steps
             )
-            if step_probe is not None:
-                step_probe(
-                    step,
-                    state,
-                    [train_pairs[i].tokens_a for i in sel],
-                    [train_pairs[i].tokens_b for i in sel],
-                )
             batch_a = gather_batch(side_a, sel)
             batch_b = gather_batch(side_b, sel)
             nli_batch = None
@@ -564,8 +507,8 @@ def train(
             if not math.isfinite(nli_loss):
                 raise NumericalFailureError(f"non-finite inference loss at step {step}")
 
-            clipped = clip_gradients(grad_list, config.grad_clip, scratch=opt.scratch[0])
-            adamw_step(trainable, clipped, opt, lr, config.weight_decay)
+            clip_gradients(grad_list, config.grad_clip, scratch=opt.scratch[0])
+            adamw_step(trainable, grad_list, opt, lr, config.weight_decay)
             advance_state(state, batch_a, batch_b, config.pooling)
 
             result.step_records.append(

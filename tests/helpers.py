@@ -1,7 +1,9 @@
 """Shared test utilities: finite differences, error metrics, random data, a
-hand-built embedding dump, the two-exp contrastive kernel, the per-tensor
-optimizer steps, per-element reference implementations of the array-coded
-evaluation paths, and the per-token generator draws and rendering."""
+hand-built embedding dump, the per-pair contrastive and inference losses
+with the token-list entry points built on the packed step API, the two-exp
+contrastive kernel, the per-tensor optimizer steps, per-element reference
+implementations of the array-coded evaluation paths, and the per-token
+generator draws and rendering."""
 
 from __future__ import annotations
 
@@ -12,18 +14,40 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dualmoco.encoder import pack_tensor_file
+from dualmoco import moco
+from dualmoco.datagen import NliTriple
+from dualmoco.encoder import (
+    EncoderGrads,
+    EncoderParams,
+    PackedBatch,
+    Pooling,
+    TokenSeq,
+    encode_backward,
+    forward_batch,
+    pack_batch,
+    pack_tensor_file,
+)
 from dualmoco.errors import (
     ConfigError,
     EmptySideError,
     KTooLargeError,
     NoGoldPairsError,
+    NonPositiveTemperatureError,
+    NonUnitInputError,
     NumericalFailureError,
     ShapeMismatchError,
     ZeroDenominatorError,
 )
 from dualmoco.evaluation import EMBEDDING_MAGIC, RATIO_EPS, MiningResult, Neighbors
-from dualmoco.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from dualmoco.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    NliBatch,
+    NliHead,
+    _label_indices,
+    nli_loss_and_grads,
+)
 
 
 def central_difference(scalar_fn: Callable[[], float], arrays: Sequence[np.ndarray], step: float = 1e-6) -> list[np.ndarray]:
@@ -94,6 +118,116 @@ def write_embedding_dump(path: str, embeddings: np.ndarray) -> None:
         fh.write(data)
     with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair losses and token-list entry points. The library's step API takes
+# packed batches; these pack token lists at the call, score one query or one
+# inference pair, and read a queue back in insertion order.
+# ---------------------------------------------------------------------------
+
+
+def _check_unit(v: np.ndarray, what: str) -> None:
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > moco.UNIT_NORM_TOL:
+        raise NonUnitInputError(f"{what} has norm {norm:.9f}, expected 1")
+
+
+def _nce_one(
+    query: np.ndarray, positive_key: np.ndarray, queue: moco.MemoryQueue, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The contrastive kernel on one unit query and its unit positive key."""
+    query = np.asarray(query, dtype=np.float64)
+    positive_key = np.asarray(positive_key, dtype=np.float64)
+    _check_unit(query, "query")
+    _check_unit(positive_key, "positive key")
+    return moco._nce_batch(query[None, :], positive_key[None, :], queue.negatives(), temperature)
+
+
+def info_nce(
+    query: np.ndarray, positive_key: np.ndarray, queue: moco.MemoryQueue, temperature: float
+) -> float:
+    """Contrastive loss for one query against its positive key and the queue."""
+    losses, _ = _nce_one(query, positive_key, queue, temperature)
+    return float(losses[0])
+
+
+def info_nce_query_grad(
+    query: np.ndarray, positive_key: np.ndarray, queue: moco.MemoryQueue, temperature: float
+) -> np.ndarray:
+    """d loss / d query with keys and queue treated as constants."""
+    _, grads = _nce_one(query, positive_key, queue, temperature)
+    return grads[0]
+
+
+def softmax_entropy(similarities: np.ndarray, temperature: float) -> float:
+    """Entropy (nats) of the softmax over similarities / temperature.
+
+    Non-decreasing in temperature for fixed similarities; low temperatures
+    concentrate mass on the hardest entries.
+    """
+    if temperature <= 0:
+        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
+    logits = np.asarray(similarities, dtype=np.float64) / temperature
+    peak = logits.max()
+    lse = peak + np.log(np.sum(np.exp(logits - peak)))
+    probs = np.exp(logits - lse)
+    return float(lse - np.dot(probs, logits))
+
+
+def pack_pair(
+    state: moco.DualMocoState, batch_a: Sequence[TokenSeq], batch_b: Sequence[TokenSeq]
+) -> tuple[PackedBatch, PackedBatch]:
+    """Both sides of a token-list batch packed for the state's towers."""
+    return (
+        pack_batch(batch_a, state.base_a.vocab_size),
+        pack_batch(batch_b, state.base_b.vocab_size),
+    )
+
+
+def bidirectional_loss(
+    state: moco.DualMocoState,
+    batch_a: Sequence[TokenSeq],
+    batch_b: Sequence[TokenSeq],
+    pooling: Pooling | str,
+) -> moco.LossValue:
+    """Mean contrastive loss in both directions; reads state without mutating it."""
+    loss, _, _ = moco.loss_and_gradients(state, *pack_pair(state, batch_a, batch_b), pooling)
+    return loss
+
+
+def insertion_order(queue: moco.MemoryQueue) -> np.ndarray:
+    """Filled queue entries oldest-to-newest, recovered from write_index."""
+    if queue.filled < queue.capacity:
+        return queue.slots[: queue.filled]
+    return np.concatenate([queue.slots[queue.write_index :], queue.slots[: queue.write_index]])
+
+
+def encode_backward_tokens(
+    params: EncoderParams, batch: Sequence[TokenSeq], pooling: Pooling | str, upstream: np.ndarray
+) -> EncoderGrads:
+    """encode_backward of a token-list batch, after its own pack and forward pass."""
+    packed = pack_batch(batch, params.vocab_size)
+    forward = forward_batch(params, packed, pooling)
+    return encode_backward(params, packed, pooling, upstream, forward)
+
+
+def pack_nli(triples: Sequence[NliTriple], vocab_size: int) -> NliBatch:
+    """Inference triples packed for a tower of vocab_size tokens."""
+    return NliBatch(
+        pack_batch([t.premise for t in triples], vocab_size),
+        pack_batch([t.hypothesis for t in triples], vocab_size),
+        _label_indices([t.label for t in triples]),
+    )
+
+
+def nli_forward_loss(
+    head: NliHead, h_premise: np.ndarray, h_hypothesis: np.ndarray, gold: str
+) -> float:
+    """Cross-entropy of one premise/hypothesis pair against its gold label."""
+    labels = _label_indices([gold])
+    loss, _, _, _ = nli_loss_and_grads(head, h_premise[None, :], h_hypothesis[None, :], labels)
+    return loss
 
 
 def reference_nce_batch(

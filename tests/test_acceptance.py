@@ -13,25 +13,27 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bidirectional_loss,
     central_difference,
+    insertion_order,
     max_rel_error,
+    pack_pair,
     random_token_batch,
     random_unit_rows,
     reference_mine_bitext,
+    softmax_entropy,
 )
 from test_evaluation import brute_force_threshold, naive_nn
 from test_numerics import rank_formula_rho
 
 from dualmoco import datagen, evaluation, trainer
-from dualmoco.encoder import Pooling, encode, encode_batch, init_params
+from dualmoco.encoder import Pooling, encode_batch, forward_batch, init_params
 from dualmoco.moco import (
     MemoryQueue,
-    bidirectional_loss,
     enqueue_batch,
     loss_and_gradients,
     momentum_update,
     new_state,
-    softmax_entropy,
 )
 from dualmoco.numerics import spearman_correlation
 
@@ -115,7 +117,8 @@ def test_gradient_fidelity():
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
 
-        _, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
+        packed = pack_pair(state, batch_a, batch_b)
+        _, grads_a, grads_b = loss_and_gradients(state, *packed, pooling)
 
         def objective():
             return bidirectional_loss(state, batch_a, batch_b, pooling).total
@@ -182,7 +185,7 @@ def test_queue_semantics_replay():
         history.extend(batch)
         enqueued += len(batch)
         expected = np.array(history[-capacity:])
-        np.testing.assert_array_equal(queue.insertion_order(), expected)
+        np.testing.assert_array_equal(insertion_order(queue), expected)
         assert queue.filled == min(enqueued, capacity)
         checks += 1
     elapsed = time.perf_counter() - start
@@ -350,27 +353,31 @@ def test_synthetic_sts(world, default_run, nli_run):
 # ---------------------------------------------------------------------------
 
 
-def test_temperature_sweep(world):
+def test_temperature_sweep(world, monkeypatch):
     lexicon, corpus, sts, _, _, _ = world
     pooling = trainer.TrainConfig().pooling
     rows = []
     total_violations = 0
     total_steps = 0
+    real = trainer.step_gradients
     for tau in TAU_GRID:
         violations = []
 
-        def probe(step, state, batch_a, batch_b):
+        def probe(state, batch_a, batch_b, *args, **kwargs):
             # softmax distribution inside the contrastive loss for the
-            # step's first pair, evaluated across the whole grid
-            q = encode(state.base_a, batch_a[0], pooling)
-            k = encode(state.momentum_b, batch_b[0], pooling)
+            # step's first pair, evaluated across the whole grid; row 0 of
+            # a batch forward pass is bit-identical to encode of its pair
+            q = forward_batch(state.base_a, batch_a, pooling).h[0]
+            k = forward_batch(state.momentum_b, batch_b, pooling).h[0]
             sims = np.concatenate([[float(q @ k)], state.queue_b.negatives() @ q])
             entropies = [softmax_entropy(sims, t) for t in TAU_GRID]
             bad = any(hi < lo - 1e-12 for lo, hi in zip(entropies, entropies[1:]))
             violations.append(bad)
+            return real(state, batch_a, batch_b, *args, **kwargs)
 
+        monkeypatch.setattr(trainer, "step_gradients", probe)
         config = trainer.TrainConfig(epochs=SWEEP_EPOCHS, temperature=tau)
-        result, _ = timed_train(config, corpus, lexicon, step_probe=probe)
+        result, _ = timed_train(config, corpus, lexicon)
         acc = held_out_accuracy(result, corpus, pooling)
         rho = evaluation.sts_eval(result.state.base_a, sts, pooling)
         rows.append((tau, acc[0], acc[1], rho))

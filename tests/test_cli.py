@@ -375,6 +375,24 @@ class TestEvaluationCommands:
         assert -1.0 <= doc["spearman"] <= 1.0
         assert doc["count"] == 60
 
+    def test_eval_sts_refuses_gold_outside_unit_interval(self, pipeline, tmp_path, capsys):
+        # NaN, negative and infinite golds on the first three lines
+        _, data, run = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / "sts.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        for i, gold in enumerate(["nan", "-7.5", "inf"]):
+            a, b, _ = lines[i].split("\t")
+            lines[i] = f"{a}\t{b}\t{gold}\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "sts.json"
+        argv = ["eval-sts", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(copy),
+                "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert "sts.tsv:1: gold similarity 'nan' outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dump_embeddings_manifest(self, pipeline, tmp_path):
         _, data, run = pipeline
         out = tmp_path / "dump"

@@ -450,6 +450,18 @@ class TestFileRoundTrips:
         with pytest.raises(CorpusParseError, match="split"):
             load_tsv(str(path))
 
+    @pytest.mark.parametrize("gold", ["nan", "-7.5", "inf", "-inf", "1.0000001", "-0.001"])
+    def test_sts_gold_outside_unit_interval_cites_line(self, tmp_path, gold):
+        path = tmp_path / "sts.tsv"
+        path.write_text(f"1 2\t3 4\t0.5\n1 2\t3 4\t{gold}\n")
+        with pytest.raises(CorpusParseError, match=rf"sts.tsv:2: gold similarity '{gold}' outside"):
+            load_sts_tsv(str(path))
+
+    def test_sts_gold_endpoints_accepted(self, tmp_path):
+        path = tmp_path / "sts.tsv"
+        path.write_text("1 2\t3 4\t0.0\n1 2\t3 4\t1.0\n1\t2\t-0.0\n")
+        assert [p.gold_sim for p in load_sts_tsv(str(path))] == [0.0, 1.0, 0.0]
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t2\tmaybe\n")

@@ -3,7 +3,13 @@ import errno
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_error, random_token_batch, random_unit_rows
+from helpers import (
+    central_difference,
+    encode_backward_tokens,
+    max_rel_error,
+    random_token_batch,
+    random_unit_rows,
+)
 
 from dualmoco import cli, datagen, encoder, evaluation
 from dualmoco.encoder import (
@@ -218,23 +224,30 @@ class TestPackedBatch:
         upstream = rng.normal(size=(64, params.d_out))
         packed = pack_batch(batch, params.vocab_size)
         reused = encode_backward(params, packed, pooling, upstream, forward_batch(params, packed, pooling))
-        own = encode_backward(params, batch, pooling, upstream)
+        own = encode_backward_tokens(params, batch, pooling, upstream)
         assert [g.tobytes() for g in reused.arrays()] == [g.tobytes() for g in own.arrays()]
 
     def test_pack_for_larger_vocab_is_checked_against_each_tower(self, params):
         # packed for a 60-token tower, used with the fixture's 10-token one
-        packed = pack_batch([[0, 1], [2, 3, 4], [5, 42, 7], [12]], 60)
+        # (the backward pass takes the forward pass that checks the pack)
+        batch = [[0, 1], [2, 3, 4], [5, 42, 7], [12]]
+        packed = pack_batch(batch, 60)
         upstream = np.zeros((4, params.d_out))
         for call in (
             lambda: encode_batch(params, packed, Pooling.MEAN),
-            lambda: encode_backward(params, packed, Pooling.MAX, upstream),
+            lambda: encode_backward(
+                params, packed, Pooling.MAX, upstream, forward_batch(params, packed, Pooling.MAX)
+            ),
             lambda: forward_batch(params, packed, Pooling.FIRST),
         ):
             with pytest.raises(TokenOutOfRangeError, match=r"batch item 2: token id 42 outside \[0, 10\)"):
                 call()
-        assert pack_batch(packed, 43) is packed
+        # a tower the pack fits takes it as it is; one token short, it names the item
+        fits = init_params(43, 4, 3, np.random.default_rng(1))
+        got = encode_batch(fits, packed, Pooling.MEAN)
+        assert got.tobytes() == encode_batch(fits, batch, Pooling.MEAN).tobytes()
         with pytest.raises(TokenOutOfRangeError, match="batch item 2: token id 42 "):
-            pack_batch(packed, 42)
+            encode_batch(init_params(42, 4, 3, np.random.default_rng(1)), packed, Pooling.MEAN)
 
 
 class TestTokenTable:
@@ -268,14 +281,14 @@ class TestTokenTable:
 
 class TestEncodeBackward:
     def test_zero_upstream_gives_zero_grads(self, params):
-        grads = encode_backward(params, [[1, 2], [3]], Pooling.MEAN, np.zeros((2, 3)))
+        grads = encode_backward_tokens(params, [[1, 2], [3]], Pooling.MEAN, np.zeros((2, 3)))
         for g in grads.arrays():
             assert not g.any()
 
     def test_unused_vocab_rows_get_zero_grad(self, params):
         rng = np.random.default_rng(8)
         batch = [[1, 2], [2, 3]]
-        grads = encode_backward(params, batch, Pooling.MEAN, rng.normal(size=(2, 3)))
+        grads = encode_backward_tokens(params, batch, Pooling.MEAN, rng.normal(size=(2, 3)))
         used = {1, 2, 3}
         for row in range(params.vocab_size):
             if row not in used:
@@ -287,7 +300,7 @@ class TestEncodeBackward:
         params = init_params(10, 4, 3, rng)
         batch = random_token_batch(rng, 2, 10, min_len=2, max_len=5)
         upstream = rng.normal(size=(2, 3))
-        analytic = encode_backward(params, batch, pooling, upstream)
+        analytic = encode_backward_tokens(params, batch, pooling, upstream)
 
         def objective():
             return float(np.sum(upstream * encode_batch(params, batch, pooling)))
@@ -297,9 +310,9 @@ class TestEncodeBackward:
 
     def test_shape_mismatch(self, params):
         with pytest.raises(ShapeMismatchError):
-            encode_backward(params, [[1]], Pooling.MEAN, np.zeros((2, 3)))
+            encode_backward_tokens(params, [[1]], Pooling.MEAN, np.zeros((2, 3)))
         with pytest.raises(ShapeMismatchError):
-            encode_backward(params, [[1]], Pooling.MEAN, np.zeros((1, 4)))
+            encode_backward_tokens(params, [[1]], Pooling.MEAN, np.zeros((1, 4)))
 
     def test_normalization_jacobian_formula(self):
         # d/dz of g . (z/||z||) must equal (g - (g.h) h) / ||z||
@@ -325,7 +338,7 @@ class TestEncodeBackward:
         params = wide_params(rng, ties)
         batch = random_token_batch(rng, 64, params.vocab_size, min_len=1, max_len=12)
         upstream = rng.normal(size=(64, params.d_out))
-        got = encode_backward(params, batch, pooling, upstream)
+        got = encode_backward_tokens(params, batch, pooling, upstream)
         want = reference_backward(params, batch, pooling, upstream)
         for g, w in zip(got.arrays(), want.arrays()):
             assert g.tobytes() == w.tobytes()
@@ -336,7 +349,7 @@ class TestEncodeBackward:
         params = EncoderParams(embedding, np.eye(2), np.full(2, 0.5))
         batch = [[0, 1, 2], [2, 1]]
         upstream = np.array([[0.3, -0.2], [0.1, 0.4]])
-        got = encode_backward(params, batch, Pooling.MAX, upstream)
+        got = encode_backward_tokens(params, batch, Pooling.MAX, upstream)
         want = reference_backward(params, batch, Pooling.MAX, upstream)
         for g, w in zip(got.arrays(), want.arrays()):
             np.testing.assert_array_equal(g, w)
@@ -346,7 +359,7 @@ class TestEncodeBackward:
         # the first token position only
         embedding = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         params = EncoderParams(embedding, np.eye(2), np.zeros(2))
-        grads = encode_backward(params, [[1, 0]], Pooling.MAX, np.array([[0.3, -0.2]]))
+        grads = encode_backward_tokens(params, [[1, 0]], Pooling.MAX, np.array([[0.3, -0.2]]))
         assert grads.embedding[1].any()
         assert not grads.embedding[0].any()
 

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bidirectional_loss,
     central_difference,
+    encode_backward_tokens,
+    info_nce,
+    info_nce_query_grad,
+    insertion_order,
     max_rel_error,
+    pack_pair,
     random_token_batch,
     random_unit_rows,
     reference_nce_batch,
+    softmax_entropy,
 )
 
 from dualmoco import moco
-from dualmoco.encoder import EncoderParams, Pooling, encode, encode_backward, encode_batch, init_params
+from dualmoco.encoder import EncoderParams, Pooling, encode, encode_batch, init_params
 from dualmoco.errors import (
     BatchExceedsCapacityError,
     BatchLengthMismatchError,
@@ -26,14 +33,10 @@ from dualmoco.moco import (
     DualMocoState,
     MemoryQueue,
     advance_state,
-    bidirectional_loss,
     enqueue_batch,
-    info_nce,
-    info_nce_query_grad,
     loss_and_gradients,
     momentum_update,
     new_state,
-    softmax_entropy,
 )
 
 
@@ -51,6 +54,7 @@ def filled_queue(capacity, keys):
 
 def moco_step(state, batch_a, batch_b, pooling):
     """One training step's MoCo part: gradients from the state, then advance it in place."""
+    batch_a, batch_b = pack_pair(state, batch_a, batch_b)
     loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
     advance_state(state, batch_a, batch_b, pooling)
     return loss, grads_a, grads_b
@@ -108,7 +112,7 @@ class TestMemoryQueue:
         q = filled_queue(4, keys)
         assert q.filled == 2 and q.write_index == 2
         np.testing.assert_array_equal(q.negatives(), keys)
-        np.testing.assert_array_equal(q.insertion_order(), keys)
+        np.testing.assert_array_equal(insertion_order(q), keys)
 
     def test_fifo_replacement(self):
         rng = np.random.default_rng(1)
@@ -120,7 +124,7 @@ class TestMemoryQueue:
         assert q.slots is slots
         np.testing.assert_array_equal(q.slots, np.stack([e, f, c, d]))
         assert q.write_index == 2
-        np.testing.assert_array_equal(q.insertion_order(), np.stack([c, d, e, f]))
+        np.testing.assert_array_equal(insertion_order(q), np.stack([c, d, e, f]))
 
     def test_batch_exceeds_capacity(self):
         rng = np.random.default_rng(2)
@@ -149,7 +153,7 @@ class TestMemoryQueue:
                 enqueue_batch(q, batch)
                 history.extend(batch)
                 expected = np.array(history[-capacity:])
-                np.testing.assert_array_equal(q.insertion_order(), expected)
+                np.testing.assert_array_equal(insertion_order(q), expected)
                 assert q.filled == min(len(history), capacity)
 
 
@@ -371,7 +375,7 @@ class TestMocoStep:
         batch_b = random_token_batch(rng, 3, 10)
         moco_step(state, batch_a, batch_b, Pooling.MEAN)
         np.testing.assert_array_equal(
-            state.queue_a.insertion_order(), encode_batch(state.base_a, batch_a, Pooling.MEAN)
+            insertion_order(state.queue_a), encode_batch(state.base_a, batch_a, Pooling.MEAN)
         )
 
     def test_base_params_untouched(self):
@@ -383,9 +387,8 @@ class TestMocoStep:
         towers = [a.copy() for a in (*state.momentum_a.arrays(), *state.momentum_b.arrays())]
         buffers = [*state.momentum_a.arrays(), *state.momentum_b.arrays()]
         slots = (state.queue_a.slots, state.queue_b.slots)
-        advance_state(
-            state, random_token_batch(rng, 2, 10), random_token_batch(rng, 2, 10), "mean"
-        )
+        batch = pack_pair(state, random_token_batch(rng, 2, 10), random_token_batch(rng, 2, 10))
+        advance_state(state, *batch, "mean")
         for a, b in zip(bases, (*state.base_a.arrays(), *state.base_b.arrays())):
             np.testing.assert_array_equal(a, b)
         after = [*state.momentum_a.arrays(), *state.momentum_b.arrays()]
@@ -401,8 +404,9 @@ class TestMocoStep:
         state = tiny_state(rng)
         enqueue_batch(state.queue_b, random_unit_rows(8, 8, rng))
         enqueue_batch(state.queue_a, random_unit_rows(8, 8, rng))
-        batch_a = random_token_batch(rng, 3, 10)
-        batch_b = random_token_batch(rng, 3, 10)
+        batch_a, batch_b = pack_pair(
+            state, random_token_batch(rng, 3, 10), random_token_batch(rng, 3, 10)
+        )
         loss1, ga, gb = loss_and_gradients(state, batch_a, batch_b, "mean")
         # gradients exist only for the two bases; keys are constants
         assert len(ga.arrays()) == 3 and len(gb.arrays()) == 3
@@ -417,7 +421,8 @@ class TestMocoStep:
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
-        _, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, Pooling.MEAN)
+        packed = pack_pair(state, batch_a, batch_b)
+        _, grads_a, grads_b = loss_and_gradients(state, *packed, Pooling.MEAN)
 
         def objective():
             return bidirectional_loss(state, batch_a, batch_b, Pooling.MEAN).total
@@ -483,16 +488,17 @@ class TestNceKernel:
 class TestPackedStep:
     @pytest.mark.parametrize("pooling", list(Pooling))
     def test_gradients_equal_token_list_passes_bitwise(self, pooling):
-        # loss_and_gradients packs each side once and reuses each query
-        # forward pass; the same step from token lists, with encode_backward
-        # running its own forward pass, must give the same bits
+        # loss_and_gradients reuses each query forward pass; the same step
+        # from token lists, with each backward pass after its own pack and
+        # forward pass, must give the same bits
         rng = np.random.default_rng(30)
         state = tiny_state(rng, vocab=40, d_emb=16, d_out=16, capacity=64, temperature=0.05)
         enqueue_batch(state.queue_a, random_unit_rows(40, 16, rng))
         enqueue_batch(state.queue_b, random_unit_rows(40, 16, rng))
         batch_a = random_token_batch(rng, 24, 40, min_len=1, max_len=12)
         batch_b = random_token_batch(rng, 24, 40, min_len=1, max_len=12)
-        loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
+        packed = pack_pair(state, batch_a, batch_b)
+        loss, grads_a, grads_b = loss_and_gradients(state, *packed, pooling)
 
         keys_a = encode_batch(state.momentum_a, batch_a, pooling)
         keys_b = encode_batch(state.momentum_b, batch_b, pooling)
@@ -500,8 +506,8 @@ class TestPackedStep:
         queries_b = encode_batch(state.base_b, batch_b, pooling)
         fwd, g_a = moco._nce_batch(queries_a, keys_b, state.queue_b.negatives(), state.temperature)
         bwd, g_b = moco._nce_batch(queries_b, keys_a, state.queue_a.negatives(), state.temperature)
-        want_a = encode_backward(state.base_a, batch_a, pooling, g_a / 24)
-        want_b = encode_backward(state.base_b, batch_b, pooling, g_b / 24)
+        want_a = encode_backward_tokens(state.base_a, batch_a, pooling, g_a / 24)
+        want_b = encode_backward_tokens(state.base_b, batch_b, pooling, g_b / 24)
         assert (loss.forward, loss.backward) == (float(fwd.mean()), float(bwd.mean()))
         for got, want in ((grads_a, want_a), (grads_b, want_b)):
             assert [g.tobytes() for g in got.arrays()] == [w.tobytes() for w in want.arrays()]

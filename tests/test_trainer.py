@@ -7,14 +7,19 @@ import pytest
 from helpers import (
     central_difference,
     central_difference_at,
+    encode_backward_tokens,
+    insertion_order,
     max_rel_error,
+    nli_forward_loss,
+    pack_nli,
+    pack_pair,
     random_unit_rows,
     reference_adamw_step,
     reference_clip_gradients,
 )
 
 from dualmoco import datagen, trainer
-from dualmoco.encoder import encode_backward, encode_batch, init_params
+from dualmoco.encoder import encode_batch, init_params
 from dualmoco.errors import (
     ConfigError,
     EmptyCorpusError,
@@ -31,11 +36,11 @@ from dualmoco.trainer import (
     clip_gradients,
     init_nli_head,
     lr_at,
-    nli_forward_loss,
     nli_loss_and_grads,
     step_gradients,
     train,
     _ensure_finite,
+    _label_indices,
 )
 
 
@@ -99,25 +104,26 @@ class TestLrSchedule:
 
 class TestClipGradients:
     def test_halves_when_double_norm(self):
-        g = [np.array([4.0, 0.0]), np.full((2, 2), np.sqrt(384.0 / 4.0))]
+        g = FlatTensors.copy_of([np.array([4.0, 0.0]), np.full((2, 2), np.sqrt(384.0 / 4.0))])
+        before = [x.copy() for x in g]
         total = math.sqrt(sum(float(np.sum(x * x)) for x in g))
         clipped = clip_gradients(g, total / 2.0)
-        for orig, new in zip(g, clipped):
+        for orig, new in zip(before, clipped):
             np.testing.assert_allclose(new, orig / 2.0, rtol=1e-15)
 
     def test_passthrough_below_threshold(self):
-        g = [np.array([1.0, 2.0])]
+        g = FlatTensors.copy_of([np.array([1.0, 2.0])])
         out = clip_gradients(g, 10.0)
         assert out[0] is g[0]
 
     def test_zero_grads_unchanged(self):
-        g = [np.zeros(3)]
+        g = FlatTensors.copy_of([np.zeros(3)])
         np.testing.assert_array_equal(clip_gradients(g, 1.0)[0], g[0])
 
     def test_post_clip_norm_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
-            g = [rng.normal(size=rng.integers(1, 5)) * 10 for _ in range(3)]
+            g = FlatTensors.copy_of([rng.normal(size=rng.integers(1, 5)) * 10 for _ in range(3)])
             max_norm = float(rng.uniform(0.1, 5.0))
             clipped = clip_gradients(g, max_norm)
             norm = math.sqrt(sum(float(np.sum(x * x)) for x in clipped))
@@ -125,7 +131,7 @@ class TestClipGradients:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_norm_raises(self, bad):
-        g = [np.array([1.0, 2.0]), np.array([[0.5, bad]])]
+        g = FlatTensors.copy_of([np.array([1.0, 2.0]), np.array([[0.5, bad]])])
         with pytest.raises(NumericalFailureError, match="gradient norm"):
             clip_gradients(g, 10.0)
 
@@ -142,15 +148,17 @@ def textbook_adamw(p, g, m, v, t, lr, wd):
 
 class TestAdamW:
     def test_zero_grad_no_decay_is_identity(self):
-        p = [np.array([1.0, -2.0])]
-        adamw_step(p, [np.zeros(2)], AdamWState.for_params(p), lr=0.1, weight_decay=0.0)
+        p = FlatTensors.copy_of([np.array([1.0, -2.0])])
+        g = FlatTensors.copy_of([np.zeros(2)])
+        adamw_step(p, g, AdamWState.for_params(p), lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(p[0], [1.0, -2.0])
 
     def test_hand_evaluated_first_step(self):
         # theta=1, g=1, lr=0.1, wd=0.1: bias-corrected m_hat = v_hat = 1,
         # update = 0.1 * (1/(1+1e-8) + 0.1 * 1)
-        p = [np.array([1.0])]
-        adamw_step(p, [np.array([1.0])], AdamWState.for_params(p), lr=0.1, weight_decay=0.1)
+        p = FlatTensors.copy_of([np.array([1.0])])
+        g = FlatTensors.copy_of([np.array([1.0])])
+        adamw_step(p, g, AdamWState.for_params(p), lr=0.1, weight_decay=0.1)
         expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.1)
         assert p[0][0] == pytest.approx(expected, abs=1e-15)
         assert p[0][0] == pytest.approx(0.89, abs=1e-7)
@@ -158,19 +166,19 @@ class TestAdamW:
     def test_decay_difference_is_algebraic(self):
         # at step 1 two runs differing only in wd differ by lr * dwd * theta
         theta = 3.0
-        p1, p2 = [np.array([theta])], [np.array([theta])]
-        g = [np.array([0.7])]
+        p1, p2 = FlatTensors.copy_of([np.array([theta])]), FlatTensors.copy_of([np.array([theta])])
+        g = FlatTensors.copy_of([np.array([0.7])])
         adamw_step(p1, g, AdamWState.for_params(p1), lr=0.05, weight_decay=0.0)
         adamw_step(p2, g, AdamWState.for_params(p2), lr=0.05, weight_decay=0.3)
         assert p1[0][0] - p2[0][0] == pytest.approx(0.05 * 0.3 * theta, abs=1e-12)
 
     def test_pure_decay_is_geometric(self):
         # with g = 0 throughout, theta_t = theta_0 * (1 - lr*wd)^t exactly
-        p = [np.array([2.0, -4.0])]
+        p = FlatTensors.copy_of([np.array([2.0, -4.0])])
         state = AdamWState.for_params(p)
         lr, wd = 0.05, 0.2
         for t in range(1, 11):
-            adamw_step(p, [np.zeros(2)], state, lr=lr, weight_decay=wd)
+            adamw_step(p, FlatTensors.copy_of([np.zeros(2)]), state, lr=lr, weight_decay=wd)
             np.testing.assert_allclose(
                 p[0], np.array([2.0, -4.0]) * (1.0 - lr * wd) ** t, rtol=1e-12
             )
@@ -179,13 +187,17 @@ class TestAdamW:
         # several steps on tensors of different shapes, with a varying lr:
         # the in-place update must round exactly like the out-of-place formula
         rng = np.random.default_rng(6)
-        params = [rng.normal(size=(7, 5)), rng.normal(size=(5,)), rng.normal(size=(3, 2, 4))]
+        params = FlatTensors.copy_of(
+            [rng.normal(size=(7, 5)), rng.normal(size=(5,)), rng.normal(size=(3, 2, 4))]
+        )
         buffers = list(params)
         ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
         state = AdamWState.for_params(params)
         moments = state.m + state.v
         for t in range(1, 7):
-            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3) for p in params]
+            grads = FlatTensors.copy_of(
+                [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3) for p in params]
+            )
             lr = float(rng.uniform(1e-4, 1e-1))
             adamw_step(params, grads, state, lr=lr, weight_decay=1e-2)
             ref = [textbook_adamw(p, g, m, v, t, lr, 1e-2) for (p, m, v), g in zip(ref, grads)]
@@ -199,17 +211,17 @@ class TestAdamW:
 
     def test_overflowing_update_raises(self):
         # theta = -1.7e308 stepped by lr = 1e308 against a unit gradient overflows to -inf
-        p = [np.zeros(2), np.array([1.0, -1.7e308])]
-        g = [np.zeros(2), np.array([0.0, 1.0])]
+        p = FlatTensors.copy_of([np.zeros(2), np.array([1.0, -1.7e308])])
+        g = FlatTensors.copy_of([np.zeros(2), np.array([0.0, 1.0])])
         with np.errstate(over="ignore"), pytest.raises(
             NumericalFailureError, match="parameter 1 after AdamW step 1"
         ):
             adamw_step(p, g, AdamWState.for_params(p), lr=1e308, weight_decay=0.0)
 
     def test_shape_mismatch(self):
-        p = [np.zeros(2)]
+        p = FlatTensors.copy_of([np.zeros(2)])
         with pytest.raises(Exception):
-            adamw_step(p, [np.zeros(3)], AdamWState.for_params(p), 0.1, 0.0)
+            adamw_step(p, FlatTensors.copy_of([np.zeros(3)]), AdamWState.for_params(p), 0.1, 0.0)
 
 
 class TestFlatOptimizerMatchesPerTensorReference:
@@ -240,7 +252,7 @@ class TestFlatOptimizerMatchesPerTensorReference:
             ref_grads = [g.copy() for g in grads]
             got = clip_gradients(grads, max_norm)
             want = reference_clip_gradients(ref_grads, max_norm)
-            clipped += got is not grads
+            clipped += any(g.tobytes() != r.tobytes() for g, r in zip(got, ref_grads))
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
             adamw_step(params, got, opt, lr=lr, weight_decay=weight_decay)
             reference_adamw_step(ref, want, ref_opt, lr=lr, weight_decay=weight_decay)
@@ -277,9 +289,11 @@ class TestFlatOptimizerMatchesPerTensorReference:
         opt = AdamWState.for_params(grads)
         for _ in range(5):
             grads.flat[...] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-3, 2)
+            before = grads.flat.copy()
             want = reference_clip_gradients([g.copy() for g in grads], max_norm)
             got = clip_gradients(grads, max_norm, scratch=opt.scratch[0])
-            assert (got is grads) == (max_norm > 1)
+            assert got is grads
+            assert (got.flat.tobytes() == before.tobytes()) == (max_norm > 1)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_clip_within_bound_allocates_no_buffer(self):
@@ -296,6 +310,24 @@ class TestFlatOptimizerMatchesPerTensorReference:
         finally:
             tracemalloc.stop()
         assert out is grads
+        assert peak - start < grads.flat.nbytes // 100
+
+    def test_clip_above_bound_scales_in_place_without_a_buffer(self):
+        rng = np.random.default_rng(16)
+        grads = FlatTensors(rng.normal(size=400 * 64 + 64), [(400, 64), (64,)])
+        flat = grads.flat
+        scratch = AdamWState.for_params(grads).scratch[0]
+        clip_gradients(grads, 1e-3, scratch=scratch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = clip_gradients(grads, 1e-4, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is grads and grads.flat is flat
+        assert math.sqrt(float(np.sum(flat * flat))) == pytest.approx(1e-4, rel=1e-12)
         assert peak - start < grads.flat.nbytes // 100
 
     @pytest.mark.parametrize("bad_tensor, element", [(0, 0), (2, -1), (4, 0), (5, 0)])
@@ -347,6 +379,7 @@ class TestNliHead:
         hp = random_unit_rows(4, 3, rng)
         hh = random_unit_rows(4, 3, rng)
         labels = ["entailment", "neutral", "contradiction", "neutral"]
+        labels = _label_indices(labels)
         _, head_grads, g_hp, g_hh = nli_loss_and_grads(head, hp, hh, labels)
 
         def objective():
@@ -386,7 +419,7 @@ class TestNliHead:
         head = init_nli_head(3, rng)
         hp = random_unit_rows(2, 3, rng)
         hh = random_unit_rows(2, 3, rng)
-        labels = ["neutral", "entailment"]
+        labels = _label_indices(["neutral", "entailment"])
         loss1, _, _, _ = nli_loss_and_grads(
             head, hp, hh, labels, dropout=0.5, dropout_rng=np.random.default_rng(9)
         )
@@ -468,29 +501,37 @@ class TestTrain:
         for a, b in zip(result.state.base_a.arrays(), result.state.momentum_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
-    def test_ablation_queue_holds_base_outputs(self, small_world):
+    def test_ablation_queue_holds_base_outputs(self, small_world, monkeypatch):
         # with parameter sharing the newest queue entries must equal the
         # current base encoder applied to the step's batch
         _, corpus, _, _ = small_world
         snapshots = []
+        real = trainer.step_gradients
 
-        def probe(step, state, batch_a, batch_b):
-            snapshots.append((state.base_a.copy(), [list(t) for t in batch_a]))
+        def probe(state, batch_a, batch_b, *args, **kwargs):
+            snapshots.append((state.base_a.copy(), batch_a))
+            return real(state, batch_a, batch_b, *args, **kwargs)
 
+        monkeypatch.setattr(trainer, "step_gradients", probe)
         config = small_config(epochs=1, ablation_no_momentum=True)
-        result = train(config, corpus, step_probe=probe)
-        newest = result.state.queue_a.insertion_order()[-config.batch_size :]
+        result = train(config, corpus)
+        newest = insertion_order(result.state.queue_a)[-config.batch_size :]
         # the final step's keys were encoded with the post-update params,
         # which are exactly the returned base params
         replay = encode_batch(result.state.base_a, snapshots[-1][1], config.pooling)
         np.testing.assert_allclose(newest, replay, atol=1e-12)
 
-    def test_step_probe_sees_every_step(self, small_world):
+    def test_step_probe_sees_every_step(self, small_world, monkeypatch):
         _, corpus, _, _ = small_world
         seen = []
-        result = train(
-            small_config(epochs=1), corpus, step_probe=lambda s, state, *_: seen.append((s, state))
-        )
+        real = trainer.step_gradients
+
+        def probe(state, *args, **kwargs):
+            seen.append((len(seen), state))
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "step_gradients", probe)
+        result = train(small_config(epochs=1), corpus)
         assert [s for s, _ in seen] == list(range(len(corpus.split("train")) // 16))
         # every step sees the trainer's one live state, not a snapshot
         assert all(state is result.state for _, state in seen)
@@ -508,14 +549,15 @@ class TestTrain:
         offsets = [a.__array_interface__["data"][0] - address for a in trainable]
         assert offsets == np.cumsum([0] + [a.nbytes for a in trainable[:-1]]).tolist()
 
-    def test_out_of_range_id_raises_before_the_first_step(self, small_world):
+    def test_out_of_range_id_raises_before_the_first_step(self, small_world, monkeypatch):
         _, corpus, _, _ = small_world
         train_pairs = corpus.split("train")
         top = max(max(p.tokens_b) for p in train_pairs)
         first = next(i for i, p in enumerate(train_pairs) if top in p.tokens_b)
         steps = []
+        monkeypatch.setattr(trainer, "step_gradients", lambda *args, **kwargs: steps.append(args))
         with pytest.raises(TokenOutOfRangeError, match=f"side B of training pair {first}: token id {top}"):
-            train(small_config(), corpus, vocab_size_b=top, step_probe=lambda *args: steps.append(args))
+            train(small_config(), corpus, vocab_size_b=top)
         assert steps == []
 
     def test_nan_guard(self):
@@ -529,7 +571,6 @@ class TestTrain:
 
         def nan_gradients(*args, **kwargs):
             loss, nli_loss, grads = real(*args, **kwargs)
-            grads[0] = grads[0].copy()
             grads[0][0, 0] = np.nan
             return loss, nli_loss, grads
 
@@ -549,16 +590,17 @@ class TestStepGradientLinearity:
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
         pairs = corpus.split("train")[:8]
-        batch_a = [p.tokens_a for p in pairs]
-        batch_b = [p.tokens_b for p in pairs]
+        sides = ([p.tokens_a for p in pairs], [p.tokens_b for p in pairs])
+        batch_a, batch_b = pack_pair(state, *sides)
+        nli_batch = pack_nli(nli[:8], lexicon.vocab_size_a)
         alpha = 0.37
 
         _, _, combined = step_gradients(
-            state, batch_a, batch_b, "mean", head=head, nli_batch=nli[:8], nli_weight=alpha
+            state, batch_a, batch_b, "mean", head=head, nli_batch=nli_batch, nli_weight=alpha
         )
         _, _, moco_only = step_gradients(state, batch_a, batch_b, "mean")
         _, _, nli_unit = step_gradients(
-            state, batch_a, batch_b, "mean", head=head, nli_batch=nli[:8], nli_weight=1.0
+            state, batch_a, batch_b, "mean", head=head, nli_batch=nli_batch, nli_weight=1.0
         )
         nli_term = [u - m for u, m in zip(nli_unit[:6], moco_only)]
         # encoder blocks: combined = moco + alpha * nli_term
@@ -582,8 +624,9 @@ class TestStepGradientLinearity:
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
         pairs = corpus.split("train")[:8]
-        args = (state, [p.tokens_a for p in pairs], [p.tokens_b for p in pairs], "mean")
-        kwargs = dict(head=head, nli_batch=nli[:12], nli_weight=0.3)
+        sides = ([p.tokens_a for p in pairs], [p.tokens_b for p in pairs])
+        args = (state, *pack_pair(state, *sides), "mean")
+        kwargs = dict(head=head, nli_batch=pack_nli(nli[:12], lexicon.vocab_size_a), nli_weight=0.3)
         _, _, want = step_gradients(*args, **kwargs)
         out = FlatTensors(rng.normal(size=sum(w.size for w in want)), [w.shape for w in want])
         _, _, got = step_gradients(*args, **kwargs, out=out)
@@ -591,9 +634,9 @@ class TestStepGradientLinearity:
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_nli_gradients_equal_token_list_passes_bitwise(self, small_world):
-        # step_gradients packs the premises and hypotheses once and reuses
-        # their forward passes; the same sums from token lists, with
-        # encode_backward running its own forward pass, give the same bits
+        # step_gradients reuses the forward passes of the packed premises
+        # and hypotheses; the same sums from token lists, with each backward
+        # pass after its own pack and forward pass, give the same bits
         lexicon, corpus, nli, _ = small_world
         rng = np.random.default_rng(6)
         params_a = init_params(lexicon.vocab_size_a, 8, 8, rng)
@@ -606,24 +649,25 @@ class TestStepGradientLinearity:
         batch_a = [p.tokens_a for p in pairs]
         batch_b = [p.tokens_b for p in pairs]
         nli_batch = nli[:12]
+        packed = pack_pair(state, batch_a, batch_b)
         _, nli_loss, got = step_gradients(
-            state, batch_a, batch_b, "mean", head=head, nli_batch=nli_batch, nli_weight=0.3,
-            nli_dropout=0.1, dropout_rng=np.random.default_rng(9),
+            state, *packed, "mean", head=head, nli_batch=pack_nli(nli_batch, lexicon.vocab_size_a),
+            nli_weight=0.3, nli_dropout=0.1, dropout_rng=np.random.default_rng(9),
         )
 
-        _, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, "mean")
+        _, grads_a, grads_b = loss_and_gradients(state, *packed, "mean")
         premises = [t.premise for t in nli_batch]
         hypotheses = [t.hypothesis for t in nli_batch]
         want_loss, head_grads, g_hp, g_hh = nli_loss_and_grads(
             head,
             encode_batch(state.base_a, premises, "mean"),
             encode_batch(state.base_a, hypotheses, "mean"),
-            [t.label for t in nli_batch],
+            _label_indices([t.label for t in nli_batch]),
             dropout=0.1,
             dropout_rng=np.random.default_rng(9),
         )
-        extra = encode_backward(state.base_a, premises, "mean", g_hp)
-        extra.add_scaled(encode_backward(state.base_a, hypotheses, "mean", g_hh))
+        extra = encode_backward_tokens(state.base_a, premises, "mean", g_hp)
+        extra.add_scaled(encode_backward_tokens(state.base_a, hypotheses, "mean", g_hh))
         grads_a.add_scaled(extra, 0.3)
         want = [*grads_a.arrays(), *grads_b.arrays(), *(0.3 * g for g in head_grads)]
         assert nli_loss == want_loss
