@@ -466,13 +466,16 @@ def gen_nli_triples(
 
 
 def _ints(fieldtext: str, path: str, lineno: int) -> tuple[int, ...]:
-    try:
-        values = tuple(int(t) for t in fieldtext.split())
-    except ValueError as e:
-        raise CorpusParseError(f"{path}:{lineno}: non-integer token field {fieldtext!r}") from e
-    if not values:
+    """The ids of a token field as save_tsv writes it: ASCII digits separated
+    by single spaces (int() alone also reads '1_0', '+7', non-ASCII digits)."""
+    if not fieldtext:
         raise CorpusParseError(f"{path}:{lineno}: empty token field")
-    return values
+    try:
+        if fieldtext.isascii() and fieldtext.replace(" ", "").isdigit():
+            return tuple(map(int, fieldtext.split(" ")))
+    except ValueError:  # an empty token: a leading, trailing or doubled space
+        pass
+    raise CorpusParseError(f"{path}:{lineno}: non-integer token field {fieldtext!r}")
 
 
 def _read_rows(path: str, n_cols: int) -> list[tuple[int, list[str]]]:

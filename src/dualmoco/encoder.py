@@ -77,27 +77,6 @@ class EncoderParams:
         return EncoderParams(self.embedding.copy(), self.proj_w.copy(), self.proj_b.copy())
 
 
-@dataclass
-class EncoderGrads:
-    """Gradients with the same layout as EncoderParams."""
-
-    embedding: np.ndarray
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGrads":
-        return cls(*(np.zeros_like(a) for a in params.arrays()))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.embedding, self.proj_w, self.proj_b)
-
-    def add_scaled(self, other: "EncoderGrads", scale: float = 1.0) -> None:
-        self.embedding += scale * other.embedding
-        self.proj_w += scale * other.proj_w
-        self.proj_b += scale * other.proj_b
-
-
 def init_params(vocab_size: int, d_emb: int, d_out: int, rng: np.random.Generator) -> EncoderParams:
     """Random initialization keeping pre-tanh activations order-one."""
     embedding = rng.normal(0.0, 1.0, size=(vocab_size, d_emb))
@@ -313,14 +292,13 @@ def encode_backward(
     pooling: Pooling | str,
     upstream: np.ndarray,
     forward: Forward,
-    out: EncoderGrads | None = None,
-) -> EncoderGrads:
-    """Gradient of sum_i upstream[i] . h_i with respect to the parameters.
+    out: EncoderParams,
+) -> None:
+    """Write the gradient of sum_i upstream[i] . h_i with respect to `params`
+    into `out`, arrays of the same shapes: they are zeroed, then accumulated.
 
     `forward` is forward_batch(params, packed, pooling), the pass whose
-    outputs received `upstream`; it is reused as is. The gradient goes into
-    `out` when it is given (its arrays are zeroed first, then accumulated as
-    new ones would be) and into new arrays otherwise. Exact chain rule
+    outputs received `upstream`; it is reused as is. Exact chain rule
     through normalization, tanh, the affine projection, and pooling. Max
     pooling routes each dimension's subgradient to the earliest token
     position attaining the maximum. The embedding gradient is scattered in
@@ -333,14 +311,10 @@ def encode_backward(
         raise ShapeMismatchError(
             f"upstream shape {upstream.shape} != ({len(packed)}, {params.d_out})"
         )
-    if out is None:
-        grads = EncoderGrads.zeros_like(params)
-    else:
-        grads = out
-        for a in grads.arrays():
-            a.fill(0.0)
+    for a in out.arrays():
+        a.fill(0.0)
     if len(packed) == 0:
-        return grads
+        return
 
     h, z, norms, pooled = forward
     ids, lengths, starts = packed.ids, packed.lengths, packed.starts
@@ -350,13 +324,13 @@ def encode_backward(
     dz = (upstream - gh * h) / norms[:, None]
     da = dz * (1.0 - z * z)  # tanh'(a) = 1 - tanh(a)^2
 
-    grads.proj_w += pooled.T @ da
-    grads.proj_b += da.sum(axis=0)
+    out.proj_w += pooled.T @ da
+    out.proj_b += da.sum(axis=0)
     dpooled = da @ params.proj_w.T
 
     if pooling is Pooling.MEAN:
         _scatter_rows(
-            grads.embedding, ids[:, None], np.repeat(dpooled / lengths[:, None], lengths, axis=0)
+            out.embedding, ids[:, None], np.repeat(dpooled / lengths[:, None], lengths, axis=0)
         )
     elif pooling is Pooling.MAX:
         # flat position of each sentence's first maximum per dimension (a NaN
@@ -365,10 +339,9 @@ def encode_backward(
         winner = (rows == np.repeat(pooled, lengths, axis=0)) | np.isnan(rows)
         position = np.where(winner, np.arange(len(ids))[:, None], len(ids))
         first = np.minimum.reduceat(position, starts, axis=0)
-        _scatter_rows(grads.embedding, ids[first], dpooled)
+        _scatter_rows(out.embedding, ids[first], dpooled)
     else:
-        _scatter_rows(grads.embedding, ids[starts][:, None], dpooled)
-    return grads
+        _scatter_rows(out.embedding, ids[starts][:, None], dpooled)
 
 
 def atomic_write(files: dict[str | os.PathLike, bytes]) -> None:

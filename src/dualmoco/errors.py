@@ -46,10 +46,6 @@ class NonPositiveTemperatureError(DualMocoError):
     """Softmax temperature that is zero or negative."""
 
 
-class NonUnitInputError(DualMocoError):
-    """A query or positive key that is not unit-norm."""
-
-
 class BatchLengthMismatchError(DualMocoError):
     """Paired batches from the two sides with different sizes."""
 

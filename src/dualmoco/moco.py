@@ -12,7 +12,8 @@ see fewer (or zero) negatives instead of fabricated ones.
 
 The step functions, loss_and_gradients and advance_state, take batches
 packed by encoder.pack_batch or encoder.gather_batch; the key encodes go
-through encode_batch.
+through encode_batch. loss_and_gradients writes the gradients into towers
+of arrays that its caller owns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import (
-    EncoderGrads,
     EncoderParams,
     PackedBatch,
     Pooling,
@@ -197,16 +197,16 @@ def loss_and_gradients(
     batch_a: PackedBatch,
     batch_b: PackedBatch,
     pooling: Pooling | str,
-    out: tuple[EncoderGrads, EncoderGrads] | None = None,
-) -> tuple[LossValue, EncoderGrads, EncoderGrads]:
-    """Bidirectional loss plus gradients for both base towers.
+    out: tuple[EncoderParams, EncoderParams],
+) -> LossValue:
+    """Bidirectional loss; the gradients of both base towers go into `out`.
 
-    Keys come from the momentum towers and the queues, so they contribute no
-    gradient; grads_a stems from the a->b direction only and grads_b from
-    b->a, each averaged over the batch. The batches come from pack_batch or
-    gather_batch, and each query forward pass is reused by its backward
-    pass. The gradients are written into `out` (grads_a, grads_b) when it is
-    given.
+    `out` is (grads_a, grads_b), towers of arrays shaped like the bases,
+    which are overwritten. Keys come from the momentum towers and the
+    queues, so they contribute no gradient; grads_a stems from the a->b
+    direction only and grads_b from b->a, each averaged over the batch. The
+    batches come from pack_batch or gather_batch, and each query forward
+    pass is reused by its backward pass.
     """
     _check_batches(batch_a, batch_b)
     pooling = Pooling(pooling)
@@ -224,13 +224,12 @@ def loss_and_gradients(
         queries_b.h, keys_a, state.queue_a.negatives(), state.temperature
     )
 
-    out_a, out_b = out if out is not None else (None, None)
-    grads_a = encode_backward(state.base_a, batch_a, pooling, fwd_grad_q / n, queries_a, out_a)
-    grads_b = encode_backward(state.base_b, batch_b, pooling, bwd_grad_q / n, queries_b, out_b)
+    encode_backward(state.base_a, batch_a, pooling, fwd_grad_q / n, queries_a, out[0])
+    encode_backward(state.base_b, batch_b, pooling, bwd_grad_q / n, queries_b, out[1])
 
     forward = float(fwd_losses.mean())
     backward = float(bwd_losses.mean())
-    return LossValue(forward + backward, forward, backward), grads_a, grads_b
+    return LossValue(forward + backward, forward, backward)
 
 
 def advance_state(

@@ -1,4 +1,4 @@
-"""Deterministic vector primitives and rank statistics.
+"""Rank statistics and the vector coercion they share.
 
 All arithmetic is double precision. Inputs are accepted as any sequence of
 reals; outputs are float64 numpy arrays or Python floats.
@@ -10,12 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    LengthMismatchError,
-    ZeroVectorError,
-)
+from .errors import DegenerateInputError, DimensionMismatchError, LengthMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -26,32 +21,6 @@ def as_vector(values: Sequence[float] | np.ndarray) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
     return v
-
-
-def l2_normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Scale v to unit L2 norm, preserving direction."""
-    v = as_vector(v)
-    norm = float(np.linalg.norm(v))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError(f"cannot normalize a vector with norm {norm:.3e}")
-    return v / norm
-
-
-def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Cosine of the angle between u and v, clamped to [-1, 1].
-
-    Equals the plain dot product when both inputs are unit-norm. Clamping
-    guards downstream acos/threshold logic against rounding like 1 + 1e-16.
-    """
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu <= ZERO_NORM_EPS or nv <= ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity undefined for zero vectors")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def average_ranks(xs: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@ clipping, an optional 3-way inference head trained jointly with the
 contrastive objective, and the ablation switches used by the sweep harness.
 
 `train` packs the corpus once and hands every step function packed batches
-(step_gradients takes PackedBatch sides and an NliBatch); clip_gradients and
+(step_gradients takes PackedBatch sides and an NliBatch); step_gradients
+writes the gradients into the caller's FlatTensors, and clip_gradients and
 adamw_step work in place on FlatTensors, one flat buffer per role.
 
 Reproducibility contract: given the same config and corpus, two runs produce
@@ -25,7 +26,6 @@ import numpy as np
 from . import evaluation
 from .datagen import NliTriple, ParallelCorpus, StsPair, NLI_LABELS
 from .encoder import (
-    EncoderGrads,
     EncoderParams,
     PackedBatch,
     Pooling,
@@ -78,17 +78,17 @@ class TrainConfig:
         checks = [
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("lr_max", self.lr_max > 0, "> 0"),
+            ("lr_max", 0 < self.lr_max < math.inf, "finite and > 0"),
             ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
             ("queue_capacity", self.queue_capacity >= 1, ">= 1"),
             ("queue_capacity", self.queue_capacity >= self.batch_size, ">= batch_size"),
-            ("temperature", self.temperature > 0, "> 0"),
+            ("temperature", 0 < self.temperature < math.inf, "finite and > 0"),
             ("momentum", 0.0 <= self.momentum <= 1.0, "in [0, 1]"),
             ("grad_clip", self.grad_clip > 0, "> 0"),
-            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
             ("d_emb", self.d_emb >= 1, ">= 1"),
             ("d_out", self.d_out >= 2, ">= 2"),
-            ("nli_weight", self.nli_weight >= 0, ">= 0"),
+            ("nli_weight", 0 <= self.nli_weight < math.inf, "finite and >= 0"),
             ("nli_batch_size", self.nli_batch_size >= 1, ">= 1"),
             ("nli_dropout", 0.0 <= self.nli_dropout < 1.0, "in [0, 1)"),
             ("pooling", self.pooling in list(Pooling), f"one of {', '.join(Pooling)}"),
@@ -277,30 +277,27 @@ def nli_loss_and_grads(
     """Mean cross-entropy plus gradients for the head and both sentence inputs.
 
     `labels` holds the gold indices into NLI_LABELS, as `train` converts
-    them once per corpus. Dropout (inverted scaling) applies to the two hidden layers only when a
-    dropout rng is supplied; gradient checks run with it disabled.
+    them once per corpus. Dropout (inverted scaling) applies to the two
+    hidden layers only when dropout > 0 and a dropout rng is supplied (the
+    first layer's mask is drawn first); gradient checks run with it disabled.
     """
     hp = np.atleast_2d(np.asarray(h_premise, dtype=np.float64))
     hh = np.atleast_2d(np.asarray(h_hypothesis, dtype=np.float64))
     n = hp.shape[0]
+    mask1 = mask2 = 1.0
+    if dropout > 0.0 and dropout_rng is not None:
+        mask1, mask2 = (
+            (dropout_rng.random((n, w.shape[1])) >= dropout) / (1.0 - dropout)
+            for w in (head.w1, head.w2)
+        )
 
     diff = hp - hh
     x = np.concatenate([hp, hh, np.abs(diff)], axis=1)
 
     a1 = x @ head.w1 + head.b1
-    h1 = np.maximum(a1, 0.0)
-    if dropout > 0.0 and dropout_rng is not None:
-        mask1 = (dropout_rng.random(h1.shape) >= dropout) / (1.0 - dropout)
-        h1 = h1 * mask1
-    else:
-        mask1 = None
+    h1 = np.maximum(a1, 0.0) * mask1
     a2 = h1 @ head.w2 + head.b2
-    h2 = np.maximum(a2, 0.0)
-    if dropout > 0.0 and dropout_rng is not None:
-        mask2 = (dropout_rng.random(h2.shape) >= dropout) / (1.0 - dropout)
-        h2 = h2 * mask2
-    else:
-        mask2 = None
+    h2 = np.maximum(a2, 0.0) * mask2
     logits = h2 @ head.w3 + head.b3
 
     peak = logits.max(axis=1, keepdims=True)
@@ -313,15 +310,11 @@ def nli_loss_and_grads(
 
     dw3 = h2.T @ dlogits
     db3 = dlogits.sum(axis=0)
-    dh2 = dlogits @ head.w3.T
-    if mask2 is not None:
-        dh2 = dh2 * mask2
+    dh2 = (dlogits @ head.w3.T) * mask2
     da2 = dh2 * (a2 > 0.0)
     dw2 = h1.T @ da2
     db2 = da2.sum(axis=0)
-    dh1 = da2 @ head.w2.T
-    if mask1 is not None:
-        dh1 = dh1 * mask1
+    dh1 = (da2 @ head.w2.T) * mask1
     da1 = dh1 * (a1 > 0.0)
     dw1 = x.T @ da1
     db1 = da1.sum(axis=0)
@@ -352,43 +345,41 @@ def step_gradients(
     batch_a: PackedBatch,
     batch_b: PackedBatch,
     pooling: Pooling | str,
+    out: FlatTensors,
     head: NliHead | None = None,
     nli_batch: NliBatch | None = None,
     nli_weight: float = 0.0,
     nli_dropout: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
-    out: Sequence[np.ndarray] | None = None,
-) -> tuple[LossValue, float, list[np.ndarray]]:
-    """Gradients of the full step objective, flattened to one array list.
+) -> tuple[LossValue, float]:
+    """Write the gradients of the full step objective into `out`; return the
+    contrastive loss and the inference loss (0.0 without the head).
 
     Both sides come from pack_batch or gather_batch, and the inference
-    triples as an NliBatch packed for tower A. The list is ordered [base_a tensors, base_b tensors, head tensors]; the
-    inference term contributes exactly nli_weight times its own gradient on
-    the shared encoder, so the combined gradient is the sum of the two
-    objectives' gradients. When `out` is given (arrays in the same order,
-    head tensors included when the head is), the gradients are written into
-    it and `out` itself is returned as the list.
+    triples as an NliBatch packed for tower A. `out` holds the base_a
+    tensors, the base_b tensors, then the head tensors when the head is
+    given. The inference term adds exactly nli_weight times its own gradient
+    to the shared encoder, so the combined gradient is the sum of the two
+    objectives' gradients.
     """
-    grads_out = None if out is None else (EncoderGrads(*out[:3]), EncoderGrads(*out[3:6]))
-    loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling, grads_out)
-    nli_loss = 0.0
-    head_grads: list[np.ndarray] = []
-    if head is not None and nli_batch is not None:
-        premises, hypotheses, labels = nli_batch
-        hp = forward_batch(state.base_a, premises, pooling)
-        hh = forward_batch(state.base_a, hypotheses, pooling)
-        rng = dropout_rng if nli_dropout > 0.0 else None
-        nli_loss, raw_head_grads, g_hp, g_hh = nli_loss_and_grads(
-            head, hp.h, hh.h, labels, dropout=nli_dropout, dropout_rng=rng
-        )
-        extra = encode_backward(state.base_a, premises, pooling, g_hp, hp)
-        extra.add_scaled(encode_backward(state.base_a, hypotheses, pooling, g_hh, hh))
-        grads_a.add_scaled(extra, nli_weight)
-        head_out = out[6:] if out is not None else [None] * len(raw_head_grads)
-        head_grads = [np.multiply(nli_weight, g, out=o) for g, o in zip(raw_head_grads, head_out)]
-    if out is not None:
-        return loss, nli_loss, out
-    return loss, nli_loss, list(grads_a.arrays()) + list(grads_b.arrays()) + head_grads
+    grads_a, grads_b = EncoderParams(*out[:3]), EncoderParams(*out[3:6])
+    loss = loss_and_gradients(state, batch_a, batch_b, pooling, (grads_a, grads_b))
+    if head is None or nli_batch is None:
+        return loss, 0.0
+    premises, hypotheses, labels = nli_batch
+    hp = forward_batch(state.base_a, premises, pooling)
+    hh = forward_batch(state.base_a, hypotheses, pooling)
+    nli_loss, head_grads, g_hp, g_hh = nli_loss_and_grads(
+        head, hp.h, hh.h, labels, dropout=nli_dropout, dropout_rng=dropout_rng
+    )
+    grads_p, grads_h = (EncoderParams(*map(np.empty_like, grads_a.arrays())) for _ in range(2))
+    encode_backward(state.base_a, premises, pooling, g_hp, hp, grads_p)
+    encode_backward(state.base_a, hypotheses, pooling, g_hh, hh, grads_h)
+    for g, p, h in zip(grads_a.arrays(), grads_p.arrays(), grads_h.arrays()):
+        g += nli_weight * (p + h)
+    for g, o in zip(head_grads, out[6:]):
+        np.multiply(nli_weight, g, out=o)
+    return loss, nli_loss
 
 
 def _ensure_finite(loss: LossValue, step: int) -> None:
@@ -491,24 +482,24 @@ def train(
                     gather_batch(premises, rows), gather_batch(hypotheses, rows), nli_labels[rows]
                 )
                 nli_cursor = (nli_cursor + config.nli_batch_size) % len(nli_data)
-            loss, nli_loss, grad_list = step_gradients(
+            loss, nli_loss = step_gradients(
                 state,
                 batch_a,
                 batch_b,
                 config.pooling,
+                grads,
                 head=head,
                 nli_batch=nli_batch,
                 nli_weight=config.nli_weight,
                 nli_dropout=config.nli_dropout,
                 dropout_rng=dropout_rng,
-                out=grads,
             )
             _ensure_finite(loss, step)
             if not math.isfinite(nli_loss):
                 raise NumericalFailureError(f"non-finite inference loss at step {step}")
 
-            clip_gradients(grad_list, config.grad_clip, scratch=opt.scratch[0])
-            adamw_step(trainable, grad_list, opt, lr, config.weight_decay)
+            clip_gradients(grads, config.grad_clip, scratch=opt.scratch[0])
+            adamw_step(trainable, grads, opt, lr, config.weight_decay)
             advance_state(state, batch_a, batch_b, config.pooling)
 
             result.step_records.append(

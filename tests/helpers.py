@@ -1,9 +1,10 @@
 """Shared test utilities: finite differences, error metrics, random data, a
-hand-built embedding dump, the per-pair contrastive and inference losses
-with the token-list entry points built on the packed step API, the two-exp
-contrastive kernel, the per-tensor optimizer steps, per-element reference
-implementations of the array-coded evaluation paths, and the per-token
-generator draws and rendering."""
+hand-built embedding dump, the vector primitives that the package itself no
+longer needs, the per-pair contrastive and inference losses with the
+token-list and fresh-array entry points built on the packed step API, the
+two-exp contrastive kernel, the per-tensor optimizer steps, per-element
+reference implementations of the array-coded evaluation paths, and the
+per-token generator draws and rendering."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 from dualmoco import moco
 from dualmoco.datagen import NliTriple
 from dualmoco.encoder import (
-    EncoderGrads,
     EncoderParams,
     PackedBatch,
     Pooling,
@@ -29,24 +29,29 @@ from dualmoco.encoder import (
 )
 from dualmoco.errors import (
     ConfigError,
+    DimensionMismatchError,
+    DualMocoError,
     EmptySideError,
     KTooLargeError,
     NoGoldPairsError,
     NonPositiveTemperatureError,
-    NonUnitInputError,
     NumericalFailureError,
     ShapeMismatchError,
     ZeroDenominatorError,
+    ZeroVectorError,
 )
 from dualmoco.evaluation import EMBEDDING_MAGIC, RATIO_EPS, MiningResult, Neighbors
+from dualmoco.numerics import ZERO_NORM_EPS, as_vector
 from dualmoco.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    FlatTensors,
     NliBatch,
     NliHead,
     _label_indices,
     nli_loss_and_grads,
+    step_gradients,
 )
 
 
@@ -121,9 +126,46 @@ def write_embedding_dump(path: str, embeddings: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Vector primitives: single-vector normalization and cosine, used as oracles
+# for the batched code.
+# ---------------------------------------------------------------------------
+
+
+class NonUnitInputError(DualMocoError):
+    """A query or positive key that is not unit-norm."""
+
+
+def l2_normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Scale v to unit L2 norm, preserving direction."""
+    v = as_vector(v)
+    norm = float(np.linalg.norm(v))
+    if norm <= ZERO_NORM_EPS:
+        raise ZeroVectorError(f"cannot normalize a vector with norm {norm:.3e}")
+    return v / norm
+
+
+def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
+    """Cosine of the angle between u and v, clamped to [-1, 1].
+
+    Equals the plain dot product when both inputs are unit-norm. Clamping
+    guards downstream acos/threshold logic against rounding like 1 + 1e-16.
+    """
+    u = as_vector(u)
+    v = as_vector(v)
+    if u.shape != v.shape:
+        raise DimensionMismatchError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu <= ZERO_NORM_EPS or nv <= ZERO_NORM_EPS:
+        raise ZeroVectorError("cosine similarity undefined for zero vectors")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
 # Per-pair losses and token-list entry points. The library's step API takes
-# packed batches; these pack token lists at the call, score one query or one
-# inference pair, and read a queue back in insertion order.
+# packed batches and writes gradients into the caller's arrays; these pack
+# token lists at the call, return gradients in fresh zeroed arrays, score one
+# query or one inference pair, and read a queue back in insertion order.
 # ---------------------------------------------------------------------------
 
 
@@ -192,8 +234,38 @@ def bidirectional_loss(
     pooling: Pooling | str,
 ) -> moco.LossValue:
     """Mean contrastive loss in both directions; reads state without mutating it."""
-    loss, _, _ = moco.loss_and_gradients(state, *pack_pair(state, batch_a, batch_b), pooling)
+    loss, _, _ = loss_and_new_gradients(state, *pack_pair(state, batch_a, batch_b), pooling)
     return loss
+
+
+def zeros_like_tower(params: EncoderParams) -> EncoderParams:
+    """A tower of zeroed arrays shaped like params, for gradients."""
+    return EncoderParams(*(np.zeros_like(a) for a in params.arrays()))
+
+
+def loss_and_new_gradients(
+    state: moco.DualMocoState, batch_a: PackedBatch, batch_b: PackedBatch, pooling: Pooling | str
+) -> tuple[moco.LossValue, EncoderParams, EncoderParams]:
+    """moco.loss_and_gradients with both towers' gradients in fresh arrays."""
+    grads = (zeros_like_tower(state.base_a), zeros_like_tower(state.base_b))
+    loss = moco.loss_and_gradients(state, batch_a, batch_b, pooling, grads)
+    return (loss, *grads)
+
+
+def step_new_gradients(
+    state: moco.DualMocoState,
+    batch_a: PackedBatch,
+    batch_b: PackedBatch,
+    pooling: Pooling | str,
+    head: NliHead | None = None,
+    **kwargs,
+) -> tuple[moco.LossValue, float, FlatTensors]:
+    """trainer.step_gradients into a fresh zeroed FlatTensors of base A,
+    base B and, when given, the head; returns it after the two losses."""
+    arrays = [*state.base_a.arrays(), *state.base_b.arrays(), *(head.arrays() if head else ())]
+    out = FlatTensors(np.zeros(sum(a.size for a in arrays)), [a.shape for a in arrays])
+    loss, nli_loss = step_gradients(state, batch_a, batch_b, pooling, out, head=head, **kwargs)
+    return loss, nli_loss, out
 
 
 def insertion_order(queue: moco.MemoryQueue) -> np.ndarray:
@@ -205,11 +277,14 @@ def insertion_order(queue: moco.MemoryQueue) -> np.ndarray:
 
 def encode_backward_tokens(
     params: EncoderParams, batch: Sequence[TokenSeq], pooling: Pooling | str, upstream: np.ndarray
-) -> EncoderGrads:
-    """encode_backward of a token-list batch, after its own pack and forward pass."""
+) -> EncoderParams:
+    """encode_backward of a token-list batch, after its own pack and forward
+    pass, into fresh zeroed arrays."""
     packed = pack_batch(batch, params.vocab_size)
     forward = forward_batch(params, packed, pooling)
-    return encode_backward(params, packed, pooling, upstream, forward)
+    grads = zeros_like_tower(params)
+    encode_backward(params, packed, pooling, upstream, forward, grads)
+    return grads
 
 
 def pack_nli(triples: Sequence[NliTriple], vocab_size: int) -> NliBatch:

@@ -16,6 +16,7 @@ from helpers import (
     bidirectional_loss,
     central_difference,
     insertion_order,
+    loss_and_new_gradients,
     max_rel_error,
     pack_pair,
     random_token_batch,
@@ -31,7 +32,6 @@ from dualmoco.encoder import Pooling, encode_batch, forward_batch, init_params
 from dualmoco.moco import (
     MemoryQueue,
     enqueue_batch,
-    loss_and_gradients,
     momentum_update,
     new_state,
 )
@@ -118,7 +118,7 @@ def test_gradient_fidelity():
         batch_b = random_token_batch(rng, 4, 10)
 
         packed = pack_pair(state, batch_a, batch_b)
-        _, grads_a, grads_b = loss_and_gradients(state, *packed, pooling)
+        _, grads_a, grads_b = loss_and_new_gradients(state, *packed, pooling)
 
         def objective():
             return bidirectional_loss(state, batch_a, batch_b, pooling).total

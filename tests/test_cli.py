@@ -143,6 +143,13 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config)]) == 2
         assert "temperature" in capsys.readouterr().err
 
+    def test_infinite_learning_rate_exits_2_before_writing(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        run = tmp_path / "run"
+        assert cli.main(tiny_train_args(data, run, extra=["--lr", "inf"])) == 2
+        assert "lr_max must be finite" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"learning_rate": 0.1}))
@@ -276,6 +283,20 @@ class TestEvaluationCommands:
         assert {"acc_forward", "acc_backward", "count"} == set(doc)
         assert doc["count"] == 40
         assert 0.0 <= doc["acc_forward"] <= 1.0
+
+    def test_non_ascii_digit_token_exits_3_naming_the_line(self, pipeline, tmp_path, capsys):
+        _, data, run = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / "parallel.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = "1_7 2 \u0663\t" + lines[4].split("\t", 1)[1]  # int() reads 17, 2 and 3
+        path.write_text("".join(lines), encoding="utf-8")
+        argv = ["embed", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(copy),
+                "--split", "test", "--out", str(tmp_path / "emb")]
+        assert cli.main(argv) == 3
+        assert "parallel.tsv:5: non-integer token field" in capsys.readouterr().err
+        assert not (tmp_path / "emb").exists()
 
     def test_corrupt_embedding_dump_exits_3(self, pipeline, tmp_path, capsys):
         _, data, run = pipeline

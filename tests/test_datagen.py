@@ -438,9 +438,16 @@ class TestFileRoundTrips:
         with pytest.raises(CorpusParseError, match=r":7:"):
             load_tsv(str(path))
 
-    def test_non_integer_token_cites_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field",
+        ["1 x", "1_0", "+7", "\u0663", "\uff10", "-3", "1  2"],
+        ids=["letter", "underscore", "plus", "arabic-indic", "fullwidth", "negative", "two-spaces"],
+    )
+    def test_non_integer_token_cites_line(self, tmp_path, field):
+        # only ASCII digits separated by single spaces, as save_tsv writes
+        # them; int() alone reads all but the first and last of these
         path = tmp_path / "bad.tsv"
-        path.write_text("1 x\t3\t5\ttrain\n")
+        path.write_text(f"{field}\t3\t5\ttrain\n", encoding="utf-8")
         with pytest.raises(CorpusParseError, match=r":1:"):
             load_tsv(str(path))
 

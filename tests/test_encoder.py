@@ -6,14 +6,15 @@ import pytest
 from helpers import (
     central_difference,
     encode_backward_tokens,
+    l2_normalize,
     max_rel_error,
     random_token_batch,
     random_unit_rows,
+    zeros_like_tower,
 )
 
 from dualmoco import cli, datagen, encoder, evaluation
 from dualmoco.encoder import (
-    EncoderGrads,
     EncoderParams,
     Pooling,
     encode,
@@ -33,7 +34,6 @@ from dualmoco.errors import (
     TokenOutOfRangeError,
     ZeroVectorError,
 )
-from dualmoco.numerics import l2_normalize
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def reference_forward(params, batch, pooling):
 def reference_backward(params, batch, pooling, upstream):
     """encode_backward with one embedding scatter per sentence."""
     h, z, norms, pooled = reference_forward(params, batch, pooling)
-    grads = EncoderGrads.zeros_like(params)
+    grads = zeros_like_tower(params)
     gh = np.sum(upstream * h, axis=1, keepdims=True)
     dz = (upstream - gh * h) / norms[:, None]
     da = dz * (1.0 - z * z)
@@ -223,7 +223,8 @@ class TestPackedBatch:
         batch = random_token_batch(rng, 64, params.vocab_size, min_len=1, max_len=12)
         upstream = rng.normal(size=(64, params.d_out))
         packed = pack_batch(batch, params.vocab_size)
-        reused = encode_backward(params, packed, pooling, upstream, forward_batch(params, packed, pooling))
+        reused = zeros_like_tower(params)
+        encode_backward(params, packed, pooling, upstream, forward_batch(params, packed, pooling), reused)
         own = encode_backward_tokens(params, batch, pooling, upstream)
         assert [g.tobytes() for g in reused.arrays()] == [g.tobytes() for g in own.arrays()]
 
@@ -236,7 +237,12 @@ class TestPackedBatch:
         for call in (
             lambda: encode_batch(params, packed, Pooling.MEAN),
             lambda: encode_backward(
-                params, packed, Pooling.MAX, upstream, forward_batch(params, packed, Pooling.MAX)
+                params,
+                packed,
+                Pooling.MAX,
+                upstream,
+                forward_batch(params, packed, Pooling.MAX),
+                zeros_like_tower(params),
             ),
             lambda: forward_batch(params, packed, Pooling.FIRST),
         ):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    NonUnitInputError,
     bidirectional_loss,
     central_difference,
     encode_backward_tokens,
     info_nce,
     info_nce_query_grad,
     insertion_order,
+    loss_and_new_gradients,
     max_rel_error,
     pack_pair,
     random_token_batch,
@@ -25,7 +27,6 @@ from dualmoco.errors import (
     BatchLengthMismatchError,
     DimensionMismatchError,
     NonPositiveTemperatureError,
-    NonUnitInputError,
     NonUnitKeyError,
     ShapeMismatchError,
 )
@@ -34,7 +35,6 @@ from dualmoco.moco import (
     MemoryQueue,
     advance_state,
     enqueue_batch,
-    loss_and_gradients,
     momentum_update,
     new_state,
 )
@@ -55,7 +55,7 @@ def filled_queue(capacity, keys):
 def moco_step(state, batch_a, batch_b, pooling):
     """One training step's MoCo part: gradients from the state, then advance it in place."""
     batch_a, batch_b = pack_pair(state, batch_a, batch_b)
-    loss, grads_a, grads_b = loss_and_gradients(state, batch_a, batch_b, pooling)
+    loss, grads_a, grads_b = loss_and_new_gradients(state, batch_a, batch_b, pooling)
     advance_state(state, batch_a, batch_b, pooling)
     return loss, grads_a, grads_b
 
@@ -407,11 +407,11 @@ class TestMocoStep:
         batch_a, batch_b = pack_pair(
             state, random_token_batch(rng, 3, 10), random_token_batch(rng, 3, 10)
         )
-        loss1, ga, gb = loss_and_gradients(state, batch_a, batch_b, "mean")
+        loss1, ga, gb = loss_and_new_gradients(state, batch_a, batch_b, "mean")
         # gradients exist only for the two bases; keys are constants
         assert len(ga.arrays()) == 3 and len(gb.arrays()) == 3
         state.momentum_b.embedding += 0.05 * rng.normal(size=(10, 8))
-        loss2, _, _ = loss_and_gradients(state, batch_a, batch_b, "mean")
+        loss2, _, _ = loss_and_new_gradients(state, batch_a, batch_b, "mean")
         assert loss1.total != loss2.total
 
     def test_full_step_gradients_match_finite_differences(self):
@@ -422,7 +422,7 @@ class TestMocoStep:
         batch_a = random_token_batch(rng, 4, 10)
         batch_b = random_token_batch(rng, 4, 10)
         packed = pack_pair(state, batch_a, batch_b)
-        _, grads_a, grads_b = loss_and_gradients(state, *packed, Pooling.MEAN)
+        _, grads_a, grads_b = loss_and_new_gradients(state, *packed, Pooling.MEAN)
 
         def objective():
             return bidirectional_loss(state, batch_a, batch_b, Pooling.MEAN).total
@@ -498,7 +498,7 @@ class TestPackedStep:
         batch_a = random_token_batch(rng, 24, 40, min_len=1, max_len=12)
         batch_b = random_token_batch(rng, 24, 40, min_len=1, max_len=12)
         packed = pack_pair(state, batch_a, batch_b)
-        loss, grads_a, grads_b = loss_and_gradients(state, *packed, pooling)
+        loss, grads_a, grads_b = loss_and_new_gradients(state, *packed, pooling)
 
         keys_a = encode_batch(state.momentum_a, batch_a, pooling)
         keys_b = encode_batch(state.momentum_b, batch_b, pooling)

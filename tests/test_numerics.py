@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import reference_average_ranks
+from helpers import cosine_similarity, l2_normalize, reference_average_ranks
 
 from dualmoco.errors import (
     DegenerateInputError,
@@ -9,12 +9,7 @@ from dualmoco.errors import (
     LengthMismatchError,
     ZeroVectorError,
 )
-from dualmoco.numerics import (
-    average_ranks,
-    cosine_similarity,
-    l2_normalize,
-    spearman_correlation,
-)
+from dualmoco.numerics import average_ranks, spearman_correlation
 
 
 def rank_formula_rho(xs, ys):

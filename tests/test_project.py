@@ -1,5 +1,6 @@
 """Checks on the project as shipped: the README's library example runs as
-written, and no module imports a name it never uses."""
+written, no module imports a name it never uses, and every public name the
+package defines has a user outside the tests."""
 
 import ast
 import contextlib
@@ -46,3 +47,41 @@ def test_module_uses_every_name_it_imports(path):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os\nfrom typing import Sequence\nos.sep\n"
     assert _unused_imports(source) == ["line 3: Sequence"]
+
+
+def _unused_public_names(sources: dict[str, str], docs: str) -> list[str]:
+    """Public top-level names defined in `sources` (module name -> code) that
+    no source loads or imports and no word of `docs` matches. Only loads
+    count, so an assignment is not its own use."""
+    defined, used = [], set(re.findall(r"\w+", docs))
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+                defined.extend((module, name) for name in names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{m}.{name}" for m, name in defined if not name.startswith("_") and name not in used]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    docs = [ROOT / "README.md", ROOT / "pyproject.toml", *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unused_public_names(sources, "\n".join(p.read_text(encoding="utf-8") for p in docs)) == []
+
+
+def test_unused_public_name_is_reported():
+    sources = {
+        "a": "X = 1\nY = 2\n_Z = 3\ndef f():\n    return Y\nclass C:\n    pass\nclass D:\n    pass\n",
+        "b": "from .a import C\nimport a\na.D\n",
+    }
+    assert _unused_public_names(sources, "f is in the README") == ["a.X"]

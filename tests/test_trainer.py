@@ -9,6 +9,7 @@ from helpers import (
     central_difference_at,
     encode_backward_tokens,
     insertion_order,
+    loss_and_new_gradients,
     max_rel_error,
     nli_forward_loss,
     pack_nli,
@@ -16,6 +17,7 @@ from helpers import (
     random_unit_rows,
     reference_adamw_step,
     reference_clip_gradients,
+    step_new_gradients,
 )
 
 from dualmoco import datagen, trainer
@@ -27,7 +29,7 @@ from dualmoco.errors import (
     NumericalFailureError,
     TokenOutOfRangeError,
 )
-from dualmoco.moco import LossValue, enqueue_batch, loss_and_gradients, new_state
+from dualmoco.moco import LossValue, enqueue_batch, new_state
 from dualmoco.trainer import (
     AdamWState,
     FlatTensors,
@@ -429,6 +431,15 @@ class TestNliHead:
         loss3, _, _, _ = nli_loss_and_grads(head, hp, hh, labels)
         assert loss1 == loss2
         assert loss1 != loss3
+        # the first hidden layer's mask is drawn first; `train --nli` output
+        # depends on that order
+        draws = np.random.default_rng(9)
+        mask1, mask2 = ((draws.random((2, trainer.HIDDEN)) >= 0.5) / 0.5 for _ in range(2))
+        x = np.concatenate([hp, hh, np.abs(hp - hh)], axis=1)
+        h1 = np.maximum(x @ head.w1 + head.b1, 0.0) * mask1
+        logits = (np.maximum(h1 @ head.w2 + head.b2, 0.0) * mask2) @ head.w3 + head.b3
+        lse = np.log(np.exp(logits).sum(axis=1))
+        assert loss1 == pytest.approx(float(np.mean(lse - logits[[0, 1], labels])), abs=1e-12)
 
 
 class TestTrain:
@@ -475,6 +486,9 @@ class TestTrain:
             TrainConfig(queue_capacity=16, batch_size=64).validate()
         with pytest.raises(ConfigError, match="pooling"):
             TrainConfig(pooling="bogus").validate()
+        for name in ("lr_max", "weight_decay", "nli_weight", "temperature"):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                TrainConfig(**{name: math.inf}).validate()
         TrainConfig(pooling="max").validate()
 
     def test_batch_larger_than_corpus_rejected(self, small_world):
@@ -569,10 +583,10 @@ class TestTrain:
         _, corpus, _, _ = small_world
         real = trainer.step_gradients
 
-        def nan_gradients(*args, **kwargs):
-            loss, nli_loss, grads = real(*args, **kwargs)
-            grads[0][0, 0] = np.nan
-            return loss, nli_loss, grads
+        def nan_gradients(state, batch_a, batch_b, pooling, out, **kwargs):
+            losses = real(state, batch_a, batch_b, pooling, out, **kwargs)
+            out[0][0, 0] = np.nan
+            return losses
 
         monkeypatch.setattr(trainer, "step_gradients", nan_gradients)
         with pytest.raises(NumericalFailureError, match="gradient norm"):
@@ -595,11 +609,11 @@ class TestStepGradientLinearity:
         nli_batch = pack_nli(nli[:8], lexicon.vocab_size_a)
         alpha = 0.37
 
-        _, _, combined = step_gradients(
+        _, _, combined = step_new_gradients(
             state, batch_a, batch_b, "mean", head=head, nli_batch=nli_batch, nli_weight=alpha
         )
-        _, _, moco_only = step_gradients(state, batch_a, batch_b, "mean")
-        _, _, nli_unit = step_gradients(
+        _, _, moco_only = step_new_gradients(state, batch_a, batch_b, "mean")
+        _, _, nli_unit = step_new_gradients(
             state, batch_a, batch_b, "mean", head=head, nli_batch=nli_batch, nli_weight=1.0
         )
         nli_term = [u - m for u, m in zip(nli_unit[:6], moco_only)]
@@ -627,10 +641,9 @@ class TestStepGradientLinearity:
         sides = ([p.tokens_a for p in pairs], [p.tokens_b for p in pairs])
         args = (state, *pack_pair(state, *sides), "mean")
         kwargs = dict(head=head, nli_batch=pack_nli(nli[:12], lexicon.vocab_size_a), nli_weight=0.3)
-        _, _, want = step_gradients(*args, **kwargs)
-        out = FlatTensors(rng.normal(size=sum(w.size for w in want)), [w.shape for w in want])
-        _, _, got = step_gradients(*args, **kwargs, out=out)
-        assert got is out
+        loss, nli_loss, want = step_new_gradients(*args, **kwargs)  # into zeros
+        got = FlatTensors(rng.normal(size=want.flat.size), [w.shape for w in want])
+        assert step_gradients(*args, got, **kwargs) == (loss, nli_loss)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_nli_gradients_equal_token_list_passes_bitwise(self, small_world):
@@ -650,12 +663,12 @@ class TestStepGradientLinearity:
         batch_b = [p.tokens_b for p in pairs]
         nli_batch = nli[:12]
         packed = pack_pair(state, batch_a, batch_b)
-        _, nli_loss, got = step_gradients(
+        _, nli_loss, got = step_new_gradients(
             state, *packed, "mean", head=head, nli_batch=pack_nli(nli_batch, lexicon.vocab_size_a),
             nli_weight=0.3, nli_dropout=0.1, dropout_rng=np.random.default_rng(9),
         )
 
-        _, grads_a, grads_b = loss_and_gradients(state, *packed, "mean")
+        _, grads_a, grads_b = loss_and_new_gradients(state, *packed, "mean")
         premises = [t.premise for t in nli_batch]
         hypotheses = [t.hypothesis for t in nli_batch]
         want_loss, head_grads, g_hp, g_hh = nli_loss_and_grads(
@@ -666,9 +679,11 @@ class TestStepGradientLinearity:
             dropout=0.1,
             dropout_rng=np.random.default_rng(9),
         )
-        extra = encode_backward_tokens(state.base_a, premises, "mean", g_hp)
-        extra.add_scaled(encode_backward_tokens(state.base_a, hypotheses, "mean", g_hh))
-        grads_a.add_scaled(extra, 0.3)
+        extra_p = encode_backward_tokens(state.base_a, premises, "mean", g_hp)
+        extra_h = encode_backward_tokens(state.base_a, hypotheses, "mean", g_hh)
+        for g, p, h in zip(grads_a.arrays(), extra_p.arrays(), extra_h.arrays()):
+            p += 1.0 * h
+            g += 0.3 * p
         want = [*grads_a.arrays(), *grads_b.arrays(), *(0.3 * g for g in head_grads)]
         assert nli_loss == want_loss
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
