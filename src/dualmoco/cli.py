@@ -50,7 +50,6 @@ FLAG_NAMES = {
     "lr_max": "lr",
     "queue_capacity": "queue-size",
     "nli_enabled": "nli",
-    "ablation_no_momentum": "no-momentum",
 }
 FLAG_CHOICES = {
     "pooling": [p.value for p in Pooling],
@@ -92,7 +91,7 @@ def _resolve_config(cls, args: argparse.Namespace):
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
                 raise ConfigError(f"{args.config}: invalid JSON ({e})") from e
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
@@ -193,21 +192,23 @@ def cmd_gen_data(config: GenConfig) -> int:
     datagen.save_mining_json(mining_val, str(out / MINING_VAL_FILE))
     datagen.save_mining_json(mining_test, str(out / MINING_TEST_FILE))
     resolved = dataclasses.asdict(config)
-    resolved["vocab_size_a"] = lexicon.vocab_size_a
-    resolved["vocab_size_b"] = lexicon.vocab_size_b
+    # both keys, equal, so that dataset directories keep one layout across versions
+    resolved["vocab_size_a"] = resolved["vocab_size_b"] = lexicon.vocab_size
     _write_json(out / GEN_CONFIG_FILE, resolved)
     logger.info("wrote dataset with %d pairs to %s", len(corpus), out)
     return 0
 
 
-def _load_vocab_sizes(data_dir: Path) -> tuple[int | None, int | None]:
+def _load_vocab_size(data_dir: Path) -> int | None:
+    """The larger of the two vocabulary sizes in gen_config.json, or None
+    when the file or both keys are absent."""
     path = data_dir / GEN_CONFIG_FILE
     if not path.exists():
-        return None, None
+        return None
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
             raise CorpusParseError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise CorpusParseError(f"{path}: must be a JSON object")
@@ -215,7 +216,7 @@ def _load_vocab_sizes(data_dir: Path) -> tuple[int | None, int | None]:
     for key, size in zip(("vocab_size_a", "vocab_size_b"), sizes):
         if size is not None and (type(size) is not int or size < 1):
             raise CorpusParseError(f"{path}: {key} must be a positive integer (got {size!r})")
-    return sizes
+    return max((size for size in sizes if size is not None), default=None)
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -228,33 +229,18 @@ def cmd_train(config: RunConfig) -> int:
     nli = None
     if config.nli_enabled:
         nli = datagen.load_nli_tsv(str(data_dir / NLI_FILE))
-    vocab_a, vocab_b = _load_vocab_sizes(data_dir)
-    vocab_a = vocab_a if vocab_a is not None else corpus.max_token_a() + 1
-    vocab_b = vocab_b if vocab_b is not None else corpus.max_token_b() + 1
-    if vocab_a != vocab_b:
-        # a checkpoint holds both towers under one shape header
-        raise ConfigError(
-            f"the towers need one vocabulary size: side A has {vocab_a} tokens, "
-            f"side B has {vocab_b}; set vocab_size_a and vocab_size_b in {GEN_CONFIG_FILE}"
-        )
+    vocab_size = _load_vocab_size(data_dir)
+    result = trainer.train(config, corpus, nli_data=nli, sts_pairs=sts, vocab_size=vocab_size)
 
+    # made only now, so that a run refused by train leaves no directory behind
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = trainer.train(
-        config, corpus, nli_data=nli, sts_pairs=sts, vocab_size_a=vocab_a, vocab_size_b=vocab_b
-    )
-
     save_checkpoint(str(out / "checkpoint.bin"), result.state.base_a, result.state.base_b)
-    steps_per_epoch = len(result.step_records) // max(1, len(result.epoch_records))
     with open(out / "metrics.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for epoch, epoch_record in enumerate(result.epoch_records):
-            for record in result.step_records[
-                epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch
-            ]:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.write(json.dumps(epoch_record, sort_keys=True) + "\n")
+        for record in result.records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     _write_json(out / "train_config.json", dataclasses.asdict(config))
-    final = result.epoch_records[-1]
+    final = result.records[-1]
     print(
         f"trained {config.epochs} epochs: "
         f"acc_ab={final['retrieval_acc_ab']:.4f} acc_ba={final['retrieval_acc_ba']:.4f}"

@@ -46,12 +46,9 @@ class ConceptLexicon:
     noise_b: np.ndarray
 
     @property
-    def vocab_size_a(self) -> int:
+    def vocab_size(self) -> int:
+        """Token ids per language; both languages hold the same noise count."""
         return self.concept_count + len(self.noise_a)
-
-    @property
-    def vocab_size_b(self) -> int:
-        return self.concept_count + len(self.noise_b)
 
 
 def make_lexicon(concept_count: int = 380, noise_count: int = 20, seed: int = 0) -> ConceptLexicon:
@@ -93,11 +90,9 @@ class ParallelCorpus:
     def split(self, name: str) -> list[PairExample]:
         return [p for p in self.pairs if p.split == name]
 
-    def max_token_a(self) -> int:
-        return max(max(p.tokens_a) for p in self.pairs)
-
-    def max_token_b(self) -> int:
-        return max(max(p.tokens_b) for p in self.pairs)
+    def max_token(self) -> int:
+        """The largest token id on either side."""
+        return max(max(max(p.tokens_a), max(p.tokens_b)) for p in self.pairs)
 
 
 @dataclass
@@ -305,39 +300,27 @@ def gen_mining_corpus(
     surface_b, noise_b = lexicon.surface_b.tolist(), lexicon.noise_b.tolist()
     n_gold = int(parallel_fraction * min(n_a, n_b))
 
+    # sets 0..n_gold-1 are gold and rendered on both sides, then come n_a - n_gold
+    # side-A-only sets and n_b - n_gold side-B-only ones
     seqs_a: list[tuple[int, ...]] = []
     seqs_b: list[tuple[int, ...]] = []
-    gold_seq_ids: list[int] = []
-    for _ in range(n_gold):
+    for i in range(n_a + n_b - n_gold):
         length = int(rng.integers(len_range[0], len_range[1] + 1))
         concepts = sampler.draw(length)
-        gold_seq_ids.append(len(seqs_a))
-        seqs_a.append(_render(concepts, surface_a, noise_a, noise_rate, rng))
-        seqs_b.append(_render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng))
-    concept_sets_a = [sampler.seen[i] for i in range(n_gold)]
-    concept_sets_b = list(concept_sets_a)
-    while len(seqs_a) < n_a:
-        length = int(rng.integers(len_range[0], len_range[1] + 1))
-        concepts = sampler.draw(length)
-        seqs_a.append(_render(concepts, surface_a, noise_a, noise_rate, rng))
-        concept_sets_a.append(frozenset(concepts))
-    while len(seqs_b) < n_b:
-        length = int(rng.integers(len_range[0], len_range[1] + 1))
-        concepts = sampler.draw(length)
-        seqs_b.append(_render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng))
-        concept_sets_b.append(frozenset(concepts))
+        if i < n_a:
+            seqs_a.append(_render(concepts, surface_a, noise_a, noise_rate, rng))
+        if not n_gold <= i < n_a:
+            seqs_b.append(_render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng))
 
+    # sequence i lands at position pos[i] of its side
     pos_a = rng.permutation(n_a)
     pos_b = rng.permutation(n_b)
-    side_a: list[tuple[int, ...]] = [()] * n_a
-    side_b: list[tuple[int, ...]] = [()] * n_b
-    for src, dst in enumerate(pos_a):
-        side_a[dst] = seqs_a[src]
-    for src, dst in enumerate(pos_b):
-        side_b[dst] = seqs_b[src]
-    gold_pairs = [(int(pos_a[i]), int(pos_b[i])) for i in gold_seq_ids]
+    side_a = [seqs_a[i] for i in np.argsort(pos_a).tolist()]
+    side_b = [seqs_b[i] for i in np.argsort(pos_b).tolist()]
+    gold_pairs = [(int(pos_a[i]), int(pos_b[i])) for i in range(n_gold)]
 
-    _audit_overlap(concept_sets_a, concept_sets_b, pos_a, pos_b, set(gold_pairs))
+    seen = sampler.seen
+    _audit_overlap(seen[:n_a], seen[:n_gold] + seen[n_a:], pos_a, pos_b, set(gold_pairs))
     return MiningCorpus(side_a, side_b, gold_pairs, parallel_fraction)
 
 
@@ -480,7 +463,10 @@ def _ints(fieldtext: str, path: str, lineno: int) -> tuple[int, ...]:
 
 def _read_rows(path: str, n_cols: int) -> list[tuple[int, list[str]]]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise CorpusParseError(f"{path}: not UTF-8 ({e})") from e
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
@@ -598,7 +584,7 @@ def load_mining_json(path: str) -> MiningCorpus:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
             raise CorpusParseError(f"{path}: invalid JSON ({e})") from e
     try:
         side_a, side_b = _mining_side(doc, "side_a", path), _mining_side(doc, "side_b", path)

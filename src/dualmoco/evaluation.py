@@ -287,7 +287,7 @@ def load_embeddings(path: str) -> np.ndarray:
     with open(path + ".json", "r", encoding="utf-8") as fh:
         try:
             sidecar = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
             raise CorpusParseError(f"{path}.json: invalid JSON ({e})") from e
     if not isinstance(sidecar, dict):
         raise CorpusParseError(f"{path}.json: sidecar must be a JSON object")

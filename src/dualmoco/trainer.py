@@ -1,6 +1,7 @@
 """Optimization loop: AdamW with warmup + cosine decay, global-norm gradient
-clipping, an optional 3-way inference head trained jointly with the
-contrastive objective, and the ablation switches used by the sweep harness.
+clipping, and an optional 3-way inference head trained jointly with the
+contrastive objective. The momentum ablation is momentum = 0, which makes
+each key tower a copy of its query tower after every step.
 
 `train` packs the corpus once and hands every step function packed batches
 (step_gradients takes PackedBatch sides and an NliBatch); step_gradients
@@ -72,7 +73,6 @@ class TrainConfig:
     nli_weight: float = 0.1
     nli_batch_size: int = 128
     nli_dropout: float = 0.1
-    ablation_no_momentum: bool = False
 
     def validate(self) -> None:
         checks = [
@@ -336,8 +336,8 @@ def nli_loss_and_grads(
 class TrainResult:
     nli_head: NliHead | None
     state: DualMocoState
-    step_records: list[dict] = field(default_factory=list)
-    epoch_records: list[dict] = field(default_factory=list)
+    # in metrics.jsonl order: each epoch's step records, then its epoch record
+    records: list[dict] = field(default_factory=list)
 
 
 def step_gradients(
@@ -392,8 +392,7 @@ def train(
     corpus: ParallelCorpus,
     nli_data: Sequence[NliTriple] | None = None,
     sts_pairs: Sequence[StsPair] | None = None,
-    vocab_size_a: int | None = None,
-    vocab_size_b: int | None = None,
+    vocab_size: int | None = None,
 ) -> TrainResult:
     """Run the full contrastive (optionally multitask) optimization.
 
@@ -406,6 +405,8 @@ def train(
     last partial batch of every epoch is dropped so enqueue sizes stay
     constant. Per-epoch rows carry retrieval accuracy on the validation
     split and, when similarity pairs are supplied, their rank correlation.
+    Both towers get `vocab_size` rows, by default one more than the largest
+    token id on either side of the corpus.
 
     One DualMocoState, one AdamWState and the inference head are built here
     and updated in place every step; the result holds those same objects.
@@ -422,16 +423,15 @@ def train(
             f"batch_size must be <= {len(train_pairs)} training pairs (got {config.batch_size})"
         )
 
-    vocab_a = vocab_size_a if vocab_size_a is not None else corpus.max_token_a() + 1
-    vocab_b = vocab_size_b if vocab_size_b is not None else corpus.max_token_b() + 1
-    side_a = pack_tokens([p.tokens_a for p in train_pairs], vocab_a, "side A of training pair")
-    side_b = pack_tokens([p.tokens_b for p in train_pairs], vocab_b, "side B of training pair")
+    vocab = vocab_size if vocab_size is not None else corpus.max_token() + 1
+    side_a = pack_tokens([p.tokens_a for p in train_pairs], vocab, "side A of training pair")
+    side_b = pack_tokens([p.tokens_b for p in train_pairs], vocab, "side B of training pair")
 
     nli_on = nli_data is not None and len(nli_data) > 0 and config.nli_weight > 0.0
     if nli_on:
-        premises = pack_tokens([t.premise for t in nli_data], vocab_a, "premise of inference triple")
+        premises = pack_tokens([t.premise for t in nli_data], vocab, "premise of inference triple")
         hypotheses = pack_tokens(
-            [t.hypothesis for t in nli_data], vocab_a, "hypothesis of inference triple"
+            [t.hypothesis for t in nli_data], vocab, "hypothesis of inference triple"
         )
         nli_labels = _label_indices([t.label for t in nli_data])
 
@@ -440,8 +440,8 @@ def train(
         np.random.default_rng(s) for s in seed_seq.spawn(4)
     )
 
-    params_a = init_params(vocab_a, config.d_emb, config.d_out, init_rng)
-    params_b = init_params(vocab_b, config.d_emb, config.d_out, init_rng)
+    params_a = init_params(vocab, config.d_emb, config.d_out, init_rng)
+    params_b = init_params(vocab, config.d_emb, config.d_out, init_rng)
     head = init_nli_head(config.d_out, init_rng) if nli_on else None
     trainable = FlatTensors.copy_of(
         [*params_a.arrays(), *params_b.arrays(), *(head.arrays() if head is not None else ())]
@@ -452,12 +452,10 @@ def train(
     grads = FlatTensors(np.zeros_like(trainable.flat), [a.shape for a in trainable])
     opt = AdamWState.for_params(trainable)
 
-    # Parameter sharing for the no-momentum ablation is an EMA with m = 0:
-    # the momentum towers become exact copies of the bases after every step.
-    m_eff = 0.0 if config.ablation_no_momentum else config.momentum
-    state = new_state(params_a, params_b, m_eff, config.queue_capacity, config.temperature)
+    state = new_state(
+        params_a, params_b, config.momentum, config.queue_capacity, config.temperature
+    )
 
-    nli_cursor = 0
     if nli_on:
         nli_order = nli_rng.permutation(len(nli_data))
 
@@ -477,11 +475,11 @@ def train(
             batch_b = gather_batch(side_b, sel)
             nli_batch = None
             if head is not None:
-                rows = nli_order[(nli_cursor + np.arange(config.nli_batch_size)) % len(nli_data)]
+                first = step * config.nli_batch_size
+                rows = nli_order[(first + np.arange(config.nli_batch_size)) % len(nli_data)]
                 nli_batch = NliBatch(
                     gather_batch(premises, rows), gather_batch(hypotheses, rows), nli_labels[rows]
                 )
-                nli_cursor = (nli_cursor + config.nli_batch_size) % len(nli_data)
             loss, nli_loss = step_gradients(
                 state,
                 batch_a,
@@ -502,7 +500,7 @@ def train(
             adamw_step(trainable, grads, opt, lr, config.weight_decay)
             advance_state(state, batch_a, batch_b, config.pooling)
 
-            result.step_records.append(
+            result.records.append(
                 {
                     "step": step,
                     "lr": lr,
@@ -515,7 +513,7 @@ def train(
             step += 1
 
         record = _epoch_eval(state, corpus, sts_pairs, config, epoch)
-        result.epoch_records.append(record)
+        result.records.append(record)
         logger.info(
             "epoch %d: acc_ab=%.4f acc_ba=%.4f sts=%s",
             epoch,

@@ -2,9 +2,9 @@
 hand-built embedding dump, the vector primitives that the package itself no
 longer needs, the per-pair contrastive and inference losses with the
 token-list and fresh-array entry points built on the packed step API, the
-two-exp contrastive kernel, the per-tensor optimizer steps, per-element
-reference implementations of the array-coded evaluation paths, and the
-per-token generator draws and rendering."""
+two-exp contrastive kernel, the per-tensor optimizer steps, the step rows of
+a training log, per-element reference implementations of the array-coded
+evaluation paths, and the per-token generator draws and rendering."""
 
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ from dualmoco.trainer import (
     FlatTensors,
     NliBatch,
     NliHead,
+    TrainResult,
     _label_indices,
     nli_loss_and_grads,
     step_gradients,
@@ -266,6 +267,11 @@ def step_new_gradients(
     out = FlatTensors(np.zeros(sum(a.size for a in arrays)), [a.shape for a in arrays])
     loss, nli_loss = step_gradients(state, batch_a, batch_b, pooling, out, head=head, **kwargs)
     return loss, nli_loss, out
+
+
+def step_records(result: TrainResult) -> list[dict]:
+    """The per-step rows of a training log, in order."""
+    return [r for r in result.records if "step" in r]
 
 
 def insertion_order(queue: moco.MemoryQueue) -> np.ndarray:

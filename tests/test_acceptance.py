@@ -23,6 +23,7 @@ from helpers import (
     random_unit_rows,
     reference_mine_bitext,
     softmax_entropy,
+    step_records,
 )
 from test_evaluation import brute_force_threshold, naive_nn
 from test_numerics import rank_formula_rho
@@ -62,8 +63,7 @@ def timed_train(config, corpus, lexicon, **kwargs):
     result = trainer.train(
         config,
         corpus,
-        vocab_size_a=lexicon.vocab_size_a,
-        vocab_size_b=lexicon.vocab_size_b,
+        vocab_size=lexicon.vocab_size,
         **kwargs,
     )
     return result, time.perf_counter() - start
@@ -91,7 +91,7 @@ def nli_run(world):
 @pytest.fixture(scope="module")
 def ablation_run(world):
     lexicon, corpus, _, _, _, _ = world
-    return timed_train(trainer.TrainConfig(ablation_no_momentum=True), corpus, lexicon)
+    return timed_train(trainer.TrainConfig(momentum=0.0), corpus, lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_momentum_ablation_completes(world, default_run, ablation_run):
     ablated, _ = ablation_run
     config = trainer.TrainConfig()
     assert config.queue_capacity >= 10 * config.batch_size
-    assert all(math.isfinite(r["loss_total"]) for r in ablated.step_records)
+    assert all(math.isfinite(r["loss_total"]) for r in step_records(ablated))
     acc_with = held_out_accuracy(baseline, corpus, config.pooling)
     acc_without = held_out_accuracy(ablated, corpus, config.pooling)
     # parameter sharing must have held throughout
@@ -247,7 +247,7 @@ def test_synthetic_retrieval(world, default_run):
 
 def test_default_run_loss_decreases(default_run):
     result, _ = default_run
-    losses = [r["loss_total"] for r in result.step_records]
+    losses = [r["loss_total"] for r in step_records(result)]
     early = float(np.mean(losses[:50]))
     late = float(np.mean(losses[-50:]))
     ok = early > late
@@ -411,7 +411,7 @@ def test_queue_size_sweep(world):
         config = trainer.TrainConfig(epochs=SWEEP_EPOCHS, queue_capacity=capacity)
         result, _ = timed_train(config, corpus, lexicon)
         acc = held_out_accuracy(result, corpus, pooling)
-        assert all(math.isfinite(r["loss_total"]) for r in result.step_records)
+        assert all(math.isfinite(r["loss_total"]) for r in step_records(result))
         rows.append((capacity, acc[0], acc[1]))
     print("\n  queue size   acc_ab   acc_ba   (shortened schedule, trend report-only)")
     for capacity, ab, ba in rows:

@@ -187,11 +187,17 @@ class TestTrain:
         assert cli.main(tiny_train_args(copy, tmp_path / "run")) == 0
         corpus = cli.datagen.load_tsv(str(copy / "parallel.tsv"))
         params_a, params_b = cli.load_checkpoint(str(tmp_path / "run" / "checkpoint.bin"))
-        assert params_a.vocab_size == corpus.max_token_a() + 1
-        assert params_b.vocab_size == corpus.max_token_b() + 1
+        assert params_a.vocab_size == corpus.max_token() + 1
+        assert params_b.vocab_size == corpus.max_token() + 1
 
-    def test_unequal_corpus_vocabularies_exit_2_before_writing(self, tmp_path, capsys):
-        # no gen_config.json: the sizes come from the corpus, 50 on side A and 30 on side B
+    @pytest.mark.parametrize(
+        "gen_config, size",
+        [(None, 50), ('{"vocab_size_a": 120, "vocab_size_b": 95}', 120)],
+        ids=["corpus", "gen_config"],
+    )
+    def test_unequal_vocabularies_train_with_the_larger_size(self, tmp_path, gen_config, size):
+        # side A of the corpus holds ids up to 49, side B up to 29; without
+        # gen_config.json the sizes come from the corpus
         rng = np.random.default_rng(8)
         data = tmp_path / "data"
         data.mkdir()
@@ -203,21 +209,32 @@ class TestTrain:
             split = "train" if i < 250 else "validation"
             rows.append(f"{' '.join(map(str, side_a))}\t{' '.join(map(str, side_b))}\t1 2\t{split}\n")
         (data / "parallel.tsv").write_text("".join(rows))
+        if gen_config is not None:
+            (data / "gen_config.json").write_text(gen_config)
         run = tmp_path / "run"
-        assert cli.main(tiny_train_args(data, run)) == 2
-        err = capsys.readouterr().err
-        assert "50" in err and "30" in err
-        assert not run.exists()
+        assert cli.main(tiny_train_args(data, run)) == 0
+        params_a, params_b = load_checkpoint(str(run / "checkpoint.bin"))
+        assert params_a.vocab_size == params_b.vocab_size == size
 
-    def test_unequal_gen_config_vocabularies_exit_2_before_writing(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra, gen_config, message",
+        [
+            (["--batch-size", "400", "--queue-size", "400"], None, "batch_size must be <= 200"),
+            ([], '{"vocab_size_a": 50, "vocab_size_b": 50}', "outside [0, 50)"),
+        ],
+        ids=["batch_size", "gen_config"],
+    )
+    def test_input_refused_by_train_leaves_no_run_directory(
+        self, pipeline, tmp_path, capsys, extra, gen_config, message
+    ):
         _, data, _ = pipeline
         copy = tmp_path / "data"
         shutil.copytree(data, copy)
-        (copy / "gen_config.json").write_text('{"vocab_size_a": 120, "vocab_size_b": 95}')
+        if gen_config is not None:
+            (copy / "gen_config.json").write_text(gen_config)
         run = tmp_path / "run"
-        assert cli.main(tiny_train_args(copy, run)) == 2
-        err = capsys.readouterr().err
-        assert "120" in err and "95" in err
+        assert cli.main(tiny_train_args(copy, run, extra=extra)) == 2
+        assert message in capsys.readouterr().err
         assert not run.exists()
 
     def test_nan_loss_exits_4(self, pipeline, tmp_path, monkeypatch):
@@ -251,12 +268,22 @@ class TestTrain:
             outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "metrics.jsonl")])
         assert outputs[0] == outputs[1]
 
-    def test_ablation_flag_recorded(self, pipeline, tmp_path):
+    def test_ablation_flag_recorded(self, pipeline, tmp_path, capsys):
+        # the momentum ablation is --momentum 0; the old switch is gone
         _, data, _ = pipeline
         out = tmp_path / "run_ablate"
-        assert cli.main(tiny_train_args(data, out, extra=["--no-momentum"])) == 0
+        assert cli.main(tiny_train_args(data, out, extra=["--momentum", "0"])) == 0
         doc = json.loads((out / "train_config.json").read_text())
-        assert doc["ablation_no_momentum"] is True
+        assert doc["momentum"] == 0.0 and type(doc["momentum"]) is float
+        with pytest.raises(SystemExit) as exc:
+            cli.main(tiny_train_args(data, tmp_path / "run_old", extra=["--no-momentum"]))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-momentum" in capsys.readouterr().err
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps({"data_dir": str(data), "ablation_no_momentum": True}))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert "unknown config key(s): ablation_no_momentum" in capsys.readouterr().err
+        assert not (tmp_path / "run_old").exists()
 
 
 class TestEvaluationCommands:
@@ -297,6 +324,39 @@ class TestEvaluationCommands:
         assert cli.main(argv) == 3
         assert "parallel.tsv:5: non-integer token field" in capsys.readouterr().err
         assert not (tmp_path / "emb").exists()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["parallel.tsv", "sts.tsv", "mining_test.json", "a.emb.json", "gen_config.json", "replay.json"],
+    )
+    def test_non_utf8_input_exits_naming_the_file(self, pipeline, tmp_path, capsys, name):
+        # one byte 0xff appended to the file; a --config file is a config
+        # error (exit 2), every other input a corrupt file (exit 3)
+        _, data, run = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        rng = np.random.default_rng(0)
+        for side in "ab":
+            save_embeddings(str(tmp_path / f"{side}.emb"), rng.normal(size=(6, 4)))
+        out = tmp_path / "out"
+        (tmp_path / "replay.json").write_text(json.dumps({"data_dir": str(copy), "out_dir": str(out)}))
+        model = ["--checkpoint", str(run / "checkpoint.bin"), "--data", str(copy)]
+        commands = {
+            "parallel.tsv": ["embed", *model, "--out", str(out)],
+            "sts.tsv": ["eval-sts", *model, "--out", str(out / "sts.json")],
+            "mining_test.json": ["mine", *model, "--out", str(out / "mining.json")],
+            "a.emb.json": ["eval-retrieval", "--src", str(tmp_path / "a.emb"),
+                           "--tgt", str(tmp_path / "b.emb"), "--out", str(out / "retrieval.json")],
+            "gen_config.json": tiny_train_args(copy, out),
+            "replay.json": ["train", "--config", str(tmp_path / "replay.json")],
+        }
+        path = copy / name if (copy / name).exists() else tmp_path / name
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        assert cli.main(commands[name]) == (2 if name == "replay.json" else 3)
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_corrupt_embedding_dump_exits_3(self, pipeline, tmp_path, capsys):
         _, data, run = pipeline

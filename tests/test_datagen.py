@@ -53,12 +53,12 @@ class TestLexicon:
         assert not set(lexicon.surface_b.tolist()) & set(lexicon.noise_b.tolist())
 
     def test_vocab_sizes(self, lexicon):
-        assert lexicon.vocab_size_a == 68
-        assert lexicon.vocab_size_b == 68
+        assert lexicon.vocab_size == 68
+        assert len(lexicon.noise_a) == len(lexicon.noise_b)
 
     def test_all_token_ids_in_range(self, lexicon):
-        for ids in (lexicon.surface_a, lexicon.noise_a):
-            assert ids.min() >= 0 and ids.max() < lexicon.vocab_size_a
+        for ids in (lexicon.surface_a, lexicon.noise_a, lexicon.surface_b, lexicon.noise_b):
+            assert ids.min() >= 0 and ids.max() < lexicon.vocab_size
 
 
 class TestGenParallelCorpus:

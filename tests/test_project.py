@@ -1,7 +1,9 @@
 """Checks on the project as shipped: the README's library example runs as
-written, no module imports a name it never uses, and every public name the
-package defines has a user outside the tests."""
+written and it names only flags the CLI accepts, no module imports a name it
+never uses, and every public name the package defines has a user outside the
+tests."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -9,6 +11,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from dualmoco import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "dualmoco").glob("*.py") if p.name != "__init__.py")
@@ -23,6 +27,28 @@ def test_readme_library_use_runs_as_written():
         exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
     acc_ab, acc_ba = ast.literal_eval(out.getvalue().strip())
     assert acc_ab >= 0.95 and acc_ba >= 0.95
+
+
+def _unknown_flags(parser: argparse.ArgumentParser, text: str) -> list[str]:
+    """The `--flag` words of `text` that no subcommand of `parser` accepts."""
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        option
+        for command in subcommands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+    }
+    return sorted(set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) - accepted)
+
+
+def test_readme_names_only_accepted_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _unknown_flags(cli.build_parser(), readme) == []
+
+
+def test_unknown_flag_is_reported():
+    text = "| `--momentum 0` | the ablation, formerly `--no-momentum`; see --help |"
+    assert _unknown_flags(cli.build_parser(), text) == ["--no-momentum"]
 
 
 def _unused_imports(source: str) -> list[str]:

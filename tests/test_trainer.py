@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from helpers import (
     reference_adamw_step,
     reference_clip_gradients,
     step_new_gradients,
+    step_records,
 )
 
 from dualmoco import datagen, trainer
@@ -447,8 +449,7 @@ class TestTrain:
         _, corpus, _, sts = small_world
         r1 = train(small_config(), corpus, sts_pairs=sts)
         r2 = train(small_config(), corpus, sts_pairs=sts)
-        assert r1.step_records == r2.step_records
-        assert r1.epoch_records == r2.epoch_records
+        assert r1.records == r2.records
         for a, b in zip(r1.state.base_a.arrays(), r2.state.base_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -456,20 +457,20 @@ class TestTrain:
         _, corpus, nli, _ = small_world
         plain = train(small_config(), corpus)
         zero = train(small_config(nli_weight=0.0), corpus, nli_data=nli)
-        assert plain.step_records == zero.step_records
+        assert step_records(plain) == step_records(zero)
         for a, b in zip(plain.state.base_a.arrays(), zero.state.base_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_loss_decreases_on_average(self, small_world):
         _, corpus, _, _ = small_world
         result = train(small_config(epochs=8), corpus)
-        losses = [r["loss_total"] for r in result.step_records]
+        losses = [r["loss_total"] for r in step_records(result)]
         assert np.mean(losses[:10]) > np.mean(losses[-10:])
 
     def test_nli_training_reduces_nli_loss(self, small_world):
         _, corpus, nli, _ = small_world
         result = train(small_config(epochs=8), corpus, nli_data=nli)
-        nli_losses = [r["loss_nli"] for r in result.step_records]
+        nli_losses = [r["loss_nli"] for r in step_records(result)]
         assert nli_losses[-1] < nli_losses[0]
         assert result.nli_head is not None
 
@@ -499,19 +500,18 @@ class TestTrain:
     def test_metrics_schema(self, small_world):
         _, corpus, _, sts = small_world
         result = train(small_config(), corpus, sts_pairs=sts)
-        assert {"step", "lr", "loss_total", "loss_fwd", "loss_bwd", "loss_nli"} == set(
-            result.step_records[0]
-        )
-        assert {"epoch", "retrieval_acc_ab", "retrieval_acc_ba", "sts_spearman"} == set(
-            result.epoch_records[0]
-        )
         steps_per_epoch = len(corpus.split("train")) // small_config().batch_size
-        assert len(result.step_records) == 2 * steps_per_epoch
-        assert len(result.epoch_records) == 2
+        step_keys = {"step", "lr", "loss_total", "loss_fwd", "loss_bwd", "loss_nli"}
+        epoch_keys = {"epoch", "retrieval_acc_ab", "retrieval_acc_ba", "sts_spearman"}
+        # each epoch's step records, then its epoch record
+        records = result.records
+        assert [set(r) for r in records] == ([step_keys] * steps_per_epoch + [epoch_keys]) * 2
+        assert [r["step"] for r in step_records(result)] == list(range(2 * steps_per_epoch))
+        assert [r["epoch"] for r in records if "epoch" in r] == [0, 1]
 
     def test_ablation_shares_parameters(self, small_world):
         _, corpus, _, _ = small_world
-        result = train(small_config(ablation_no_momentum=True), corpus)
+        result = train(small_config(momentum=0.0), corpus)
         for a, b in zip(result.state.base_a.arrays(), result.state.momentum_a.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -527,7 +527,7 @@ class TestTrain:
             return real(state, batch_a, batch_b, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "step_gradients", probe)
-        config = small_config(epochs=1, ablation_no_momentum=True)
+        config = small_config(epochs=1, momentum=0.0)
         result = train(config, corpus)
         newest = insertion_order(result.state.queue_a)[-config.batch_size :]
         # the final step's keys were encoded with the post-update params,
@@ -564,14 +564,16 @@ class TestTrain:
         assert offsets == np.cumsum([0] + [a.nbytes for a in trainable[:-1]]).tolist()
 
     def test_out_of_range_id_raises_before_the_first_step(self, small_world, monkeypatch):
+        # training pair 5 gets one side-B id past the vocabulary, which side A stays inside
         _, corpus, _, _ = small_world
-        train_pairs = corpus.split("train")
-        top = max(max(p.tokens_b) for p in train_pairs)
-        first = next(i for i, p in enumerate(train_pairs) if top in p.tokens_b)
+        top = corpus.max_token() + 1
+        pairs = list(corpus.pairs)
+        assert pairs[5].split == "train"
+        pairs[5] = dataclasses.replace(pairs[5], tokens_b=pairs[5].tokens_b + (top,))
         steps = []
         monkeypatch.setattr(trainer, "step_gradients", lambda *args, **kwargs: steps.append(args))
-        with pytest.raises(TokenOutOfRangeError, match=f"side B of training pair {first}: token id {top}"):
-            train(small_config(), corpus, vocab_size_b=top)
+        with pytest.raises(TokenOutOfRangeError, match=f"side B of training pair 5: token id {top}"):
+            train(small_config(), datagen.ParallelCorpus(pairs), vocab_size=top)
         assert steps == []
 
     def test_nan_guard(self):
@@ -597,8 +599,8 @@ class TestStepGradientLinearity:
     def test_combined_equals_sum_of_terms(self, small_world):
         lexicon, corpus, nli, _ = small_world
         rng = np.random.default_rng(5)
-        params_a = init_params(lexicon.vocab_size_a, 8, 8, rng)
-        params_b = init_params(lexicon.vocab_size_b, 8, 8, rng)
+        params_a = init_params(lexicon.vocab_size, 8, 8, rng)
+        params_b = init_params(lexicon.vocab_size, 8, 8, rng)
         state = new_state(params_a, params_b, 0.9, 32, 0.07)
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
@@ -606,7 +608,7 @@ class TestStepGradientLinearity:
         pairs = corpus.split("train")[:8]
         sides = ([p.tokens_a for p in pairs], [p.tokens_b for p in pairs])
         batch_a, batch_b = pack_pair(state, *sides)
-        nli_batch = pack_nli(nli[:8], lexicon.vocab_size_a)
+        nli_batch = pack_nli(nli[:8], lexicon.vocab_size)
         alpha = 0.37
 
         _, _, combined = step_new_gradients(
@@ -631,8 +633,8 @@ class TestStepGradientLinearity:
         # the previous step's values; the result must not depend on them
         lexicon, corpus, nli, _ = small_world
         rng = np.random.default_rng(7)
-        params_a = init_params(lexicon.vocab_size_a, 8, 8, rng)
-        params_b = init_params(lexicon.vocab_size_b, 8, 8, rng)
+        params_a = init_params(lexicon.vocab_size, 8, 8, rng)
+        params_b = init_params(lexicon.vocab_size, 8, 8, rng)
         state = new_state(params_a, params_b, 0.9, 32, 0.07)
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
@@ -640,7 +642,7 @@ class TestStepGradientLinearity:
         pairs = corpus.split("train")[:8]
         sides = ([p.tokens_a for p in pairs], [p.tokens_b for p in pairs])
         args = (state, *pack_pair(state, *sides), "mean")
-        kwargs = dict(head=head, nli_batch=pack_nli(nli[:12], lexicon.vocab_size_a), nli_weight=0.3)
+        kwargs = dict(head=head, nli_batch=pack_nli(nli[:12], lexicon.vocab_size), nli_weight=0.3)
         loss, nli_loss, want = step_new_gradients(*args, **kwargs)  # into zeros
         got = FlatTensors(rng.normal(size=want.flat.size), [w.shape for w in want])
         assert step_gradients(*args, got, **kwargs) == (loss, nli_loss)
@@ -652,8 +654,8 @@ class TestStepGradientLinearity:
         # pass after its own pack and forward pass, give the same bits
         lexicon, corpus, nli, _ = small_world
         rng = np.random.default_rng(6)
-        params_a = init_params(lexicon.vocab_size_a, 8, 8, rng)
-        params_b = init_params(lexicon.vocab_size_b, 8, 8, rng)
+        params_a = init_params(lexicon.vocab_size, 8, 8, rng)
+        params_b = init_params(lexicon.vocab_size, 8, 8, rng)
         state = new_state(params_a, params_b, 0.9, 32, 0.07)
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
@@ -664,7 +666,7 @@ class TestStepGradientLinearity:
         nli_batch = nli[:12]
         packed = pack_pair(state, batch_a, batch_b)
         _, nli_loss, got = step_new_gradients(
-            state, *packed, "mean", head=head, nli_batch=pack_nli(nli_batch, lexicon.vocab_size_a),
+            state, *packed, "mean", head=head, nli_batch=pack_nli(nli_batch, lexicon.vocab_size),
             nli_weight=0.3, nli_dropout=0.1, dropout_rng=np.random.default_rng(9),
         )
 
