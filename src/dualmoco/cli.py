@@ -25,13 +25,7 @@ import numpy as np
 
 from . import datagen, evaluation, trainer
 from .encoder import Pooling, atomic_write, encode_batch, load_checkpoint, save_checkpoint
-from .errors import (
-    ConfigError,
-    CorpusParseError,
-    DualMocoError,
-    EmptyCorpusError,
-    NumericalFailureError,
-)
+from .errors import ConfigError, CorpusParseError, DualMocoError, EmptyCorpusError
 
 logger = logging.getLogger(__name__)
 
@@ -257,7 +251,7 @@ class EmbedConfig:
     out_dir: str = "embeddings"
 
 
-def _embed_split(config: EmbedConfig) -> tuple[Path, Path, list[datagen.PairExample]]:
+def cmd_embed(config: EmbedConfig) -> int:
     params_a, params_b = load_checkpoint(config.checkpoint)
     corpus = datagen.load_tsv(str(Path(config.data_dir) / PARALLEL_FILE))
     pairs = corpus.split(config.split)
@@ -273,29 +267,8 @@ def _embed_split(config: EmbedConfig) -> tuple[Path, Path, list[datagen.PairExam
     path_b = out / f"{config.split}_b.emb"
     evaluation.save_embeddings(str(path_a), embs_a, source_corpus=f"{source}#{config.split}/a")
     evaluation.save_embeddings(str(path_b), embs_b, source_corpus=f"{source}#{config.split}/b")
-    return path_a, path_b, pairs
-
-
-def cmd_embed(config: EmbedConfig) -> int:
-    path_a, path_b, pairs = _embed_split(config)
-    _write_json(Path(config.out_dir) / "embed_config.json", dataclasses.asdict(config))
+    _write_json(out / "embed_config.json", dataclasses.asdict(config))
     print(f"wrote {len(pairs)} embeddings per side: {path_a} {path_b}")
-    return 0
-
-
-def cmd_dump_embeddings(config: EmbedConfig) -> int:
-    """Like embed, plus a manifest of pair concepts for external plotting."""
-    path_a, path_b, pairs = _embed_split(config)
-    manifest = {
-        "split": config.split,
-        "count": len(pairs),
-        "embeddings_a": path_a.name,
-        "embeddings_b": path_b.name,
-        "concepts": [list(p.concepts) for p in pairs],
-    }
-    _write_json(Path(config.out_dir) / f"{config.split}_manifest.json", manifest)
-    _write_json(Path(config.out_dir) / "dump_embeddings_config.json", dataclasses.asdict(config))
-    print(f"dumped {len(pairs)} labelled embedding pairs to {config.out_dir}")
     return 0
 
 
@@ -393,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("gen-data", GenConfig, cmd_gen_data, "generate a synthetic bilingual dataset directory"),
         ("train", RunConfig, cmd_train, "train the dual towers on a dataset directory"),
         ("embed", EmbedConfig, cmd_embed, "encode one split of the parallel corpus to binary dumps"),
-        ("dump-embeddings", EmbedConfig, cmd_dump_embeddings, "embed plus a concept manifest for plotting"),
         ("eval-retrieval", RetrievalConfig, cmd_eval_retrieval, "rank-1 accuracy between two embedding dumps"),
         ("mine", MineConfig, cmd_mine, "margin-based mining with validation-tuned threshold"),
         ("eval-sts", StsConfig, cmd_eval_sts, "rank correlation against gold similarity"),
@@ -409,18 +381,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _setup_logging()
         return args.func(_resolve_config(args.config_cls, args))
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (CorpusParseError, EmptyCorpusError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericalFailureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except DualMocoError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return e.exit_code
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -57,6 +57,8 @@ def make_lexicon(concept_count: int = 380, noise_count: int = 20, seed: int = 0)
         raise ConfigError(f"concept_count must be >= 1 (got {concept_count})")
     if noise_count < 1:
         raise ConfigError(f"noise_count must be >= 1 (got {noise_count})")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0 (got {seed})")
     rng = np.random.default_rng(seed)
     vocab = concept_count + noise_count
     perm_a = rng.permutation(vocab)

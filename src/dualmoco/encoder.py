@@ -73,8 +73,20 @@ class EncoderParams:
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(a.shape for a in self.arrays())
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.embedding.copy(), self.proj_w.copy(), self.proj_b.copy())
+
+class FlatTensors(list):
+    """Tensors that are consecutive views, in order, of the 1-D buffer `flat`;
+    tensor k holds elements bounds[k] to bounds[k + 1] of it."""
+
+    def __init__(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
+        self.flat = flat
+        self.bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        lo_hi = zip(self.bounds.tolist(), self.bounds[1:].tolist())
+        super().__init__(flat[lo:hi].reshape(shape) for (lo, hi), shape in zip(lo_hi, shapes))
+
+    @classmethod
+    def copy_of(cls, arrays: Sequence[np.ndarray]) -> "FlatTensors":
+        return cls(np.concatenate([np.ravel(a) for a in arrays]), [a.shape for a in arrays])
 
 
 def init_params(vocab_size: int, d_emb: int, d_out: int, rng: np.random.Generator) -> EncoderParams:

@@ -2,12 +2,16 @@
 
 Every error raised by dualmoco code derives from DualMocoError so callers
 can catch the whole family at once. The leaf classes exist so tests and the
-CLI can distinguish bad input from numerical trouble.
+CLI can distinguish bad input from numerical trouble. Each class's
+`exit_code` is the CLI's exit status for it: 2 (invalid input) unless a
+class sets its own, 3 for unreadable data, 4 for numerical failure.
 """
 
 
 class DualMocoError(Exception):
     """Base class for all dualmoco errors."""
+
+    exit_code = 2
 
 
 class ZeroVectorError(DualMocoError):
@@ -57,6 +61,8 @@ class InvalidLabelError(DualMocoError):
 class EmptyCorpusError(DualMocoError):
     """A corpus (or corpus file) with no usable records."""
 
+    exit_code = 3
+
 
 class ConfigError(DualMocoError):
     """An invalid configuration value; the message names the field."""
@@ -64,6 +70,8 @@ class ConfigError(DualMocoError):
 
 class CorpusParseError(DualMocoError):
     """A malformed corpus or binary file; the message cites the location."""
+
+    exit_code = 3
 
 
 class KTooLargeError(DualMocoError):
@@ -84,3 +92,5 @@ class ZeroDenominatorError(DualMocoError):
 
 class NumericalFailureError(DualMocoError):
     """A non-finite loss, gradient or output value."""
+
+    exit_code = 4

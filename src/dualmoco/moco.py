@@ -7,6 +7,10 @@ sentence's momentum key as the positive and the queue contents as negatives;
 keys and queue entries are constants under differentiation (stop-gradient),
 so gradients reach only the two base encoders.
 
+The two base towers are laid out in one flat buffer, tower A's three tensors
+then tower B's, and the two momentum towers in a second buffer of the same
+layout, so the EMA of both is one whole-buffer blend per step.
+
 Queues start empty and the loss uses only the filled region, so early steps
 see fewer (or zero) negatives instead of fabricated ones.
 
@@ -18,13 +22,14 @@ of arrays that its caller owns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .encoder import (
     EncoderParams,
+    FlatTensors,
     PackedBatch,
     Pooling,
     encode_backward,
@@ -90,56 +95,65 @@ def enqueue_batch(queue: MemoryQueue, keys: np.ndarray | Sequence[np.ndarray]) -
     queue.filled = min(queue.filled + b, queue.capacity)
 
 
-def momentum_update(base: EncoderParams, momentum_params: EncoderParams, m: float) -> None:
-    """theta <- m * theta + (1 - m) * theta_base, elementwise and in place."""
-    if base.shapes() != momentum_params.shapes():
-        raise ShapeMismatchError(
-            f"base shapes {base.shapes()} != momentum shapes {momentum_params.shapes()}"
-        )
-    for old, new in zip(momentum_params.arrays(), base.arrays()):
-        old *= m
-        old += (1.0 - m) * new
+def momentum_update(base: np.ndarray, momentum: np.ndarray, m: float) -> None:
+    """momentum <- m * momentum + (1 - m) * base, elementwise and in place, on
+    two flat buffers of one layout (a state's towers and momentum_towers)."""
+    if base.shape != momentum.shape:
+        raise ShapeMismatchError(f"base shape {base.shape} != momentum shape {momentum.shape}")
+    momentum *= m
+    momentum += (1.0 - m) * base
+
+
+def tower_pair(tensors: Sequence[np.ndarray]) -> tuple[EncoderParams, EncoderParams]:
+    """Towers A and B of tensors laid out as a state's towers are: the three
+    tensors of tower A, then the three of tower B."""
+    return EncoderParams(*tensors[:3]), EncoderParams(*tensors[3:6])
 
 
 @dataclass
 class DualMocoState:
     """Everything one optimization step reads: towers, EMA copies, queues.
 
-    The trainer owns one state and updates it in place: the optimizer writes
-    the base towers, advance_state the momentum towers and the queues.
+    `towers` holds base A's three tensors, then base B's, as views of one
+    flat buffer, and `momentum_towers` their gradient-free EMA copy in the
+    same layout; base_a, base_b, momentum_a and momentum_b are EncoderParams
+    views of the two buffers. The trainer owns one state and updates it in
+    place: the optimizer writes the base towers, advance_state the momentum
+    towers and the queues.
     """
 
-    base_a: EncoderParams
-    base_b: EncoderParams
-    momentum_a: EncoderParams  # gradient-free EMA copy of base_a
-    momentum_b: EncoderParams  # gradient-free EMA copy of base_b
+    towers: FlatTensors
+    momentum_towers: FlatTensors
     queue_a: MemoryQueue  # language-A keys (momentum_a outputs)
     queue_b: MemoryQueue  # language-B keys (momentum_b outputs)
     temperature: float
     momentum: float  # EMA coefficient m in [0, 1]
+    base_a: EncoderParams = field(init=False)
+    base_b: EncoderParams = field(init=False)
+    momentum_a: EncoderParams = field(init=False)
+    momentum_b: EncoderParams = field(init=False)
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
             raise NonPositiveTemperatureError(f"temperature must be > 0, got {self.temperature}")
+        self.base_a, self.base_b = tower_pair(self.towers)
+        self.momentum_a, self.momentum_b = tower_pair(self.momentum_towers)
 
 
 def new_state(
-    params_a: EncoderParams,
-    params_b: EncoderParams,
-    momentum_coefficient: float,
-    queue_capacity: int,
-    temperature: float,
+    towers: FlatTensors, momentum: float, queue_capacity: int, temperature: float
 ) -> DualMocoState:
-    """Fresh state: momentum towers start as copies of the bases, queues empty."""
+    """Fresh state on `towers` (base A's three tensors, then base B's, which
+    the state shares): the momentum towers start as one copy of their flat
+    buffer, the queues empty."""
+    params_a, params_b = tower_pair(towers)
     return DualMocoState(
-        base_a=params_a,
-        base_b=params_b,
-        momentum_a=params_a.copy(),
-        momentum_b=params_b.copy(),
-        queue_a=MemoryQueue.empty(queue_capacity, params_a.d_out),
-        queue_b=MemoryQueue.empty(queue_capacity, params_b.d_out),
-        temperature=temperature,
-        momentum=momentum_coefficient,
+        towers,
+        FlatTensors(towers.flat.copy(), [t.shape for t in towers]),
+        MemoryQueue.empty(queue_capacity, params_a.d_out),
+        MemoryQueue.empty(queue_capacity, params_b.d_out),
+        temperature,
+        momentum,
     )
 
 
@@ -235,7 +249,8 @@ def loss_and_gradients(
 def advance_state(
     state: DualMocoState, batch_a: PackedBatch, batch_b: PackedBatch, pooling: Pooling | str
 ) -> None:
-    """EMA-update both momentum towers, then enqueue the batch's fresh keys.
+    """EMA-update both momentum towers in one whole-buffer blend, then
+    enqueue the batch's fresh keys.
 
     Keys are re-encoded with the updated momentum parameters before they
     enter the queues. Mutates the momentum towers and queues of `state`; the
@@ -243,7 +258,6 @@ def advance_state(
     """
     _check_batches(batch_a, batch_b)
     pooling = Pooling(pooling)
-    momentum_update(state.base_a, state.momentum_a, state.momentum)
-    momentum_update(state.base_b, state.momentum_b, state.momentum)
+    momentum_update(state.towers.flat, state.momentum_towers.flat, state.momentum)
     enqueue_batch(state.queue_a, encode_batch(state.momentum_a, batch_a, pooling))
     enqueue_batch(state.queue_b, encode_batch(state.momentum_b, batch_b, pooling))

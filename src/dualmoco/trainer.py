@@ -4,9 +4,11 @@ contrastive objective. The momentum ablation is momentum = 0, which makes
 each key tower a copy of its query tower after every step.
 
 `train` packs the corpus once and hands every step function packed batches
-(step_gradients takes PackedBatch sides and an NliBatch); step_gradients
-writes the gradients into the caller's FlatTensors, and clip_gradients and
-adamw_step work in place on FlatTensors, one flat buffer per role.
+(step_gradients takes PackedBatch sides and an NliBatch). Every trainable
+tensor lives in one encoder.FlatTensors buffer: the two towers in the layout
+of moco.DualMocoState.towers, which is a view of its start, then the head.
+step_gradients writes the gradients into a second buffer of that layout, and
+clip_gradients and adamw_step work in place on whole buffers.
 
 Reproducibility contract: given the same config and corpus, two runs produce
 bit-identical metrics logs. Every source of randomness draws from its own
@@ -27,7 +29,7 @@ import numpy as np
 from . import evaluation
 from .datagen import NliTriple, ParallelCorpus, StsPair, NLI_LABELS
 from .encoder import (
-    EncoderParams,
+    FlatTensors,
     PackedBatch,
     Pooling,
     encode_backward,
@@ -44,7 +46,7 @@ from .errors import (
     NumericalFailureError,
     ShapeMismatchError,
 )
-from .moco import DualMocoState, LossValue, advance_state, loss_and_gradients, new_state
+from .moco import DualMocoState, LossValue, advance_state, loss_and_gradients, new_state, tower_pair
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +88,7 @@ class TrainConfig:
             ("momentum", 0.0 <= self.momentum <= 1.0, "in [0, 1]"),
             ("grad_clip", self.grad_clip > 0, "> 0"),
             ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("d_emb", self.d_emb >= 1, ">= 1"),
             ("d_out", self.d_out >= 2, ">= 2"),
             ("nli_weight", 0 <= self.nli_weight < math.inf, "finite and >= 0"),
@@ -107,21 +110,6 @@ def lr_at(step: int, *, lr_max: float, warmup_steps: int, total_steps: int) -> f
     span = total_steps - warmup_steps
     progress = (step - warmup_steps) / span if span > 0 else 1.0
     return lr_max * 0.5 * (1.0 + math.cos(math.pi * progress))
-
-
-class FlatTensors(list):
-    """Tensors that are consecutive views, in order, of the 1-D buffer `flat`;
-    tensor k holds elements bounds[k] to bounds[k + 1] of it."""
-
-    def __init__(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
-        self.flat = flat
-        self.bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        lo_hi = zip(self.bounds.tolist(), self.bounds[1:].tolist())
-        super().__init__(flat[lo:hi].reshape(shape) for (lo, hi), shape in zip(lo_hi, shapes))
-
-    @classmethod
-    def copy_of(cls, arrays: Sequence[np.ndarray]) -> "FlatTensors":
-        return cls(np.concatenate([np.ravel(a) for a in arrays]), [a.shape for a in arrays])
 
 
 def clip_gradients(
@@ -362,7 +350,7 @@ def step_gradients(
     to the shared encoder, so the combined gradient is the sum of the two
     objectives' gradients.
     """
-    grads_a, grads_b = EncoderParams(*out[:3]), EncoderParams(*out[3:6])
+    grads_a, grads_b = tower_pair(out)
     loss = loss_and_gradients(state, batch_a, batch_b, pooling, (grads_a, grads_b))
     if head is None or nli_batch is None:
         return loss, 0.0
@@ -372,11 +360,13 @@ def step_gradients(
     nli_loss, head_grads, g_hp, g_hh = nli_loss_and_grads(
         head, hp.h, hh.h, labels, dropout=nli_dropout, dropout_rng=dropout_rng
     )
-    grads_p, grads_h = (EncoderParams(*map(np.empty_like, grads_a.arrays())) for _ in range(2))
+    # one tower-A sized scratch per sentence role: premises, then hypotheses
+    n_a = out.bounds[3]
+    scratch = FlatTensors(np.empty(2 * n_a), grads_a.shapes() * 2)
+    grads_p, grads_h = tower_pair(scratch)
     encode_backward(state.base_a, premises, pooling, g_hp, hp, grads_p)
     encode_backward(state.base_a, hypotheses, pooling, g_hh, hh, grads_h)
-    for g, p, h in zip(grads_a.arrays(), grads_p.arrays(), grads_h.arrays()):
-        g += nli_weight * (p + h)
+    out.flat[:n_a] += nli_weight * (scratch.flat[:n_a] + scratch.flat[n_a:])
     for g, o in zip(head_grads, out[6:]):
         np.multiply(nli_weight, g, out=o)
     return loss, nli_loss
@@ -410,8 +400,8 @@ def train(
 
     One DualMocoState, one AdamWState and the inference head are built here
     and updated in place every step; the result holds those same objects.
-    Every trainable tensor (base A, base B, then the head) is a view of one
-    flat buffer, and the step's gradients are written into one more, so
+    Every trainable tensor (the state's towers, then the head) is a view of
+    one flat buffer, and the step's gradients are written into one more, so
     clipping and AdamW work on whole buffers.
     """
     config.validate()
@@ -446,15 +436,13 @@ def train(
     trainable = FlatTensors.copy_of(
         [*params_a.arrays(), *params_b.arrays(), *(head.arrays() if head is not None else ())]
     )
-    params_a, params_b = EncoderParams(*trainable[:3]), EncoderParams(*trainable[3:6])
+    shapes = [a.shape for a in trainable]
+    towers = FlatTensors(trainable.flat[: trainable.bounds[6]], shapes[:6])
+    state = new_state(towers, config.momentum, config.queue_capacity, config.temperature)
     if head is not None:
         head = NliHead(*trainable[6:])
-    grads = FlatTensors(np.zeros_like(trainable.flat), [a.shape for a in trainable])
+    grads = FlatTensors(np.zeros_like(trainable.flat), shapes)
     opt = AdamWState.for_params(trainable)
-
-    state = new_state(
-        params_a, params_b, config.momentum, config.queue_capacity, config.temperature
-    )
 
     if nli_on:
         nli_order = nli_rng.permutation(len(nli_data))

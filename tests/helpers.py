@@ -1,8 +1,9 @@
 """Shared test utilities: finite differences, error metrics, random data, a
 hand-built embedding dump, the vector primitives that the package itself no
-longer needs, the per-pair contrastive and inference losses with the
-token-list and fresh-array entry points built on the packed step API, the
-two-exp contrastive kernel, the per-tensor optimizer steps, the step rows of
+longer needs, tower copies and the flat two-tower layout of a state, the
+per-pair contrastive and inference losses with the token-list and
+fresh-array entry points built on the packed step API, the two-exp
+contrastive kernel, the per-tensor EMA and optimizer steps, the step rows of
 a training log, per-element reference implementations of the array-coded
 evaluation paths, and the per-token generator draws and rendering."""
 
@@ -19,6 +20,7 @@ from dualmoco import moco
 from dualmoco.datagen import NliTriple
 from dualmoco.encoder import (
     EncoderParams,
+    FlatTensors,
     PackedBatch,
     Pooling,
     TokenSeq,
@@ -46,7 +48,6 @@ from dualmoco.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    FlatTensors,
     NliBatch,
     NliHead,
     TrainResult,
@@ -239,6 +240,17 @@ def bidirectional_loss(
     return loss
 
 
+def copy_tower(params: EncoderParams) -> EncoderParams:
+    """A tower of copies of params' arrays."""
+    return EncoderParams(*(a.copy() for a in params.arrays()))
+
+
+def flat_towers(params_a: EncoderParams, params_b: EncoderParams) -> FlatTensors:
+    """Copies of two towers in the layout of DualMocoState.towers: tower A's
+    three tensors, then tower B's, as views of one flat buffer."""
+    return FlatTensors.copy_of([*params_a.arrays(), *params_b.arrays()])
+
+
 def zeros_like_tower(params: EncoderParams) -> EncoderParams:
     """A tower of zeroed arrays shaped like params, for gradients."""
     return EncoderParams(*(np.zeros_like(a) for a in params.arrays()))
@@ -329,6 +341,13 @@ def reference_nce_batch(
     if negatives.shape[0]:
         grad_q = grad_q + probs[:, 1:] @ negatives
     return losses, grad_q / temperature
+
+
+def reference_momentum_update(base: EncoderParams, momentum: EncoderParams, m: float) -> None:
+    """The per-tensor EMA, in place: each momentum tensor <- m * itself + (1 - m) * base's."""
+    for old, new in zip(momentum.arrays(), base.arrays()):
+        old *= m
+        old += (1.0 - m) * new
 
 
 def reference_clip_gradients(grads: Sequence[np.ndarray], max_norm: float) -> list[np.ndarray]:

@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     bidirectional_loss,
     central_difference,
+    flat_towers,
     insertion_order,
     loss_and_new_gradients,
     max_rel_error,
@@ -29,7 +30,7 @@ from test_evaluation import brute_force_threshold, naive_nn
 from test_numerics import rank_formula_rho
 
 from dualmoco import datagen, evaluation, trainer
-from dualmoco.encoder import Pooling, encode_batch, forward_batch, init_params
+from dualmoco.encoder import FlatTensors, Pooling, encode_batch, forward_batch, init_params
 from dualmoco.moco import (
     MemoryQueue,
     enqueue_batch,
@@ -108,7 +109,7 @@ def test_gradient_fidelity():
         rng = np.random.default_rng(1000 + trial)
         pooling = poolings[trial % 3]
         state = new_state(
-            init_params(10, 8, 8, rng), init_params(10, 8, 8, rng), 0.9, 16, 0.07
+            flat_towers(init_params(10, 8, 8, rng), init_params(10, 8, 8, rng)), 0.9, 16, 0.07
         )
         state.momentum_a.embedding += 0.1 * rng.normal(size=(10, 8))
         state.momentum_b.proj_w += 0.1 * rng.normal(size=(8, 8))
@@ -151,11 +152,12 @@ def test_ema_exactness():
     initial = init_params(12, 6, 5, rng)  # theta_0
     m = 0.97
     T = 40
-    momentum = initial.copy()
+    momentum = FlatTensors.copy_of(initial.arrays())
+    base_flat = FlatTensors.copy_of(base.arrays()).flat
     for _ in range(T):
-        momentum_update(base, momentum, m)
+        momentum_update(base_flat, momentum.flat, m)
     worst = 0.0
-    for theta_t, theta_star, theta_0 in zip(momentum.arrays(), base.arrays(), initial.arrays()):
+    for theta_t, theta_star, theta_0 in zip(momentum, base.arrays(), initial.arrays()):
         expected = theta_star + m**T * (theta_0 - theta_star)
         worst = max(worst, float(np.max(np.abs(theta_t - expected))))
     elapsed = time.perf_counter() - start

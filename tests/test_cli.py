@@ -474,20 +474,6 @@ class TestEvaluationCommands:
         assert "sts.tsv:1: gold similarity 'nan' outside [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dump_embeddings_manifest(self, pipeline, tmp_path):
-        _, data, run = pipeline
-        out = tmp_path / "dump"
-        assert cli.main([
-            "dump-embeddings",
-            "--checkpoint", str(run / "checkpoint.bin"),
-            "--data", str(data),
-            "--split", "test",
-            "--out", str(out),
-        ]) == 0
-        manifest = json.loads((out / "test_manifest.json").read_text())
-        assert manifest["count"] == 40
-        assert len(manifest["concepts"]) == 40
-
     def test_resolved_config_next_to_outputs(self, pipeline, tmp_path):
         _, data, run = pipeline
         out = tmp_path / "sts.json"
@@ -506,6 +492,18 @@ class TestEnvAndArgs:
         _, data, _ = pipeline
         monkeypatch.setenv("DMC_LOG_LEVEL", "verbose")
         assert cli.main(tiny_train_args(data, tmp_path / "run")) == 2
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_negative_seed_exits_2_without_output(self, pipeline, tmp_path, capsys, command):
+        _, data, _ = pipeline
+        out = tmp_path / "out"
+        if command == "gen-data":
+            argv = tiny_gen_args(out, seed=-1)
+        else:
+            argv = tiny_train_args(data, out, ["--seed", "-1"])
+        assert cli.main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

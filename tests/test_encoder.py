@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 
 import numpy as np
@@ -424,8 +425,8 @@ class TestCheckpoint:
         path = tmp_path / "enc.ckpt"
         save_checkpoint(str(path), params, params)
         before = path.read_bytes()
-        broken = params.copy()
-        broken.proj_b = np.array(["x"] * 3, dtype=object)  # fails after tower A is serialized
+        # fails after tower A is serialized
+        broken = dataclasses.replace(params, proj_b=np.array(["x"] * 3, dtype=object))
         with pytest.raises(ValueError):
             save_checkpoint(str(path), params, broken)
         assert path.read_bytes() == before

@@ -8,6 +8,7 @@ from helpers import (
     bidirectional_loss,
     central_difference,
     encode_backward_tokens,
+    flat_towers,
     info_nce,
     info_nce_query_grad,
     insertion_order,
@@ -16,6 +17,7 @@ from helpers import (
     pack_pair,
     random_token_batch,
     random_unit_rows,
+    reference_momentum_update,
     reference_nce_batch,
     softmax_entropy,
 )
@@ -62,8 +64,7 @@ def moco_step(state, batch_a, batch_b, pooling):
 
 def tiny_state(rng, vocab=10, d_emb=8, d_out=8, capacity=16, temperature=0.07, m=0.9):
     state = new_state(
-        init_params(vocab, d_emb, d_out, rng),
-        init_params(vocab, d_emb, d_out, rng),
+        flat_towers(init_params(vocab, d_emb, d_out, rng), init_params(vocab, d_emb, d_out, rng)),
         m,
         capacity,
         temperature,
@@ -74,35 +75,63 @@ def tiny_state(rng, vocab=10, d_emb=8, d_out=8, capacity=16, temperature=0.07, m
     return state
 
 
+def constant_towers(value, vocab=3):
+    return flat_towers(constant_params(value, vocab), constant_params(value, vocab))
+
+
 class TestMomentumUpdate:
     def test_m_one_is_fixed_point(self):
-        base = constant_params(1.0)
-        momentum = constant_params(2.0)
-        momentum_update(base, momentum, 1.0)
-        for a, b in zip(momentum.arrays(), constant_params(2.0).arrays()):
-            np.testing.assert_array_equal(a, b)
+        momentum = constant_towers(2.0)
+        momentum_update(constant_towers(1.0).flat, momentum.flat, 1.0)
+        np.testing.assert_array_equal(momentum.flat, constant_towers(2.0).flat)
 
     def test_m_zero_copies_base(self):
-        base = constant_params(1.0)
-        momentum = constant_params(2.0)
-        momentum_update(base, momentum, 0.0)
-        for a, b in zip(momentum.arrays(), base.arrays()):
-            np.testing.assert_array_equal(a, b)
+        base, momentum = constant_towers(1.0), constant_towers(2.0)
+        momentum_update(base.flat, momentum.flat, 0.0)
+        np.testing.assert_array_equal(momentum.flat, base.flat)
 
     def test_scalar_blend(self):
-        base = constant_params(1.0)
-        momentum = constant_params(2.0)
-        arrays = momentum.arrays()
-        momentum_update(base, momentum, 0.999)
-        np.testing.assert_allclose(momentum.embedding, 1.999, rtol=0, atol=1e-15)
-        # blended into the same buffers; the base is only read
-        assert all(a is b for a, b in zip(momentum.arrays(), arrays))
-        np.testing.assert_array_equal(base.embedding, 1.0)
+        base, momentum = constant_towers(1.0), constant_towers(2.0)
+        momentum_update(base.flat, momentum.flat, 0.999)
+        # blended in place, so the tensor views see it; the base is only read
+        for tensor in momentum:
+            np.testing.assert_allclose(tensor, 1.999, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(base.flat, 1.0)
 
     def test_shape_mismatch(self):
-        base = constant_params(1.0, vocab=4)
         with pytest.raises(ShapeMismatchError):
-            momentum_update(base, constant_params(2.0, vocab=3), 0.5)
+            momentum_update(constant_towers(1.0, vocab=4).flat, constant_towers(2.0).flat, 0.5)
+
+    @pytest.mark.parametrize("m", [0.0, 0.5, 0.99, 1.0])
+    def test_flat_blend_equals_per_tensor_reference_bitwise(self, m):
+        rng = np.random.default_rng(int(100 * m))
+        base_a, base_b, start_a, start_b = (init_params(11, 5, 4, rng) for _ in range(4))
+        momentum = flat_towers(start_a, start_b)
+        momentum_update(flat_towers(base_a, base_b).flat, momentum.flat, m)
+        reference_momentum_update(base_a, start_a, m)
+        reference_momentum_update(base_b, start_b, m)
+        want = [*start_a.arrays(), *start_b.arrays()]
+        assert [a.tobytes() for a in momentum] == [w.tobytes() for w in want]
+
+
+class TestNewState:
+    def test_towers_are_shared_and_momentum_towers_one_copy(self):
+        rng = np.random.default_rng(24)
+        towers = flat_towers(init_params(7, 3, 4, rng), init_params(7, 3, 4, rng))
+        state = new_state(towers, 0.9, 8, 0.1)
+        assert state.towers is towers
+        assert not np.shares_memory(state.momentum_towers.flat, towers.flat)
+        assert state.momentum_towers.flat.tobytes() == towers.flat.tobytes()
+        assert state.queue_a.slots.shape == state.queue_b.slots.shape == (8, 4)
+        for tower, flat in (
+            (state.base_a, towers.flat),
+            (state.base_b, towers.flat),
+            (state.momentum_a, state.momentum_towers.flat),
+            (state.momentum_b, state.momentum_towers.flat),
+        ):
+            assert all(np.shares_memory(a, flat) for a in tower.arrays())
+        # tower A's three tensors, then tower B's
+        assert all(a is t for a, t in zip((*state.base_a.arrays(), *state.base_b.arrays()), towers))
 
 
 class TestMemoryQueue:
@@ -263,10 +292,7 @@ class TestBidirectionalLoss:
     def test_identical_towers_empty_queues_zero(self):
         rng = np.random.default_rng(10)
         params = init_params(6, 4, 3, rng)
-        state = new_state(params, params.copy(), 0.9, 8, 0.1)
-        state.base_b = params.copy()
-        state.momentum_a = params.copy()
-        state.momentum_b = params.copy()
+        state = new_state(flat_towers(params, params), 0.9, 8, 0.1)
         batch = [[0, 1], [2, 3]]
         loss = bidirectional_loss(state, batch, batch, Pooling.MEAN)
         assert loss.total == pytest.approx(0.0, abs=1e-12)
@@ -321,10 +347,8 @@ class TestBidirectionalLoss:
         loss = bidirectional_loss(state, batch_a, batch_b, Pooling.MEAN)
 
         swapped = DualMocoState(
-            base_a=state.base_b,
-            base_b=state.base_a,
-            momentum_a=state.momentum_b,
-            momentum_b=state.momentum_a,
+            towers=flat_towers(state.base_b, state.base_a),
+            momentum_towers=flat_towers(state.momentum_b, state.momentum_a),
             queue_a=state.queue_b,
             queue_b=state.queue_a,
             temperature=state.temperature,
@@ -518,4 +542,4 @@ class TestStateSerialization:
         rng = np.random.default_rng(23)
         params = init_params(4, 3, 2, rng)
         with pytest.raises(NonPositiveTemperatureError):
-            new_state(params, params.copy(), 0.9, 4, 0.0)
+            new_state(flat_towers(params, params), 0.9, 4, 0.0)

@@ -1,7 +1,7 @@
 """Checks on the project as shipped: the README's library example runs as
-written and it names only flags the CLI accepts, no module imports a name it
-never uses, and every public name the package defines has a user outside the
-tests."""
+written and it names only commands and flags the CLI accepts, no module
+imports a name it never uses, and every public name the package defines has
+a user outside the tests."""
 
 import argparse
 import ast
@@ -29,16 +29,27 @@ def test_readme_library_use_runs_as_written():
     assert acc_ab >= 0.95 and acc_ba >= 0.95
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subcommands.choices
+
+
 def _unknown_flags(parser: argparse.ArgumentParser, text: str) -> list[str]:
     """The `--flag` words of `text` that no subcommand of `parser` accepts."""
-    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     accepted = {
         option
-        for command in subcommands.choices.values()
+        for command in _subcommands(parser).values()
         for action in command._actions
         for option in action.option_strings
     }
     return sorted(set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) - accepted)
+
+
+def _unknown_commands(parser: argparse.ArgumentParser, text: str) -> list[str]:
+    """The commands of the `dualmoco <command>` lines and inline code spans of
+    `text` that are not subcommands of `parser`."""
+    named = re.findall(r"(?:^|`)[ \t]*dualmoco ([a-z][\w-]*)", text, re.M)
+    return sorted(set(named) - set(_subcommands(parser)))
 
 
 def test_readme_names_only_accepted_flags():
@@ -49,6 +60,19 @@ def test_readme_names_only_accepted_flags():
 def test_unknown_flag_is_reported():
     text = "| `--momentum 0` | the ablation, formerly `--no-momentum`; see --help |"
     assert _unknown_flags(cli.build_parser(), text) == ["--no-momentum"]
+
+
+def test_readme_names_only_existing_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _unknown_commands(cli.build_parser(), readme) == []
+
+
+def test_unknown_command_is_reported():
+    text = (
+        "```bash\ndualmoco embed --out e\n  dualmoco dump-embeddings --out d\n```\n"
+        "then `dualmoco mine` or `dualmoco fit`; from dualmoco import cli\n"
+    )
+    assert _unknown_commands(cli.build_parser(), text) == ["dump-embeddings", "fit"]
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -1,5 +1,6 @@
 """Every layer boundary the benchmark tracer wraps names a function in dualmoco,
-and the top-k span and mining counters it reads keep their meaning.
+and the top-k span, the mining counters and the EMA span it reads keep their
+meaning.
 
 The tracer skips a boundary whose function is gone and reports it as absent,
 so a rename would otherwise drop a per-layer metric without failing anything.
@@ -13,7 +14,7 @@ import numpy as np
 
 from helpers import random_unit_rows
 
-from dualmoco import evaluation
+from dualmoco import datagen, evaluation, trainer
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -75,3 +76,18 @@ def test_mining_counters_read_whole_candidate_lists(monkeypatch):
     assert mining["accepted"] == len(test.accepted)
     assert summary["layers"]["evaluation.search_threshold"]["calls"] == 1
     assert summary["counters"]["evaluation.margin_score_calls"] == 2
+
+
+def test_one_ema_per_training_step(monkeypatch):
+    trace = install_tracer(monkeypatch)
+    lexicon = datagen.make_lexicon(40, 4, seed=0)
+    corpus = datagen.gen_parallel_corpus(
+        lexicon, n_train=64, n_val=16, n_test=16, len_range=(3, 5), seed=1
+    )
+    config = trainer.TrainConfig(
+        epochs=2, batch_size=16, queue_capacity=32, d_emb=4, d_out=4, warmup_steps=1
+    )
+    trainer.train(config, corpus, vocab_size=lexicon.vocab_size)
+    layers = trace.summary()["layers"]
+    assert layers["trainer.step"]["calls"] == 2 * 64 // 16
+    assert layers["moco.ema"]["calls"] == layers["trainer.step"]["calls"]

@@ -8,7 +8,9 @@ import pytest
 from helpers import (
     central_difference,
     central_difference_at,
+    copy_tower,
     encode_backward_tokens,
+    flat_towers,
     insertion_order,
     loss_and_new_gradients,
     max_rel_error,
@@ -23,7 +25,7 @@ from helpers import (
 )
 
 from dualmoco import datagen, trainer
-from dualmoco.encoder import encode_batch, init_params
+from dualmoco.encoder import FlatTensors, encode_batch, init_params
 from dualmoco.errors import (
     ConfigError,
     EmptyCorpusError,
@@ -34,7 +36,6 @@ from dualmoco.errors import (
 from dualmoco.moco import LossValue, enqueue_batch, new_state
 from dualmoco.trainer import (
     AdamWState,
-    FlatTensors,
     TrainConfig,
     adamw_step,
     clip_gradients,
@@ -509,6 +510,22 @@ class TestTrain:
         assert [r["step"] for r in step_records(result)] == list(range(2 * steps_per_epoch))
         assert [r["epoch"] for r in records if "epoch" in r] == [0, 1]
 
+    def test_towers_are_views_of_the_two_flat_buffers(self, small_world):
+        # with the head, which follows the towers in the trainable buffer
+        _, corpus, nli, _ = small_world
+        result = train(small_config(epochs=1), corpus, nli_data=nli)
+        state = result.state
+        for tower, flat in (
+            (state.base_a, state.towers.flat),
+            (state.base_b, state.towers.flat),
+            (state.momentum_a, state.momentum_towers.flat),
+            (state.momentum_b, state.momentum_towers.flat),
+        ):
+            assert all(np.shares_memory(a, flat) for a in tower.arrays())
+        assert state.towers.flat.size == state.momentum_towers.flat.size == state.towers.bounds[-1]
+        assert not np.shares_memory(state.towers.flat, state.momentum_towers.flat)
+        assert not any(np.shares_memory(h, state.towers.flat) for h in result.nli_head.arrays())
+
     def test_ablation_shares_parameters(self, small_world):
         _, corpus, _, _ = small_world
         result = train(small_config(momentum=0.0), corpus)
@@ -523,7 +540,7 @@ class TestTrain:
         real = trainer.step_gradients
 
         def probe(state, batch_a, batch_b, *args, **kwargs):
-            snapshots.append((state.base_a.copy(), batch_a))
+            snapshots.append((copy_tower(state.base_a), batch_a))
             return real(state, batch_a, batch_b, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "step_gradients", probe)
@@ -601,7 +618,7 @@ class TestStepGradientLinearity:
         rng = np.random.default_rng(5)
         params_a = init_params(lexicon.vocab_size, 8, 8, rng)
         params_b = init_params(lexicon.vocab_size, 8, 8, rng)
-        state = new_state(params_a, params_b, 0.9, 32, 0.07)
+        state = new_state(flat_towers(params_a, params_b), 0.9, 32, 0.07)
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
@@ -635,7 +652,7 @@ class TestStepGradientLinearity:
         rng = np.random.default_rng(7)
         params_a = init_params(lexicon.vocab_size, 8, 8, rng)
         params_b = init_params(lexicon.vocab_size, 8, 8, rng)
-        state = new_state(params_a, params_b, 0.9, 32, 0.07)
+        state = new_state(flat_towers(params_a, params_b), 0.9, 32, 0.07)
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
@@ -656,7 +673,7 @@ class TestStepGradientLinearity:
         rng = np.random.default_rng(6)
         params_a = init_params(lexicon.vocab_size, 8, 8, rng)
         params_b = init_params(lexicon.vocab_size, 8, 8, rng)
-        state = new_state(params_a, params_b, 0.9, 32, 0.07)
+        state = new_state(flat_towers(params_a, params_b), 0.9, 32, 0.07)
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
