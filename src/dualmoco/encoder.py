@@ -19,7 +19,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
@@ -440,6 +440,11 @@ def save_checkpoint(path: str, params_a: EncoderParams, params_b: EncoderParams)
 
 
 def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderParams]:
-    """Read both encoder towers back from a checkpoint file."""
+    """Read both encoder towers back from a checkpoint file; refuse non-finite tensors."""
     _, tensors, _ = read_tensor_file(path, CHECKPOINT_MAGIC, 3, _checkpoint_shapes)
-    return EncoderParams(*tensors[:3]), EncoderParams(*tensors[3:])
+    towers = EncoderParams(*tensors[:3]), EncoderParams(*tensors[3:])
+    for tower, params in zip("AB", towers):
+        for field in fields(params):
+            if not np.isfinite(getattr(params, field.name)).all():
+                raise CorpusParseError(f"{path}: tower {tower} {field.name} holds a NaN or infinite value")
+    return towers

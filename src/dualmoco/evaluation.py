@@ -2,8 +2,7 @@
 
 Nearest-neighbor search is exact: dense dot products over blocks of query
 rows, then a per-row selection of the k best columns rather than a sort of
-the whole row (the argmax for k = 1; for k > 1 a partition finds the k-th
-largest value, and only the entries at or above it are ordered). Neighbors
+the whole row (k argmax passes, each masking the previous winner). Neighbors
 come out by descending similarity with ties broken toward the lower index,
 the order a stable sort of each row would give. A NaN similarity has no
 rank and is refused. Bitext mining scores candidate pairs with a
@@ -59,38 +58,39 @@ class MiningResult:
 
 
 def top_k_from_sims(sims: np.ndarray, k: int) -> Neighbors:
-    """Exact top-k per row of a similarity matrix, by selection.
+    """Exact top-k per row of a similarity matrix, by k argmax passes.
 
     Row i's neighbors are its k largest entries by descending value, ties
     going to the lower column index (+0.0 and -0.0 tie), exactly as the
-    first k columns of a stable descending sort of the row. For k = 1 that
-    is the argmax; for k > 1 the entries at or above the row's k-th largest
-    value (k or more, when values tie) are ordered and the first k kept.
-    Both selections surface a NaN in the row into the selected values, and
-    a NaN raises DegenerateInputError. The result owns (n, k) arrays only.
+    first k columns of a stable descending sort of the row. Each pass takes
+    the first maximum of every row and masks it with -inf for the next; the
+    masks go into one C-order copy, so the input is never written (k = 1
+    needs no copy). The first pass brings a NaN in a row to the top, and a
+    NaN raises DegenerateInputError. The result owns (n, k) arrays only.
     """
     n, m = sims.shape
     if k < 1 or k > m:
         raise KTooLargeError(f"k={k} not in [1, {m}]")
-    if k == 1:
-        cols = sims.argmax(axis=1)[:, None]
-        top = np.take_along_axis(sims, cols, axis=1)
-    else:
-        # the k largest of each row, unordered, with the k-th largest first;
-        # copied so the partitioned n x m block is freed before the mask
-        top = np.partition(sims, m - k, axis=1)[:, m - k:].copy()
-    nan_rows = np.isnan(top).any(axis=1)
+    work = np.array(sims, order="C") if k > 1 else sims
+    rows = np.arange(n)
+    cols = np.empty((n, k), dtype=np.intp)
+    for p in range(k):
+        cols[:, p] = work.argmax(axis=1)
+        if p + 1 < k:
+            work[rows, cols[:, p]] = -np.inf
+    # Once a row has only -inf left, a pass may take a masked column again;
+    # its picks from there on are its first -inf columns: the top k of a key
+    # marking them, shifted past the entries above -inf (all picked before).
+    low = np.isneginf(work[rows, cols[:, -1]])
+    if low.any():
+        neg = np.isneginf(sims[low])
+        shift = np.arange(k) - (m - neg.sum(axis=1, keepdims=True))
+        neg_cols = top_k_from_sims(neg.astype(np.float64), k).indices
+        cols[low] = np.where(shift < 0, cols[low], np.take_along_axis(neg_cols, shift % k, axis=1))
+    top = np.take_along_axis(sims, cols, axis=1)
+    nan_rows = np.isnan(top[:, 0])
     if nan_rows.any():
         raise DegenerateInputError(f"similarity row {int(nan_rows.argmax())} holds NaN")
-    if k > 1:
-        rows, cols = np.nonzero(sims >= top[:, :1])
-        vals = sims[rows, cols]
-        # nonzero lists each row's columns ascending and lexsort is stable, so
-        # equal values stay in column order
-        order = np.lexsort((-vals, rows))
-        starts = np.searchsorted(rows, np.arange(n))  # each row's first entry
-        take = order[starts[:, None] + np.arange(k)]
-        cols, top = cols[take], vals[take]
     return Neighbors(cols, top)
 
 

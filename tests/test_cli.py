@@ -389,16 +389,19 @@ class TestEvaluationCommands:
         assert "row 3" in capsys.readouterr().err
         assert not (tmp_path / "retrieval.json").exists()
 
-    def test_nan_checkpoint_embed_exits_4_without_a_dump(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("command, out", [
+        ("embed", "emb"), ("mine", "mining.json"), ("eval-sts", "sts.json"),
+    ], ids=["embed", "mine", "eval-sts"])
+    def test_nan_checkpoint_exits_3_without_output(self, pipeline, tmp_path, capsys, command, out):
         _, data, run = pipeline
         params_a, params_b = load_checkpoint(str(run / "checkpoint.bin"))
-        params_b.embedding[:] = np.nan
+        params_a.embedding[27, 3] = np.nan
         save_checkpoint(str(tmp_path / "checkpoint.bin"), params_a, params_b)
-        argv = ["embed", "--checkpoint", str(tmp_path / "checkpoint.bin"), "--data", str(data),
-                "--split", "test", "--out", str(tmp_path / "emb")]
-        assert cli.main(argv) == 4
-        assert "row 0 holds a NaN or infinite value" in capsys.readouterr().err
-        assert not (tmp_path / "emb" / "test_b.emb").exists()
+        argv = [command, "--checkpoint", str(tmp_path / "checkpoint.bin"), "--data", str(data),
+                "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 3
+        assert "tower A embedding holds a NaN or infinite value" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
 
     def test_oversized_checkpoint_header_exits_3(self, pipeline, tmp_path):
         _, data, run = pipeline

@@ -365,6 +365,22 @@ class TestTopKMatchesSortReference:
                 for k in range(1, view.shape[1] + 1):
                     self.assert_same(top_k_from_sims(view, k), reference_top_k(view, k))
 
+    def test_masked_winner_is_not_picked_again_among_minus_inf(self):
+        sims = np.array([[-np.inf, 5.0, -np.inf, -np.inf]])
+        got = top_k_from_sims(sims, 4)
+        assert got.indices.tolist() == [[1, 0, 2, 3]]
+        self.assert_same(got, reference_top_k(sims, 4))
+
+    def test_read_only_input_is_left_as_it_was(self):
+        sims = np.round(np.random.default_rng(37).normal(size=(6, 9)), 1)
+        sims[2] = -np.inf
+        sims.setflags(write=False)
+        before = sims.tobytes()
+        for view in (sims, sims.T):
+            for k in range(1, view.shape[1] + 1):
+                self.assert_same(top_k_from_sims(view, k), reference_top_k(view, k))
+        assert sims.tobytes() == before
+
     def test_nn_search_blocks(self):
         rng = np.random.default_rng(34)
         for case in range(60):
