@@ -284,7 +284,7 @@ def gen_mining_corpus(
     noise_rate: float = 0.1,
     reorder_b: str = "reverse",
 ) -> MiningCorpus:
-    """Partially parallel collections with recorded gold pairs.
+    """Partially parallel collections with at least one recorded gold pair.
 
     Concept sets are rejected until every cross-side non-gold pair shares
     less than half of its concepts (Jaccard < 0.5), which a final scan
@@ -292,15 +292,15 @@ def gen_mining_corpus(
     """
     if not (0.0 < parallel_fraction < 1.0):
         raise ConfigError(f"parallel_fraction must be in (0, 1) (got {parallel_fraction})")
-    if n_a < 1 or n_b < 1:
-        raise ConfigError("mining sides must be non-empty")
+    n_gold = int(parallel_fraction * min(n_a, n_b))
+    if n_gold < 1:
+        raise ConfigError(f"parallel_fraction {parallel_fraction} of {min(n_a, n_b)} sentences gives no gold pair")
     _check_len_range(len_range)
 
     rng = np.random.default_rng(seed)
     sampler = _ConceptSampler(lexicon, rng, max_overlap=0.5)
     surface_a, noise_a = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
     surface_b, noise_b = lexicon.surface_b.tolist(), lexicon.noise_b.tolist()
-    n_gold = int(parallel_fraction * min(n_a, n_b))
 
     # sets 0..n_gold-1 are gold and rendered on both sides, then come n_a - n_gold
     # side-A-only sets and n_b - n_gold side-B-only ones
@@ -562,12 +562,15 @@ def _mining_side(doc: dict, key: str, path: str) -> list[tuple[int, ...]]:
     side = doc[key]
     if (
         type(side) is not list
+        or not side
         or not set(map(type, side)) <= {list}
         or not all(side)
         or not set(map(type, chain.from_iterable(side))) <= {int}
     ):
         if type(side) is not list:
             raise CorpusParseError(f"{path}: {key} must be a list of sentences")
+        if not side:
+            raise CorpusParseError(f"{path}: {key} holds no sentences")
         for n, sentence in enumerate(side):
             if type(sentence) is not list or not sentence:
                 raise CorpusParseError(

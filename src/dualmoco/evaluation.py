@@ -99,9 +99,7 @@ def nn_search(queries: np.ndarray, corpus: np.ndarray, k: int, block_size: int =
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     corpus = np.atleast_2d(np.asarray(corpus, dtype=np.float64))
     if queries.shape[1] != corpus.shape[1]:
-        raise DimensionMismatchError(
-            f"query dim {queries.shape[1]} != corpus dim {corpus.shape[1]}"
-        )
+        raise DimensionMismatchError(f"query dim {queries.shape[1]} != corpus dim {corpus.shape[1]}")
     if k < 1 or k > corpus.shape[0]:
         raise KTooLargeError(f"k={k} not in [1, {corpus.shape[0]}]")
     indices = np.empty((queries.shape[0], k), dtype=np.int64)
@@ -135,29 +133,28 @@ def retrieval_accuracy(src_embs: np.ndarray, tgt_embs: np.ndarray) -> tuple[floa
 def margin_score(
     i: int | np.ndarray,
     j: int | np.ndarray,
-    sims: np.ndarray,
+    cos: float | np.ndarray,
     nn_a: Neighbors,
     nn_b: Neighbors,
     k: int = 3,
     variant: str = "distance",
 ) -> float | np.ndarray:
-    """Neighborhood-corrected similarity of pairs (i, j), elementwise over index arrays.
+    """Neighborhood-corrected similarity of pairs (i, j) of cosine cos, elementwise over arrays.
 
     b averages the k nearest-neighbor similarities of both endpoints
-    (each side contributing half); the distance variant returns
-    cos(i, j) - b, the ratio variant cos(i, j) / b.
+    (each side contributing half); the distance variant returns cos - b,
+    the ratio variant cos / b.
     """
     if k < 1 or k > nn_a.sims.shape[1] or k > nn_b.sims.shape[1]:
         raise KTooLargeError(f"k={k} exceeds available neighbor lists")
-    a = sims[i, j]
     b = nn_a.sims[i, :k].sum(axis=-1) / (2 * k) + nn_b.sims[j, :k].sum(axis=-1) / (2 * k)
     if variant == "distance":
-        return a - b
+        return cos - b
     if variant == "ratio":
         small = b[b <= RATIO_EPS]
         if small.size:
             raise ZeroDenominatorError(f"neighborhood average {small[0]:.3e} too small for ratio margin")
-        return a / b
+        return cos / b
     raise ValueError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
 
 
@@ -170,24 +167,23 @@ def mine_bitext(
 ) -> MiningResult:
     """Score candidate pairs and accept those whose margin exceeds the threshold.
 
-    Candidates are the union of each side's rank-1 matches, in (i, j)
-    order. A sentence may appear in several accepted pairs.
+    Candidates are the union of each side's rank-1 matches under nn_search
+    (so no n_a x n_b matrix is held), in (i, j) order, each scored from the
+    dot product of its two rows. A sentence may be in several accepted pairs.
     """
     embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
     embs_b = np.atleast_2d(np.asarray(embs_b, dtype=np.float64))
     if embs_a.shape[0] == 0 or embs_b.shape[0] == 0:
         raise EmptySideError("both mining sides must be non-empty")
-    sims = embs_a @ embs_b.T
-    nn_a = top_k_from_sims(sims, k)
-    nn_b = top_k_from_sims(sims.T, k)
+    nn_a = nn_search(embs_a, embs_b, k)
+    nn_b = nn_search(embs_b, embs_a, k)
 
     # pair (i, j) as the key i * n_b + j, so sorted distinct keys are in (i, j) order
-    n_a, n_b = sims.shape
+    n_a, n_b = len(embs_a), len(embs_b)
     forward = np.arange(n_a) * n_b + nn_a.indices[:, 0]
     backward = nn_b.indices[:, 0] * n_b + np.arange(n_b)
-    keys = np.sort(np.concatenate([forward, backward]))
-    i, j = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n_b)
-    scores = margin_score(i, j, sims, nn_a, nn_b, k, variant)
+    i, j = np.divmod(np.unique(np.concatenate([forward, backward])), n_b)
+    scores = margin_score(i, j, np.einsum("ij,ij->i", embs_a[i], embs_b[j]), nn_a, nn_b, k, variant)
     keep = scores > threshold
     scored = list(zip(i.tolist(), j.tolist(), scores.tolist()))
     return MiningResult(scored, list(zip(i[keep].tolist(), j[keep].tolist())), threshold)

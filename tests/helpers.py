@@ -389,10 +389,10 @@ def reference_adamw_step(
 
 
 # ---------------------------------------------------------------------------
-# Per-element references: the full-row sort top-k, the per-candidate margin
-# and mining, the cursor threshold sweep and the tie-walking average ranks
-# that the array code in dualmoco.evaluation and dualmoco.numerics must
-# reproduce bit for bit.
+# Per-element references: the full-row sort top-k and its blocked search,
+# the per-candidate margin and mining, the cursor threshold sweep and the
+# tie-walking average ranks that the array code in dualmoco.evaluation and
+# dualmoco.numerics must reproduce bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -405,10 +405,19 @@ def reference_top_k(sims: np.ndarray, k: int) -> Neighbors:
     return Neighbors(order, np.take_along_axis(sims, order, axis=1))
 
 
+def reference_nn_search(queries: np.ndarray, corpus: np.ndarray, k: int, block_size: int = 512) -> Neighbors:
+    """reference_top_k of each block_size-row block of queries @ corpus.T, stacked."""
+    blocks = [
+        reference_top_k(queries[start:start + block_size] @ corpus.T, k)
+        for start in range(0, queries.shape[0], block_size)
+    ]
+    return Neighbors(np.concatenate([b.indices for b in blocks]), np.concatenate([b.sims for b in blocks]))
+
+
 def reference_margin_score(
     i: int,
     j: int,
-    sims: np.ndarray,
+    cos: float,
     nn_a: Neighbors,
     nn_b: Neighbors,
     k: int = 3,
@@ -416,7 +425,7 @@ def reference_margin_score(
 ) -> float:
     if k < 1 or k > nn_a.sims.shape[1] or k > nn_b.sims.shape[1]:
         raise KTooLargeError(f"k={k} exceeds available neighbor lists")
-    a = float(sims[i, j])
+    a = float(cos)
     b = float(nn_a.sims[i, :k].sum() / (2 * k) + nn_b.sims[j, :k].sum() / (2 * k))
     if variant == "distance":
         return a - b
@@ -435,21 +444,25 @@ def reference_mine_bitext(
     threshold: float = float("-inf"),
     exhaustive: bool = False,
 ) -> MiningResult:
-    """Candidates are the union of rank-1 matches, or every cross pair if `exhaustive`."""
+    """Candidates are the union of rank-1 matches, or every cross pair if
+    `exhaustive`. Neighbor lists come from 512-row block products in both
+    directions and a candidate's cosine is the dot product of its two rows."""
     embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
     embs_b = np.atleast_2d(np.asarray(embs_b, dtype=np.float64))
     if embs_a.shape[0] == 0 or embs_b.shape[0] == 0:
         raise EmptySideError("both mining sides must be non-empty")
-    sims = embs_a @ embs_b.T
-    nn_a = reference_top_k(sims, k)
-    nn_b = reference_top_k(sims.T, k)
+    nn_a = reference_nn_search(embs_a, embs_b, k)
+    nn_b = reference_nn_search(embs_b, embs_a, k)
     if exhaustive:
         candidates = [(i, j) for i in range(embs_a.shape[0]) for j in range(embs_b.shape[0])]
     else:
         forward = {(i, int(nn_a.indices[i, 0])) for i in range(embs_a.shape[0])}
         backward = {(int(nn_b.indices[j, 0]), j) for j in range(embs_b.shape[0])}
         candidates = sorted(forward | backward)
-    scored = [(i, j, reference_margin_score(i, j, sims, nn_a, nn_b, k, variant)) for i, j in candidates]
+    scored = [
+        (i, j, reference_margin_score(i, j, np.einsum("i,i->", embs_a[i], embs_b[j]), nn_a, nn_b, k, variant))
+        for i, j in candidates
+    ]
     accepted = [(i, j) for i, j, s in scored if s > threshold]
     return MiningResult(scored, accepted, threshold)
 

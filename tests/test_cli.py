@@ -86,6 +86,14 @@ class TestGenData:
         ):
             assert h1[name] == h2[name]
 
+    def test_mining_sides_without_gold_pairs_exit_2_before_writing(self, tmp_path, capsys):
+        # 0.2 of 4 sentences is no gold pair
+        argv = tiny_gen_args(tmp_path / "data")
+        argv[argv.index("--mining-side-a") + 1] = "4"
+        assert cli.main(argv) == 2
+        assert "gives no gold pair" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_expected_files_written(self, pipeline):
         _, data, _ = pipeline
         for name in (
@@ -263,9 +271,13 @@ class TestTrain:
             if threads:
                 env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
             out = tmp_path / f"threads_{threads or 'default'}"
-            argv = [sys.executable, "-m", "dualmoco.cli", *tiny_train_args(data, out)]
-            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
-            outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "metrics.jsonl")])
+            mine = ["mine", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data)]
+            for args in (tiny_train_args(data, out), [*mine, "--out", str(out / "mining.json")]):
+                argv = [sys.executable, "-m", "dualmoco.cli", *args]
+                subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+            outputs.append(
+                [(out / name).read_bytes() for name in ("checkpoint.bin", "metrics.jsonl", "mining.json")]
+            )
         assert outputs[0] == outputs[1]
 
     def test_ablation_flag_recorded(self, pipeline, tmp_path, capsys):

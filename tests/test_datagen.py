@@ -177,6 +177,12 @@ class TestGenMiningCorpus:
         with pytest.raises(ConfigError):
             gen_mining_corpus(lexicon, 10, 10, 1.0)
 
+    @pytest.mark.parametrize("n_a, n_b, fraction", [(5, 400, 0.1), (400, 9, 0.1), (3, 3, 0.2), (0, 10, 0.5)])
+    def test_no_gold_pair_refused(self, lexicon, n_a, n_b, fraction):
+        # a corpus without gold pairs leaves mining's threshold search nothing to tune on
+        with pytest.raises(ConfigError, match="gives no gold pair"):
+            gen_mining_corpus(lexicon, n_a, n_b, fraction)
+
     def test_deterministic(self, lexicon):
         m1 = gen_mining_corpus(lexicon, 20, 20, 0.2, seed=17)
         m2 = gen_mining_corpus(lexicon, 20, 20, 0.2, seed=17)
@@ -529,6 +535,13 @@ class TestFileRoundTrips:
     def test_mining_json_side_not_a_list_rejected(self, tmp_path, mining_doc):
         mining_doc["side_a"] = "1 2 3"
         with pytest.raises(CorpusParseError, match=r"mining\.json: side_a must be a list"):
+            self.load_doc(tmp_path, mining_doc)
+
+    @pytest.mark.parametrize("side", ["side_a", "side_b"])
+    def test_mining_json_empty_side_rejected(self, tmp_path, mining_doc, side):
+        mining_doc[side] = []
+        mining_doc["gold_pairs"] = []
+        with pytest.raises(CorpusParseError, match=rf"mining\.json: {side} holds no sentences"):
             self.load_doc(tmp_path, mining_doc)
 
     @pytest.mark.parametrize(

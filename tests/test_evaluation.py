@@ -8,6 +8,7 @@ from helpers import (
     random_unit_rows,
     reference_margin_score,
     reference_mine_bitext,
+    reference_nn_search,
     reference_search_threshold,
     reference_top_k,
     write_embedding_dump,
@@ -161,11 +162,11 @@ class TestMarginScore:
 
     def test_distance_variant_hand_value(self):
         sims, nn_a, nn_b = self.make_instance()
-        assert margin_score(0, 0, sims, nn_a, nn_b, 3, "distance") == pytest.approx(0.25)
+        assert margin_score(0, 0, sims[0, 0], nn_a, nn_b, 3, "distance") == pytest.approx(0.25)
 
     def test_ratio_variant_hand_value(self):
         sims, nn_a, nn_b = self.make_instance()
-        got = margin_score(0, 0, sims, nn_a, nn_b, 3, "ratio")
+        got = margin_score(0, 0, sims[0, 0], nn_a, nn_b, 3, "ratio")
         assert got == pytest.approx(0.9 / 0.65, abs=1e-12)
         assert got == pytest.approx(1.38462, abs=1e-5)
 
@@ -182,21 +183,21 @@ class TestMarginScore:
         np.testing.assert_array_equal(nn_a.indices, nn_a2.indices)
         for i in range(6):
             for j in range(6):
-                before = margin_score(i, j, sims, nn_a, nn_b, 3, "distance")
-                after = margin_score(i, j, sims + shift, nn_a2, nn_b2, 3, "distance")
+                before = margin_score(i, j, sims[i, j], nn_a, nn_b, 3, "distance")
+                after = margin_score(i, j, (sims + shift)[i, j], nn_a2, nn_b2, 3, "distance")
                 assert after == pytest.approx(before, abs=1e-12)
 
     def test_k_too_large(self):
         sims, nn_a, nn_b = self.make_instance()
         with pytest.raises(KTooLargeError):
-            margin_score(0, 0, sims, nn_a, nn_b, 4, "distance")
+            margin_score(0, 0, sims[0, 0], nn_a, nn_b, 4, "distance")
 
     def test_zero_denominator_in_ratio(self):
         sims = np.array([[0.9]])
         nn_a = Neighbors(np.zeros((1, 1), dtype=int), np.array([[0.4]]))
         nn_b = Neighbors(np.zeros((1, 1), dtype=int), np.array([[-0.4]]))
         with pytest.raises(ZeroDenominatorError):
-            margin_score(0, 0, sims, nn_a, nn_b, 1, "ratio")
+            margin_score(0, 0, sims[0, 0], nn_a, nn_b, 1, "ratio")
 
 
 class TestMineBitext:
@@ -228,6 +229,22 @@ class TestMineBitext:
         rng = np.random.default_rng(12)
         with pytest.raises(EmptySideError):
             mine_bitext(np.zeros((0, 4)), random_unit_rows(3, 4, rng))
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(15)
+        with pytest.raises(DimensionMismatchError):
+            mine_bitext(random_unit_rows(3, 4, rng), random_unit_rows(3, 5, rng))
+
+    def test_peak_allocation_below_one_dense_matrix(self):
+        rng = np.random.default_rng(39)
+        a, b = random_unit_rows(2000, 32, rng), random_unit_rows(2000, 32, rng)
+        tracemalloc.start()
+        try:
+            mine_bitext(a, b, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8  # the 32 MB of one n_a x n_b float64 matrix
 
     def test_accepted_matches_exhaustive_scoring_on_candidates(self):
         # hand-size instance: accepted set must equal exhaustive scoring of
@@ -284,15 +301,15 @@ class TestMatchesPerElementReference:
             j = rng.integers(0, n_b, size=12)
             for k in range(1, 5):
                 for variant in ("distance", "ratio"):
-                    got = outcome(lambda: margin_score(i, j, sims, nn_a, nn_b, k, variant).tolist())
+                    got = outcome(lambda: margin_score(i, j, sims[i, j], nn_a, nn_b, k, variant).tolist())
                     want = outcome(lambda: [
-                        reference_margin_score(int(x), int(y), sims, nn_a, nn_b, k, variant)
+                        reference_margin_score(int(x), int(y), sims[x, y], nn_a, nn_b, k, variant)
                         for x, y in zip(i, j)
                     ])
                     assert got == want
                     x, y = int(i[0]), int(j[0])
-                    assert outcome(lambda: float(margin_score(x, y, sims, nn_a, nn_b, k, variant))) == (
-                        outcome(reference_margin_score, x, y, sims, nn_a, nn_b, k, variant)
+                    assert outcome(lambda: float(margin_score(x, y, sims[x, y], nn_a, nn_b, k, variant))) == (
+                        outcome(reference_margin_score, x, y, sims[x, y], nn_a, nn_b, k, variant)
                     )
 
     def test_mine_bitext_scored_and_accepted(self):
@@ -312,6 +329,21 @@ class TestMatchesPerElementReference:
                         got = outcome(lambda: mine_bitext(a, b, k, variant, threshold))
                         want = outcome(lambda: reference_mine_bitext(a, b, k, variant, threshold))
                         assert got == want
+
+    def test_mine_bitext_across_search_blocks(self):
+        # sides above nn_search's 512-row blocks, so both searches cross a
+        # block boundary and end on a ragged block
+        rng = np.random.default_rng(38)
+        cases = [
+            (random_unit_rows(1030, 6, rng), random_unit_rows(700, 6, rng)),
+            (tie_heavy_rows(rng, 700, 3), tie_heavy_rows(rng, 1100, 3)),
+        ]
+        for a, b in cases:
+            for k in range(1, 5):
+                for variant in ("distance", "ratio"):
+                    got = outcome(lambda: mine_bitext(a, b, k, variant, 0.0))
+                    want = outcome(lambda: reference_mine_bitext(a, b, k, variant, 0.0))
+                    assert got == want
 
     def test_search_threshold_with_ties_signed_zeros_and_adjacent_doubles(self):
         rng = np.random.default_rng(32)
@@ -392,13 +424,7 @@ class TestTopKMatchesSortReference:
                 queries, corpus = tie_heavy_rows(rng, n_q, d), tie_heavy_rows(rng, n_c, d)
             for block_size in (1, 7, 512):
                 for k in range(1, n_c + 1):
-                    blocks = [
-                        reference_top_k(queries[start:start + block_size] @ corpus.T, k)
-                        for start in range(0, n_q, block_size)
-                    ]
-                    want = Neighbors(
-                        np.concatenate([b.indices for b in blocks]), np.concatenate([b.sims for b in blocks])
-                    )
+                    want = reference_nn_search(queries, corpus, k, block_size)
                     self.assert_same(nn_search(queries, corpus, k, block_size=block_size), want)
 
 

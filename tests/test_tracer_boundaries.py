@@ -58,7 +58,9 @@ def test_top_k_is_one_span_per_search_block_and_mining_side(monkeypatch):
     assert layers["evaluation.nn_search"]["calls"] == 2
     assert layers["evaluation.top_k"]["calls"] == 2 * 3  # 1,100 queries in 512-row blocks, both ways
     evaluation.mine_bitext(random_unit_rows(30, 4, rng), random_unit_rows(25, 4, rng))
-    assert trace.summary()["layers"]["evaluation.top_k"]["calls"] == 2 * 3 + 2
+    layers = trace.summary()["layers"]
+    assert layers["evaluation.nn_search"]["calls"] == 2 + 2  # mining searches each side once
+    assert layers["evaluation.top_k"]["calls"] == 2 * 3 + 2
 
 
 def test_mining_counters_read_whole_candidate_lists(monkeypatch):
