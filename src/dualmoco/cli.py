@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import datagen, evaluation, trainer
-from .encoder import Pooling, atomic_write, encode_batch, load_checkpoint, save_checkpoint
-from .errors import ConfigError, CorpusParseError, DualMocoError, EmptyCorpusError
+from .encoder import Pooling, atomic_write, encode_batch, load_checkpoint, read_json_object, save_checkpoint
+from .errors import ConfigError, CorpusParseError, DualMocoError
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +35,7 @@ NLI_FILE = "nli.tsv"
 MINING_VAL_FILE = "mining_validation.json"
 MINING_TEST_FILE = "mining_test.json"
 GEN_CONFIG_FILE = "gen_config.json"
+TRAIN_CONFIG_FILE = "train_config.json"
 
 # Every config field is settable by --config and by its own flag, which is
 # --<field name with dashes> unless named here.
@@ -162,8 +163,8 @@ def cmd_gen_data(config: GenConfig) -> int:
         seed=config.seed + 1,
         reorder_b=config.reorder_b,
     )
-    sts = datagen.gen_sts_pairs(lexicon, config.sts_pairs, seed=config.seed + 2)
-    nli = datagen.gen_nli_triples(lexicon, config.nli_triples, seed=config.seed + 3)
+    sts = datagen.gen_sts_pairs(lexicon, config.sts_pairs, seed=config.seed + 2, noise_rate=config.noise_rate)
+    nli = datagen.gen_nli_triples(lexicon, config.nli_triples, seed=config.seed + 3, noise_rate=config.noise_rate)
     mining_val, mining_test = (
         datagen.gen_mining_corpus(
             lexicon,
@@ -199,13 +200,7 @@ def _load_vocab_size(data_dir: Path) -> int | None:
     path = data_dir / GEN_CONFIG_FILE
     if not path.exists():
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
-            raise CorpusParseError(f"{path}: invalid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise CorpusParseError(f"{path}: must be a JSON object")
+    doc = read_json_object(path)
     sizes = doc.get("vocab_size_a"), doc.get("vocab_size_b")
     for key, size in zip(("vocab_size_a", "vocab_size_b"), sizes):
         if size is not None and (type(size) is not int or size < 1):
@@ -233,7 +228,7 @@ def cmd_train(config: RunConfig) -> int:
     with open(out / "metrics.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for record in result.records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _write_json(out / "train_config.json", dataclasses.asdict(config))
+    _write_json(out / TRAIN_CONFIG_FILE, dataclasses.asdict(config))
     final = result.records[-1]
     print(
         f"trained {config.epochs} epochs: "
@@ -242,22 +237,33 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
+def _trained_pooling(checkpoint: str) -> Pooling:
+    """The pooling recorded in train_config.json beside the checkpoint: the
+    towers were trained with it, and the corpus cannot tell it."""
+    path = Path(checkpoint).parent / TRAIN_CONFIG_FILE
+    if not path.exists():
+        raise CorpusParseError(f"{path}: missing; it records the pooling the checkpoint was trained with")
+    pooling = read_json_object(path).get("pooling")
+    if pooling not in FLAG_CHOICES["pooling"]:
+        raise CorpusParseError(f"{path}: pooling must be one of {FLAG_CHOICES['pooling']} (got {pooling!r})")
+    return Pooling(pooling)
+
+
 @dataclass
 class EmbedConfig:
     checkpoint: str = "run/checkpoint.bin"
     data_dir: str = "data"
     split: str = "test"
-    pooling: str = "mean"
     out_dir: str = "embeddings"
 
 
 def cmd_embed(config: EmbedConfig) -> int:
     params_a, params_b = load_checkpoint(config.checkpoint)
+    pooling = _trained_pooling(config.checkpoint)
     corpus = datagen.load_tsv(str(Path(config.data_dir) / PARALLEL_FILE))
     pairs = corpus.split(config.split)
     if not pairs:
-        raise EmptyCorpusError(f"split {config.split!r} has no pairs")
-    pooling = Pooling(config.pooling)
+        raise CorpusParseError(f"split {config.split!r} has no pairs")
     embs_a = encode_batch(params_a, [p.tokens_a for p in pairs], pooling)
     embs_b = encode_batch(params_b, [p.tokens_b for p in pairs], pooling)
     out = Path(config.out_dir)
@@ -296,13 +302,12 @@ class MineConfig:
     data_dir: str = "data"
     k: int = 3
     variant: str = "distance"
-    pooling: str = "mean"
     out: str = "mining.json"
 
 
 def cmd_mine(config: MineConfig) -> int:
     params_a, params_b = load_checkpoint(config.checkpoint)
-    pooling = Pooling(config.pooling)
+    pooling = _trained_pooling(config.checkpoint)
     data_dir = Path(config.data_dir)
     val = datagen.load_mining_json(str(data_dir / MINING_VAL_FILE))
     test = datagen.load_mining_json(str(data_dir / MINING_TEST_FILE))
@@ -340,14 +345,14 @@ def cmd_mine(config: MineConfig) -> int:
 class StsConfig:
     checkpoint: str = "run/checkpoint.bin"
     data_dir: str = "data"
-    pooling: str = "mean"
     out: str = "sts.json"
 
 
 def cmd_eval_sts(config: StsConfig) -> int:
     params_a, _ = load_checkpoint(config.checkpoint)
+    pooling = _trained_pooling(config.checkpoint)
     pairs = datagen.load_sts_tsv(str(Path(config.data_dir) / STS_FILE))
-    rho = evaluation.sts_eval(params_a, pairs, Pooling(config.pooling))
+    rho = evaluation.sts_eval(params_a, pairs, pooling)
     _write_json(config.out, {"spearman": rho, "count": len(pairs)})
     _write_json(Path(config.out).with_suffix("").as_posix() + "_config.json", dataclasses.asdict(config))
     print(f"similarity correlation: spearman={rho:.4f} over {len(pairs)} pairs")

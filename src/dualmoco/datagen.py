@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoder import atomic_write
-from .errors import ConfigError, CorpusParseError, EmptyCorpusError
+from .encoder import atomic_write, read_json_object
+from .errors import ConfigError, CorpusParseError
 
 NLI_LABELS = ("entailment", "neutral", "contradiction")
 
@@ -478,7 +478,7 @@ def _read_rows(path: str, n_cols: int) -> list[tuple[int, list[str]]]:
             raise CorpusParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cols)}")
         rows.append((lineno, cols))
     if not rows:
-        raise EmptyCorpusError(f"{path}: no records")
+        raise CorpusParseError(f"{path}: no records")
     return rows
 
 
@@ -586,11 +586,7 @@ def load_mining_json(path: str) -> MiningCorpus:
     """A mining corpus as save_mining_json writes it. Tokens must be JSON
     integers and gold pairs in-range [side_a index, side_b index] pairs;
     anything else raises CorpusParseError naming the file and the item."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
-            raise CorpusParseError(f"{path}: invalid JSON ({e})") from e
+    doc = read_json_object(path)
     try:
         side_a, side_b = _mining_side(doc, "side_a", path), _mining_side(doc, "side_b", path)
         gold_pairs = []

@@ -16,6 +16,7 @@ parameter settings (it is still checked and raised).
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import struct
@@ -26,12 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    CorpusParseError,
-    ShapeMismatchError,
-    TokenOutOfRangeError,
-    ZeroVectorError,
-)
+from .errors import CorpusParseError, InvalidInputError
 from .numerics import ZERO_NORM_EPS
 
 TokenSeq = Sequence[int]
@@ -139,10 +135,10 @@ class TokenTable(NamedTuple):
 
 def _out_of_range(
     ids: np.ndarray, starts: np.ndarray, position: int, vocab_size: int, item: str
-) -> TokenOutOfRangeError:
+) -> InvalidInputError:
     # the last sentence starting at or before the bad position holds it
     index = int(np.searchsorted(starts, position, side="right")) - 1
-    return TokenOutOfRangeError(
+    return InvalidInputError(
         f"{item} {index}: token id {ids[position]} outside [0, {vocab_size})"
     )
 
@@ -151,7 +147,7 @@ def _flatten(
     sequences: Sequence[TokenSeq], vocab_size: int, item: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ids, lengths and starts (intp) of non-empty sequences with ids in
-    [0, vocab_size); otherwise TokenOutOfRangeError names the first
+    [0, vocab_size); otherwise InvalidInputError names the first
     offending sequence as `item` and its index."""
     n = len(sequences)
     lengths = np.fromiter(map(len, sequences), np.intp, n)
@@ -163,7 +159,7 @@ def _flatten(
     bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
     empty = np.flatnonzero(lengths == 0)
     if empty.size and (not bad.size or starts[empty[0]] <= bad[0]):
-        raise TokenOutOfRangeError(f"{item} {empty[0]}: empty token sequence")
+        raise InvalidInputError(f"{item} {empty[0]}: empty token sequence")
     if bad.size:
         raise _out_of_range(ids, starts, bad[0], vocab_size, item)
     return ids, lengths, starts
@@ -173,7 +169,7 @@ def pack_tokens(sequences: Sequence[TokenSeq], vocab_size: int, item: str) -> To
     """Flatten and check sequences once into a TokenTable.
 
     Every sequence must be non-empty with ids in [0, vocab_size); otherwise
-    TokenOutOfRangeError names the first offending sequence as `item` and
+    InvalidInputError names the first offending sequence as `item` and
     its index (as in "side A of training pair 17").
     """
     ids, lengths, starts = _flatten(sequences, vocab_size, item)
@@ -204,7 +200,7 @@ def pack_batch(batch: Sequence[TokenSeq], vocab_size: int) -> PackedBatch:
     """Pack a batch of token lists for towers with `vocab_size` tokens.
 
     Every sequence must be non-empty with ids in [0, vocab_size); otherwise
-    TokenOutOfRangeError names the first offending batch item.
+    InvalidInputError names the first offending batch item.
     """
     return _packed_batch(*_flatten(batch, vocab_size, "batch item"))
 
@@ -274,7 +270,7 @@ def forward_batch(params: EncoderParams, packed: PackedBatch, pooling: Pooling |
     norms = np.linalg.norm(z, axis=1)
     bad = np.nonzero(norms <= ZERO_NORM_EPS)[0]
     if bad.size:
-        raise ZeroVectorError(f"batch item {bad[0]}: pre-normalization output is the zero vector")
+        raise InvalidInputError(f"batch item {bad[0]}: pre-normalization output is the zero vector")
     return Forward(z / norms[:, None], z, norms, pooled)
 
 
@@ -320,7 +316,7 @@ def encode_backward(
     pooling = Pooling(pooling)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (len(packed), params.d_out):
-        raise ShapeMismatchError(
+        raise InvalidInputError(
             f"upstream shape {upstream.shape} != ({len(packed)}, {params.d_out})"
         )
     for a in out.arrays():
@@ -374,6 +370,19 @@ def atomic_write(files: dict[str | os.PathLike, bytes]) -> None:
         for tmp in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
+
+
+def read_json_object(path: str | os.PathLike) -> dict:
+    """The JSON object in a data file; CorpusParseError names the file when
+    its text is not UTF-8, not JSON or not an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
+            raise CorpusParseError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise CorpusParseError(f"{path}: must be a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +442,7 @@ def _checkpoint_shapes(header: tuple[int, ...]) -> list[tuple[int, ...]]:
 def save_checkpoint(path: str, params_a: EncoderParams, params_b: EncoderParams) -> None:
     """Write both encoder towers to one binary checkpoint file."""
     if params_a.shapes() != params_b.shapes():
-        raise ShapeMismatchError("encoder towers must share shapes in a checkpoint")
+        raise InvalidInputError("encoder towers must share shapes in a checkpoint")
     header = (params_a.vocab_size, params_a.d_emb, params_a.d_out)
     tensors = [*params_a.arrays(), *params_b.arrays()]
     atomic_write({path: pack_tensor_file(CHECKPOINT_MAGIC, header, tensors)})

@@ -1,10 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per failure family.
 
-Every error raised by dualmoco code derives from DualMocoError so callers
-can catch the whole family at once. The leaf classes exist so tests and the
-CLI can distinguish bad input from numerical trouble. Each class's
-`exit_code` is the CLI's exit status for it: 2 (invalid input) unless a
-class sets its own, 3 for unreadable data, 4 for numerical failure.
+Every error raised by dualmoco code is one of these, so callers can catch
+them all as DualMocoError. A class's `exit_code` is the CLI's exit status
+for it:
+
+- ConfigError (2): a setting outside its allowed range, such as a
+  non-positive temperature, a neighbour count k above the corpus size or
+  a batch larger than the negative queue;
+- InvalidInputError (2): arguments that the code cannot work on, such as
+  arrays of mismatched shapes or lengths, token ids outside the
+  vocabulary, zero vectors, NaN similarities or an empty mining side;
+- CorpusParseError (3): a data file that cannot be read, such as a
+  malformed or empty corpus, a corrupt binary file or an invalid JSON file;
+- NumericalFailureError (4): a non-finite loss, gradient or output value.
+
+Messages name the field, item or file at fault, which is how callers tell
+two failures of one family apart.
 """
 
 
@@ -14,80 +25,18 @@ class DualMocoError(Exception):
     exit_code = 2
 
 
-class ZeroVectorError(DualMocoError):
-    """A vector with (near-)zero norm where a direction is required."""
-
-
-class DimensionMismatchError(DualMocoError):
-    """Two vectors or matrices with incompatible dimensions."""
-
-
-class LengthMismatchError(DualMocoError):
-    """Paired sequences of unequal length."""
-
-
-class DegenerateInputError(DualMocoError):
-    """Statistically degenerate input, e.g. a constant sequence."""
-
-
-class TokenOutOfRangeError(DualMocoError):
-    """A token id outside [0, vocab_size)."""
-
-
-class ShapeMismatchError(DualMocoError):
-    """Parameter or gradient containers whose array shapes disagree."""
-
-
-class BatchExceedsCapacityError(DualMocoError):
-    """More keys enqueued at once than the queue can hold."""
-
-
-class NonUnitKeyError(DualMocoError):
-    """A queue key whose norm deviates from 1 beyond tolerance."""
-
-
-class NonPositiveTemperatureError(DualMocoError):
-    """Softmax temperature that is zero or negative."""
-
-
-class BatchLengthMismatchError(DualMocoError):
-    """Paired batches from the two sides with different sizes."""
-
-
-class InvalidLabelError(DualMocoError):
-    """An inference label outside {entailment, neutral, contradiction}."""
-
-
-class EmptyCorpusError(DualMocoError):
-    """A corpus (or corpus file) with no usable records."""
-
-    exit_code = 3
-
-
 class ConfigError(DualMocoError):
     """An invalid configuration value; the message names the field."""
 
 
+class InvalidInputError(DualMocoError):
+    """Input the computation cannot use; the message names the item."""
+
+
 class CorpusParseError(DualMocoError):
-    """A malformed corpus or binary file; the message cites the location."""
+    """A malformed, empty or unreadable data file; the message cites the location."""
 
     exit_code = 3
-
-
-class KTooLargeError(DualMocoError):
-    """Neighbor count k exceeding the corpus size."""
-
-
-class EmptySideError(DualMocoError):
-    """A mining side with no sentences."""
-
-
-class NoGoldPairsError(DualMocoError):
-    """Threshold search invoked without any gold pairs."""
-
-
-class ZeroDenominatorError(DualMocoError):
-    """Ratio margin with a (near-)zero neighborhood average."""
 
 
 class NumericalFailureError(DualMocoError):

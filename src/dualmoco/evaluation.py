@@ -21,18 +21,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Pooling, atomic_write, encode_batch, pack_tensor_file, read_tensor_file
-from .errors import (
-    CorpusParseError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    EmptySideError,
-    KTooLargeError,
-    LengthMismatchError,
-    NoGoldPairsError,
-    NumericalFailureError,
-    ZeroDenominatorError,
+from .encoder import (
+    EncoderParams,
+    Pooling,
+    atomic_write,
+    encode_batch,
+    pack_tensor_file,
+    read_json_object,
+    read_tensor_file,
 )
+from .errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from .numerics import spearman_correlation
 
 EMBEDDING_MAGIC = b"DMCE"
@@ -66,11 +64,11 @@ def top_k_from_sims(sims: np.ndarray, k: int) -> Neighbors:
     the first maximum of every row and masks it with -inf for the next; the
     masks go into one C-order copy, so the input is never written (k = 1
     needs no copy). The first pass brings a NaN in a row to the top, and a
-    NaN raises DegenerateInputError. The result owns (n, k) arrays only.
+    NaN raises InvalidInputError. The result owns (n, k) arrays only.
     """
     n, m = sims.shape
     if k < 1 or k > m:
-        raise KTooLargeError(f"k={k} not in [1, {m}]")
+        raise ConfigError(f"k={k} not in [1, {m}]")
     work = np.array(sims, order="C") if k > 1 else sims
     rows = np.arange(n)
     cols = np.empty((n, k), dtype=np.intp)
@@ -90,7 +88,7 @@ def top_k_from_sims(sims: np.ndarray, k: int) -> Neighbors:
     top = np.take_along_axis(sims, cols, axis=1)
     nan_rows = np.isnan(top[:, 0])
     if nan_rows.any():
-        raise DegenerateInputError(f"similarity row {int(nan_rows.argmax())} holds NaN")
+        raise InvalidInputError(f"similarity row {int(nan_rows.argmax())} holds NaN")
     return Neighbors(cols, top)
 
 
@@ -99,17 +97,17 @@ def nn_search(queries: np.ndarray, corpus: np.ndarray, k: int, block_size: int =
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     corpus = np.atleast_2d(np.asarray(corpus, dtype=np.float64))
     if queries.shape[1] != corpus.shape[1]:
-        raise DimensionMismatchError(f"query dim {queries.shape[1]} != corpus dim {corpus.shape[1]}")
+        raise InvalidInputError(f"query dim {queries.shape[1]} != corpus dim {corpus.shape[1]}")
     if k < 1 or k > corpus.shape[0]:
-        raise KTooLargeError(f"k={k} not in [1, {corpus.shape[0]}]")
+        raise ConfigError(f"k={k} not in [1, {corpus.shape[0]}]")
     indices = np.empty((queries.shape[0], k), dtype=np.int64)
     sims = np.empty((queries.shape[0], k))
     for start in range(0, queries.shape[0], block_size):
         stop = min(start + block_size, queries.shape[0])
         try:
             block = top_k_from_sims(queries[start:stop] @ corpus.T, k)
-        except DegenerateInputError as e:
-            raise DegenerateInputError(f"query block starting at row {start}: {e}") from e
+        except InvalidInputError as e:
+            raise InvalidInputError(f"query block starting at row {start}: {e}") from e
         indices[start:stop] = block.indices
         sims[start:stop] = block.sims
     return Neighbors(indices, sims)
@@ -120,7 +118,7 @@ def retrieval_accuracy(src_embs: np.ndarray, tgt_embs: np.ndarray) -> tuple[floa
     src_embs = np.atleast_2d(np.asarray(src_embs, dtype=np.float64))
     tgt_embs = np.atleast_2d(np.asarray(tgt_embs, dtype=np.float64))
     if src_embs.shape[0] != tgt_embs.shape[0]:
-        raise LengthMismatchError(
+        raise InvalidInputError(
             f"sides must align: {src_embs.shape[0]} vs {tgt_embs.shape[0]}"
         )
     n = src_embs.shape[0]
@@ -146,16 +144,16 @@ def margin_score(
     the ratio variant cos / b.
     """
     if k < 1 or k > nn_a.sims.shape[1] or k > nn_b.sims.shape[1]:
-        raise KTooLargeError(f"k={k} exceeds available neighbor lists")
+        raise ConfigError(f"k={k} exceeds available neighbor lists")
     b = nn_a.sims[i, :k].sum(axis=-1) / (2 * k) + nn_b.sims[j, :k].sum(axis=-1) / (2 * k)
     if variant == "distance":
         return cos - b
     if variant == "ratio":
         small = b[b <= RATIO_EPS]
         if small.size:
-            raise ZeroDenominatorError(f"neighborhood average {small[0]:.3e} too small for ratio margin")
+            raise InvalidInputError(f"neighborhood average {small[0]:.3e} too small for ratio margin")
         return cos / b
-    raise ValueError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
+    raise ConfigError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
 
 
 def mine_bitext(
@@ -174,7 +172,7 @@ def mine_bitext(
     embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
     embs_b = np.atleast_2d(np.asarray(embs_b, dtype=np.float64))
     if embs_a.shape[0] == 0 or embs_b.shape[0] == 0:
-        raise EmptySideError("both mining sides must be non-empty")
+        raise InvalidInputError("both mining sides must be non-empty")
     nn_a = nn_search(embs_a, embs_b, k)
     nn_b = nn_search(embs_b, embs_a, k)
 
@@ -210,7 +208,7 @@ def search_threshold(
     """
     gold = np.array(list(set(map(tuple, gold_pairs))), dtype=np.float64).reshape(-1, 2)
     if not len(gold):
-        raise NoGoldPairsError("threshold search needs at least one gold pair")
+        raise InvalidInputError("threshold search needs at least one gold pair")
     rows = np.array(scored, dtype=np.float64).reshape(-1, 3)
     order = np.argsort(-rows[:, 2], kind="stable")
     pairs, scores = rows[order, :2], rows[order, 2]
@@ -238,7 +236,7 @@ def sts_eval(
 ) -> float:
     """Rank correlation between model cosine similarity and gold scores."""
     if len(pairs) < 2:
-        raise DegenerateInputError("need at least 2 scored pairs")
+        raise InvalidInputError("need at least 2 scored pairs")
     h1 = encode_batch(encoder, [p.tokens_1 for p in pairs], pooling)
     h2 = encode_batch(encoder, [p.tokens_2 for p in pairs], pooling)
     model = np.sum(h1 * h2, axis=1)
@@ -280,13 +278,7 @@ def load_embeddings(path: str) -> np.ndarray:
     (count, dim), (embeddings,), digest = read_tensor_file(
         path, EMBEDDING_MAGIC, 2, lambda header: [header]
     )
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
-            raise CorpusParseError(f"{path}.json: invalid JSON ({e})") from e
-    if not isinstance(sidecar, dict):
-        raise CorpusParseError(f"{path}.json: sidecar must be a JSON object")
+    sidecar = read_json_object(path + ".json")
     expected = {"count": count, "dim": dim, "checksum": digest}
     for key, value in expected.items():
         if sidecar.get(key) != value:

@@ -36,14 +36,7 @@ from .encoder import (
     encode_batch,
     forward_batch,
 )
-from .errors import (
-    BatchExceedsCapacityError,
-    BatchLengthMismatchError,
-    DimensionMismatchError,
-    NonPositiveTemperatureError,
-    NonUnitKeyError,
-    ShapeMismatchError,
-)
+from .errors import ConfigError, InvalidInputError
 
 UNIT_NORM_TOL = 1e-6
 
@@ -82,14 +75,14 @@ def enqueue_batch(queue: MemoryQueue, keys: np.ndarray | Sequence[np.ndarray]) -
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     b = keys.shape[0]
     if b > queue.capacity:
-        raise BatchExceedsCapacityError(f"batch of {b} exceeds queue capacity {queue.capacity}")
+        raise ConfigError(f"batch of {b} exceeds queue capacity {queue.capacity}")
     if keys.shape[1] != queue.dim:
-        raise DimensionMismatchError(f"key dim {keys.shape[1]} != queue dim {queue.dim}")
+        raise InvalidInputError(f"key dim {keys.shape[1]} != queue dim {queue.dim}")
     norms = np.linalg.norm(keys, axis=1)
     off = np.abs(norms - 1.0)
     if np.any(off > UNIT_NORM_TOL):
         worst = int(np.argmax(off))
-        raise NonUnitKeyError(f"key {worst} has norm {norms[worst]:.9f}")
+        raise InvalidInputError(f"key {worst} has norm {norms[worst]:.9f}")
     queue.slots[(queue.write_index + np.arange(b)) % queue.capacity] = keys
     queue.write_index = int((queue.write_index + b) % queue.capacity)
     queue.filled = min(queue.filled + b, queue.capacity)
@@ -99,7 +92,7 @@ def momentum_update(base: np.ndarray, momentum: np.ndarray, m: float) -> None:
     """momentum <- m * momentum + (1 - m) * base, elementwise and in place, on
     two flat buffers of one layout (a state's towers and momentum_towers)."""
     if base.shape != momentum.shape:
-        raise ShapeMismatchError(f"base shape {base.shape} != momentum shape {momentum.shape}")
+        raise InvalidInputError(f"base shape {base.shape} != momentum shape {momentum.shape}")
     momentum *= m
     momentum += (1.0 - m) * base
 
@@ -135,7 +128,7 @@ class DualMocoState:
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
-            raise NonPositiveTemperatureError(f"temperature must be > 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         self.base_a, self.base_b = tower_pair(self.towers)
         self.momentum_a, self.momentum_b = tower_pair(self.momentum_towers)
 
@@ -185,7 +178,7 @@ def _nce_batch(
     are only read.
     """
     if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
     scaled = queries / temperature
     logits = np.empty((queries.shape[0], 1 + negatives.shape[0]))
     np.sum(scaled * positives, axis=1, out=logits[:, 0])
@@ -203,7 +196,7 @@ def _nce_batch(
 
 def _check_batches(batch_a: PackedBatch, batch_b: PackedBatch) -> None:
     if len(batch_a) != len(batch_b):
-        raise BatchLengthMismatchError(f"batch sizes differ: {len(batch_a)} vs {len(batch_b)}")
+        raise InvalidInputError(f"batch sizes differ: {len(batch_a)} vs {len(batch_b)}")
 
 
 def loss_and_gradients(

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionMismatchError, LengthMismatchError
+from .errors import InvalidInputError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -19,7 +19,7 @@ def as_vector(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coerce to a 1-D float64 array without copying when already one."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
+        raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
     return v
 
 
@@ -41,14 +41,14 @@ def spearman_correlation(xs: Sequence[float] | np.ndarray, ys: Sequence[float] |
     xs = as_vector(xs)
     ys = as_vector(ys)
     if xs.shape != ys.shape:
-        raise LengthMismatchError(f"length mismatch: {len(xs)} vs {len(ys)}")
+        raise InvalidInputError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
-        raise DegenerateInputError(f"need at least 2 observations, got {len(xs)}")
+        raise InvalidInputError(f"need at least 2 observations, got {len(xs)}")
     rx = average_ranks(xs)
     ry = average_ranks(ys)
     rx_c = rx - rx.mean()
     ry_c = ry - ry.mean()
     denom = float(np.linalg.norm(rx_c) * np.linalg.norm(ry_c))
     if denom <= ZERO_NORM_EPS:
-        raise DegenerateInputError("constant sequence has no rank correlation")
+        raise InvalidInputError("constant sequence has no rank correlation")
     return float(np.clip(np.dot(rx_c, ry_c) / denom, -1.0, 1.0))

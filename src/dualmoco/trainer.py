@@ -39,13 +39,7 @@ from .encoder import (
     init_params,
     pack_tokens,
 )
-from .errors import (
-    ConfigError,
-    EmptyCorpusError,
-    InvalidLabelError,
-    NumericalFailureError,
-    ShapeMismatchError,
-)
+from .errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from .moco import DualMocoState, LossValue, advance_state, loss_and_gradients, new_state, tower_pair
 
 logger = logging.getLogger(__name__)
@@ -180,7 +174,7 @@ def adamw_step(
     """
     shapes = [p.shape for p in params]
     if shapes != [g.shape for g in grads] or shapes != [m.shape for m in state.m]:
-        raise ShapeMismatchError(f"param shapes {shapes} != grad or moment shapes")
+        raise InvalidInputError(f"param shapes {shapes} != grad or moment shapes")
     state.t += 1
     t = state.t
     p, g = params.flat, grads.flat
@@ -239,7 +233,7 @@ def _label_index(label: str) -> int:
     try:
         return NLI_LABELS.index(label)
     except ValueError:
-        raise InvalidLabelError(f"unknown label {label!r}; expected one of {NLI_LABELS}") from None
+        raise InvalidInputError(f"unknown label {label!r}; expected one of {NLI_LABELS}") from None
 
 
 def _label_indices(labels: Sequence[str]) -> np.ndarray:
@@ -407,7 +401,7 @@ def train(
     config.validate()
     train_pairs = corpus.split("train")
     if not train_pairs:
-        raise EmptyCorpusError("corpus has no training pairs")
+        raise CorpusParseError("corpus has no training pairs")
     if len(train_pairs) < config.batch_size:
         raise ConfigError(
             f"batch_size must be <= {len(train_pairs)} training pairs (got {config.batch_size})"

@@ -29,19 +29,7 @@ from dualmoco.encoder import (
     pack_batch,
     pack_tensor_file,
 )
-from dualmoco.errors import (
-    ConfigError,
-    DimensionMismatchError,
-    DualMocoError,
-    EmptySideError,
-    KTooLargeError,
-    NoGoldPairsError,
-    NonPositiveTemperatureError,
-    NumericalFailureError,
-    ShapeMismatchError,
-    ZeroDenominatorError,
-    ZeroVectorError,
-)
+from dualmoco.errors import ConfigError, InvalidInputError, NumericalFailureError
 from dualmoco.evaluation import EMBEDDING_MAGIC, RATIO_EPS, MiningResult, Neighbors
 from dualmoco.numerics import ZERO_NORM_EPS, as_vector
 from dualmoco.trainer import (
@@ -133,16 +121,12 @@ def write_embedding_dump(path: str, embeddings: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-class NonUnitInputError(DualMocoError):
-    """A query or positive key that is not unit-norm."""
-
-
 def l2_normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
     """Scale v to unit L2 norm, preserving direction."""
     v = as_vector(v)
     norm = float(np.linalg.norm(v))
     if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError(f"cannot normalize a vector with norm {norm:.3e}")
+        raise InvalidInputError(f"cannot normalize a vector with norm {norm:.3e}")
     return v / norm
 
 
@@ -155,11 +139,11 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     u = as_vector(u)
     v = as_vector(v)
     if u.shape != v.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
+        raise InvalidInputError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu <= ZERO_NORM_EPS or nv <= ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity undefined for zero vectors")
+        raise InvalidInputError("cosine similarity undefined for zero vectors")
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
@@ -174,7 +158,7 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
 def _check_unit(v: np.ndarray, what: str) -> None:
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > moco.UNIT_NORM_TOL:
-        raise NonUnitInputError(f"{what} has norm {norm:.9f}, expected 1")
+        raise InvalidInputError(f"{what} has norm {norm:.9f}, expected 1")
 
 
 def _nce_one(
@@ -211,7 +195,7 @@ def softmax_entropy(similarities: np.ndarray, temperature: float) -> float:
     concentrate mass on the hardest entries.
     """
     if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
     logits = np.asarray(similarities, dtype=np.float64) / temperature
     peak = logits.max()
     lse = peak + np.log(np.sum(np.exp(logits - peak)))
@@ -370,10 +354,10 @@ def reference_adamw_step(
     """AdamW tensor by tensor, in place on params and on state.m[k],
     state.v[k] and state.t; stops at the first tensor left non-finite."""
     if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatchError("params, grads and optimizer state must be parallel")
+        raise InvalidInputError("params, grads and optimizer state must be parallel")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
-            raise ShapeMismatchError(f"param shape {p.shape} != grad shape {g.shape}")
+            raise InvalidInputError(f"param shape {p.shape} != grad shape {g.shape}")
     state.t += 1
     t = state.t
     for k, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
@@ -400,7 +384,7 @@ def reference_top_k(sims: np.ndarray, k: int) -> Neighbors:
     """First k columns of a stable descending sort of each row."""
     n, m = sims.shape
     if k < 1 or k > m:
-        raise KTooLargeError(f"k={k} not in [1, {m}]")
+        raise ConfigError(f"k={k} not in [1, {m}]")
     order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     return Neighbors(order, np.take_along_axis(sims, order, axis=1))
 
@@ -424,16 +408,16 @@ def reference_margin_score(
     variant: str = "distance",
 ) -> float:
     if k < 1 or k > nn_a.sims.shape[1] or k > nn_b.sims.shape[1]:
-        raise KTooLargeError(f"k={k} exceeds available neighbor lists")
+        raise ConfigError(f"k={k} exceeds available neighbor lists")
     a = float(cos)
     b = float(nn_a.sims[i, :k].sum() / (2 * k) + nn_b.sims[j, :k].sum() / (2 * k))
     if variant == "distance":
         return a - b
     if variant == "ratio":
         if b <= RATIO_EPS:
-            raise ZeroDenominatorError(f"neighborhood average {b:.3e} too small for ratio margin")
+            raise InvalidInputError(f"neighborhood average {b:.3e} too small for ratio margin")
         return a / b
-    raise ValueError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
+    raise ConfigError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
 
 
 def reference_mine_bitext(
@@ -450,7 +434,7 @@ def reference_mine_bitext(
     embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
     embs_b = np.atleast_2d(np.asarray(embs_b, dtype=np.float64))
     if embs_a.shape[0] == 0 or embs_b.shape[0] == 0:
-        raise EmptySideError("both mining sides must be non-empty")
+        raise InvalidInputError("both mining sides must be non-empty")
     nn_a = reference_nn_search(embs_a, embs_b, k)
     nn_b = reference_nn_search(embs_b, embs_a, k)
     if exhaustive:
@@ -472,7 +456,7 @@ def reference_search_threshold(
 ) -> tuple[float, float]:
     gold_set = set(map(tuple, gold_pairs))
     if not gold_set:
-        raise NoGoldPairsError("threshold search needs at least one gold pair")
+        raise InvalidInputError("threshold search needs at least one gold pair")
     by_score = sorted(scored, key=lambda t: -t[2])
     scores = [s for _, _, s in by_score]
     thresholds = [float("inf")]

@@ -12,9 +12,10 @@ import pytest
 from helpers import write_embedding_dump
 
 import dualmoco
-from dualmoco import cli
-from dualmoco.encoder import load_checkpoint, save_checkpoint
-from dualmoco.evaluation import save_embeddings
+from dualmoco import cli, errors
+from dualmoco.datagen import load_sts_tsv, load_tsv, make_lexicon
+from dualmoco.encoder import Pooling, encode_batch, load_checkpoint, save_checkpoint
+from dualmoco.evaluation import load_embeddings, save_embeddings, sts_eval
 from dualmoco.errors import NumericalFailureError
 
 
@@ -93,6 +94,16 @@ class TestGenData:
         assert cli.main(argv) == 2
         assert "gives no gold pair" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    def test_noise_rate_reaches_similarity_and_inference_files(self, tmp_path):
+        # at --noise-rate 0 no sentence holds a noise token of its language
+        argv = [*tiny_gen_args(tmp_path / "data"), "--noise-rate", "0"]
+        assert cli.main(argv) == 0
+        noise = set(make_lexicon(80, 8, seed=0).noise_a.tolist())
+        for name in ("sts.tsv", "nli.tsv"):
+            for line in (tmp_path / "data" / name).read_text().splitlines():
+                sentences = " ".join(line.split("\t")[:2])
+                assert not set(map(int, sentences.split())) & noise, (name, line)
 
     def test_expected_files_written(self, pipeline):
         _, data, _ = pipeline
@@ -502,6 +513,113 @@ class TestEvaluationCommands:
         assert sidecar["checkpoint"] == str(run / "checkpoint.bin")
 
 
+class TestTrainedPooling:
+    """embed, mine and eval-sts encode with the pooling that train recorded."""
+
+    @pytest.fixture(scope="class")
+    def max_run(self, pipeline, tmp_path_factory):
+        _, data, _ = pipeline
+        run = tmp_path_factory.mktemp("max_pooling") / "run"
+        assert cli.main(tiny_train_args(data, run, extra=["--pooling", "max"])) == 0
+        return data, run
+
+    def test_embed_equals_encode_batch_with_the_trained_pooling(self, max_run, tmp_path):
+        data, run = max_run
+        emb = tmp_path / "emb"
+        argv = ["embed", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data), "--out", str(emb)]
+        assert cli.main(argv) == 0
+        towers = load_checkpoint(str(run / "checkpoint.bin"))
+        pairs = load_tsv(str(data / "parallel.tsv")).split("test")
+        for side, params in zip("ab", towers):
+            expected = encode_batch(params, [getattr(p, f"tokens_{side}") for p in pairs], Pooling.MAX)
+            np.testing.assert_array_equal(load_embeddings(str(emb / f"test_{side}.emb")), expected)
+        assert "pooling" not in json.loads((emb / "embed_config.json").read_text())
+
+    def test_eval_sts_equals_sts_eval_with_the_trained_pooling(self, max_run, tmp_path):
+        data, run = max_run
+        out = tmp_path / "sts.json"
+        assert cli.main(["eval-sts", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
+                         "--out", str(out)]) == 0
+        params_a, _ = load_checkpoint(str(run / "checkpoint.bin"))
+        rho = sts_eval(params_a, load_sts_tsv(str(data / "sts.tsv")), Pooling.MAX)
+        assert json.loads(out.read_text())["spearman"] == rho
+
+    def test_mine_encodes_with_the_trained_pooling(self, max_run, tmp_path, monkeypatch):
+        data, run = max_run
+        poolings = []
+
+        def recording_encode_batch(params, sequences, pooling):
+            poolings.append(pooling)
+            return encode_batch(params, sequences, pooling)
+
+        monkeypatch.setattr(cli, "encode_batch", recording_encode_batch)
+        out = tmp_path / "mining.json"
+        assert cli.main(["mine", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
+                         "--out", str(out)]) == 0
+        assert poolings == [Pooling.MAX] * 4
+        assert "pooling" not in json.loads((tmp_path / "mining_config.json").read_text())
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "missing"),
+            ("{bad", "invalid JSON"),
+            ("[1]", "must be a JSON object"),
+            ('{"epochs": 2}', "pooling must be one of ['mean', 'max', 'first'] (got None)"),
+            ('{"pooling": "bogus"}', "pooling must be one of ['mean', 'max', 'first'] (got 'bogus')"),
+            ('{"pooling": 3}', "(got 3)"),
+        ],
+        ids=["missing", "invalid", "list", "no_key", "unknown", "number"],
+    )
+    @pytest.mark.parametrize("command, out", [
+        ("embed", "emb"), ("mine", "mining.json"), ("eval-sts", "sts.json"),
+    ], ids=["embed", "mine", "eval-sts"])
+    def test_bad_train_config_exits_3_naming_it(
+        self, pipeline, tmp_path, capsys, content, message, command, out
+    ):
+        _, data, run = pipeline
+        model = tmp_path / "model"
+        model.mkdir()
+        shutil.copy(run / "checkpoint.bin", model)
+        if content is not None:
+            (model / "train_config.json").write_text(content)
+        argv = [command, "--checkpoint", str(model / "checkpoint.bin"), "--data", str(data),
+                "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model / 'train_config.json'}: ") and message in err
+        assert not (tmp_path / out).exists()
+
+
+ERROR_FAMILIES = [
+    (errors.ConfigError, 2),
+    (errors.InvalidInputError, 2),
+    (errors.CorpusParseError, 3),
+    (errors.NumericalFailureError, 4),
+]
+
+
+class TestExitCodes:
+    def test_families_are_the_error_classes(self):
+        classes = {
+            value
+            for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, errors.DualMocoError)
+        }
+        assert classes == {errors.DualMocoError, *(family for family, _ in ERROR_FAMILIES)}
+
+    @pytest.mark.parametrize("family, code", ERROR_FAMILIES, ids=lambda v: getattr(v, "__name__", v))
+    def test_each_family_exits_with_its_code_and_message(self, monkeypatch, capsys, family, code):
+        message = f"{family.__name__} refused: k=3 not in [1, 2]"
+
+        def refuse(config):
+            raise family(message)
+
+        monkeypatch.setattr(cli, "cmd_eval_retrieval", refuse)
+        assert cli.main(["eval-retrieval"]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestEnvAndArgs:
     def test_bad_log_level_exits_2(self, pipeline, monkeypatch, tmp_path):
         _, data, _ = pipeline
@@ -528,7 +646,9 @@ class TestEnvAndArgs:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("eval-sts", "pooling", "bogus"),
+            ("train", "pooling", "bogus"),
+            # the pooling is read from train_config.json, so it is no setting here
+            ("embed", "pooling", "max"),
             ("mine", "variant", "cosine"),
             ("embed", "split", "dev"),
             # values of the wrong JSON type

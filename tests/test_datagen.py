@@ -23,7 +23,7 @@ from dualmoco.datagen import (
     save_sts_tsv,
     save_tsv,
 )
-from dualmoco.errors import ConfigError, CorpusParseError, EmptyCorpusError
+from dualmoco.errors import ConfigError, CorpusParseError
 
 
 @pytest.fixture(scope="module")
@@ -434,7 +434,7 @@ class TestFileRoundTrips:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(CorpusParseError, match=r"empty\.tsv: no records"):
             load_tsv(str(path))
 
     def test_wrong_column_count_cites_line(self, tmp_path):

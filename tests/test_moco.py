@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    NonUnitInputError,
     bidirectional_loss,
     central_difference,
     encode_backward_tokens,
@@ -24,14 +23,7 @@ from helpers import (
 
 from dualmoco import moco
 from dualmoco.encoder import EncoderParams, Pooling, encode, encode_batch, init_params
-from dualmoco.errors import (
-    BatchExceedsCapacityError,
-    BatchLengthMismatchError,
-    DimensionMismatchError,
-    NonPositiveTemperatureError,
-    NonUnitKeyError,
-    ShapeMismatchError,
-)
+from dualmoco.errors import ConfigError, InvalidInputError
 from dualmoco.moco import (
     DualMocoState,
     MemoryQueue,
@@ -99,7 +91,7 @@ class TestMomentumUpdate:
         np.testing.assert_array_equal(base.flat, 1.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=r"base shape \(\d+,\) != momentum shape"):
             momentum_update(constant_towers(1.0, vocab=4).flat, constant_towers(2.0).flat, 0.5)
 
     @pytest.mark.parametrize("m", [0.0, 0.5, 0.99, 1.0])
@@ -157,16 +149,16 @@ class TestMemoryQueue:
 
     def test_batch_exceeds_capacity(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(BatchExceedsCapacityError):
+        with pytest.raises(ConfigError, match="batch of 5 exceeds queue capacity 4"):
             enqueue_batch(MemoryQueue.empty(4, 3), random_unit_rows(5, 3, rng))
 
     def test_non_unit_key(self):
-        with pytest.raises(NonUnitKeyError):
+        with pytest.raises(InvalidInputError, match="key 0 has norm 1.414"):
             enqueue_batch(MemoryQueue.empty(4, 3), np.array([[1.0, 1.0, 0.0]]))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidInputError, match="key dim 2 != queue dim 3"):
             enqueue_batch(MemoryQueue.empty(4, 3), random_unit_rows(1, 2, rng))
 
     def test_replay_oracle_random_sequences(self):
@@ -218,14 +210,14 @@ class TestInfoNce:
 
     def test_temperature_must_be_positive(self):
         q = np.array([1.0, 0.0])
-        with pytest.raises(NonPositiveTemperatureError):
+        with pytest.raises(ConfigError, match="temperature must be > 0"):
             info_nce(q, q, MemoryQueue.empty(2, 2), 0.0)
 
     def test_non_unit_inputs_rejected(self):
         q = np.array([1.0, 0.0])
-        with pytest.raises(NonUnitInputError):
+        with pytest.raises(InvalidInputError, match="query has norm 2.0"):
             info_nce(2.0 * q, q, MemoryQueue.empty(2, 2), 1.0)
-        with pytest.raises(NonUnitInputError):
+        with pytest.raises(InvalidInputError, match="positive key has norm 0.5"):
             info_nce(q, 0.5 * q, MemoryQueue.empty(2, 2), 1.0)
 
     def test_stable_at_low_temperature(self):
@@ -284,7 +276,7 @@ class TestSoftmaxEntropy:
         assert softmax_entropy(sims, 1e3) == pytest.approx(math.log(3), abs=1e-3)
 
     def test_temperature_validation(self):
-        with pytest.raises(NonPositiveTemperatureError):
+        with pytest.raises(ConfigError, match="temperature must be > 0"):
             softmax_entropy(np.array([0.1, 0.2]), -1.0)
 
 
@@ -334,7 +326,7 @@ class TestBidirectionalLoss:
     def test_batch_length_mismatch(self):
         rng = np.random.default_rng(13)
         state = tiny_state(rng)
-        with pytest.raises(BatchLengthMismatchError):
+        with pytest.raises(InvalidInputError, match="batch sizes differ: 1 vs 2"):
             bidirectional_loss(state, [[0, 1]], [[0, 1], [2, 3]], Pooling.MEAN)
 
     def test_language_swap_symmetry(self):
@@ -541,5 +533,5 @@ class TestStateSerialization:
     def test_temperature_validated(self):
         rng = np.random.default_rng(23)
         params = init_params(4, 3, 2, rng)
-        with pytest.raises(NonPositiveTemperatureError):
+        with pytest.raises(ConfigError, match="temperature must be > 0"):
             new_state(flat_towers(params, params), 0.9, 4, 0.0)

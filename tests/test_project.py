@@ -1,7 +1,8 @@
 """Checks on the project as shipped: the README's library example runs as
 written and it names only commands and flags the CLI accepts, no module
-imports a name it never uses, and every public name the package defines has
-a user outside the tests."""
+imports a name it never uses, every public name the package defines has
+a user outside the tests, and every raise is one of the package's error
+families."""
 
 import argparse
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dualmoco import cli
+from dualmoco import cli, errors
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "dualmoco").glob("*.py") if p.name != "__init__.py")
@@ -135,3 +136,45 @@ def test_unused_public_name_is_reported():
         "b": "from .a import C\nimport a\na.D\n",
     }
     assert _unused_public_names(sources, "f is in the README") == ["a.X"]
+
+
+def _foreign_raises(sources: dict[str, str], families: set[str]) -> list[str]:
+    """The raise statements of `sources` (module name -> code) that do not
+    construct a class named in `families`, directly or through a function
+    annotated to return one."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    makers = set(families)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name):
+                if node.returns.id in families:
+                    makers.add(node.name)
+    return [
+        f"{module} line {node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and not (isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name) and node.exc.func.id in makers)
+    ]
+
+
+def test_every_raise_is_an_error_family():
+    families = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.DualMocoError)
+    }
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _foreign_raises(sources, families) == []
+
+
+def test_foreign_raise_is_reported():
+    sources = {
+        "a": (
+            "def f(x):\n    if x:\n        raise ConfigError('x')\n    raise ValueError('y')\n"
+            "def _bad(n) -> InvalidInputError:\n    return InvalidInputError(n)\n"
+            "def g(n):\n    raise _bad(n)\n"
+            "def h():\n    try:\n        pass\n    except KeyError:\n        raise\n"
+        ),
+    }
+    assert _foreign_raises(sources, {"ConfigError", "InvalidInputError"}) == ["a line 4", "a line 13"]

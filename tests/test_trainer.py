@@ -26,13 +26,7 @@ from helpers import (
 
 from dualmoco import datagen, trainer
 from dualmoco.encoder import FlatTensors, encode_batch, init_params
-from dualmoco.errors import (
-    ConfigError,
-    EmptyCorpusError,
-    InvalidLabelError,
-    NumericalFailureError,
-    TokenOutOfRangeError,
-)
+from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from dualmoco.moco import LossValue, enqueue_batch, new_state
 from dualmoco.trainer import (
     AdamWState,
@@ -414,9 +408,9 @@ class TestNliHead:
     def test_invalid_label(self):
         head = init_nli_head(3, np.random.default_rng(0))
         h = random_unit_rows(1, 3, np.random.default_rng(1))[0]
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(InvalidInputError, match="unknown label 'maybe'"):
             nli_forward_loss(head, h, h, "maybe")
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(InvalidInputError, match="unknown label 7"):
             nli_forward_loss(head, h, h, 7)
 
     def test_dropout_masks_are_seeded(self):
@@ -476,7 +470,7 @@ class TestTrain:
         assert result.nli_head is not None
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(CorpusParseError, match="corpus has no training pairs"):
             train(small_config(), datagen.ParallelCorpus())
 
     def test_config_validation_names_field(self):
@@ -589,7 +583,7 @@ class TestTrain:
         pairs[5] = dataclasses.replace(pairs[5], tokens_b=pairs[5].tokens_b + (top,))
         steps = []
         monkeypatch.setattr(trainer, "step_gradients", lambda *args, **kwargs: steps.append(args))
-        with pytest.raises(TokenOutOfRangeError, match=f"side B of training pair 5: token id {top}"):
+        with pytest.raises(InvalidInputError, match=f"side B of training pair 5: token id {top}"):
             train(small_config(), datagen.ParallelCorpus(pairs), vocab_size=top)
         assert steps == []
 
