@@ -24,7 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from . import datagen, evaluation, trainer
-from .encoder import Pooling, atomic_write, encode_batch, load_checkpoint, read_json_object, save_checkpoint
+from .encoder import (
+    Pooling,
+    atomic_write,
+    encode_batch,
+    gather_batch,
+    load_checkpoint,
+    read_json_object,
+    save_checkpoint,
+)
 from .errors import ConfigError, CorpusParseError, DualMocoError
 
 logger = logging.getLogger(__name__)
@@ -49,7 +57,7 @@ FLAG_NAMES = {
 FLAG_CHOICES = {
     "pooling": [p.value for p in Pooling],
     "split": list(datagen.SPLITS),
-    "variant": ["distance", "ratio"],
+    "variant": list(evaluation.MARGIN_VARIANTS),
 }
 
 # JSON config values accepted per field default type, and how to name them;
@@ -261,11 +269,11 @@ def cmd_embed(config: EmbedConfig) -> int:
     params_a, params_b = load_checkpoint(config.checkpoint)
     pooling = _trained_pooling(config.checkpoint)
     corpus = datagen.load_tsv(str(Path(config.data_dir) / PARALLEL_FILE))
-    pairs = corpus.split(config.split)
-    if not pairs:
+    rows = corpus.split(config.split)
+    if not len(rows):
         raise CorpusParseError(f"split {config.split!r} has no pairs")
-    embs_a = encode_batch(params_a, [p.tokens_a for p in pairs], pooling)
-    embs_b = encode_batch(params_b, [p.tokens_b for p in pairs], pooling)
+    embs_a = encode_batch(params_a, gather_batch(corpus.tokens_a, rows), pooling)
+    embs_b = encode_batch(params_b, gather_batch(corpus.tokens_b, rows), pooling)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     source = str(Path(config.data_dir) / PARALLEL_FILE)
@@ -274,7 +282,7 @@ def cmd_embed(config: EmbedConfig) -> int:
     evaluation.save_embeddings(str(path_a), embs_a, source_corpus=f"{source}#{config.split}/a")
     evaluation.save_embeddings(str(path_b), embs_b, source_corpus=f"{source}#{config.split}/b")
     _write_json(out / "embed_config.json", dataclasses.asdict(config))
-    print(f"wrote {len(pairs)} embeddings per side: {path_a} {path_b}")
+    print(f"wrote {len(rows)} embeddings per side: {path_a} {path_b}")
     return 0
 
 

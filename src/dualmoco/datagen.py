@@ -15,13 +15,14 @@ aligned sentence the unique maximum-Jaccard match of its partner.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoder import atomic_write, read_json_object
+from .encoder import TokenTable, atomic_write, read_json_object, token_table
 from .errors import ConfigError, CorpusParseError
 
 NLI_LABELS = ("entailment", "neutral", "contradiction")
@@ -72,29 +73,28 @@ def make_lexicon(concept_count: int = 380, noise_count: int = 20, seed: int = 0)
     )
 
 
-@dataclass
-class PairExample:
-    tokens_a: tuple[int, ...]
-    tokens_b: tuple[int, ...]
-    concepts: tuple[int, ...]
-    split: str
-
-
-@dataclass
+@dataclass(eq=False)
 class ParallelCorpus:
-    """Aligned sentence pairs; both sides of a pair share one concept set."""
+    """Aligned sentence pairs, held as columns: pair i is sequence i of each
+    table and split_codes[i], the index of its split in SPLITS. Both sides
+    of a pair render the pair's concept sequence."""
 
-    pairs: list[PairExample] = field(default_factory=list)
+    tokens_a: TokenTable
+    tokens_b: TokenTable
+    concepts: TokenTable
+    split_codes: np.ndarray  # (n,) int8
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.split_codes)
 
-    def split(self, name: str) -> list[PairExample]:
-        return [p for p in self.pairs if p.split == name]
+    def split(self, name: str) -> np.ndarray:
+        """The indices of the pairs in split `name`, in corpus order (none for
+        a name outside SPLITS)."""
+        return np.flatnonzero(self.split_codes == (SPLITS.index(name) if name in SPLITS else -1))
 
     def max_token(self) -> int:
         """The largest token id on either side."""
-        return max(max(max(p.tokens_a), max(p.tokens_b)) for p in self.pairs)
+        return max(int(self.tokens_a.ids.max()), int(self.tokens_b.ids.max()))
 
 
 @dataclass
@@ -167,8 +167,11 @@ class _ConceptSampler:
     """Draws distinct-concept sequences whose sets are unique (and optionally
     low-overlap) across everything sampled so far.
 
-    With max_overlap < 1 a candidate is rejected when its Jaccard with any
-    seen set reaches max_overlap. A concept x seen-set incidence matrix of
+    With max_overlap = 1 only a repeated set is rejected, so each set is
+    kept as an integer with one bit per concept. With max_overlap < 1 the
+    sets themselves are kept, in `seen`, for the mining audit, and a
+    candidate is rejected when its Jaccard with any seen set reaches
+    max_overlap. A concept x seen-set incidence matrix of
     0/1 bytes, whose columns double in number as it fills, gives the number
     of concepts the candidate shares with every seen set in one gather and
     one sum. The float test an all-pairs scan makes, m / (n + |s| - m) >=
@@ -185,7 +188,7 @@ class _ConceptSampler:
         self.rng = rng
         self.max_overlap = max_overlap  # reject Jaccard >= this vs existing sets
         self.seen: list[frozenset[int]] = []
-        self._seen_lookup: set[frozenset[int]] = set()
+        self._seen_keys: set[int] = set()
         self._incidence = np.zeros((lexicon.concept_count, 64), dtype=np.uint8)
         self._fail_at = np.zeros((_MAX_LEN + 1, 64), dtype=np.uint8)  # [n, k]: least failing m
         # [n + |s|]: least m failing the float test; 255, above any count, if none does
@@ -204,19 +207,22 @@ class _ConceptSampler:
             )
         for _ in range(_MAX_SAMPLING_ATTEMPTS):
             seq = _draw_concepts(self.rng, self.lexicon.concept_count, length)
-            cand = frozenset(seq)
-            if self._acceptable(cand):
-                self._add(cand)
-                return seq
+            if self.max_overlap >= 1.0:
+                key = sum(1 << c for c in seq)  # the concepts are distinct
+                if key not in self._seen_keys:
+                    self._seen_keys.add(key)
+                    return seq
+            else:
+                cand = frozenset(seq)
+                if self._acceptable(cand):
+                    self._add(cand)
+                    return seq
         raise ConfigError(
             "could not sample a sufficiently distinct concept sequence; "
             "increase concept_count or reduce corpus size"
         )
 
     def _acceptable(self, cand: frozenset[int]) -> bool:
-        if self.max_overlap >= 1.0:
-            # only exact duplicates are rejected; hash lookup suffices
-            return cand not in self._seen_lookup
         k = len(self.seen)
         shared = np.add.reduce(self._incidence[list(cand), :k], axis=0, dtype=np.uint8)
         return not (shared >= self._fail_at[len(cand), :k]).any()
@@ -224,9 +230,6 @@ class _ConceptSampler:
     def _add(self, cand: frozenset[int]) -> None:
         k = len(self.seen)
         self.seen.append(cand)
-        self._seen_lookup.add(cand)
-        if self.max_overlap >= 1.0:
-            return
         if k == self._incidence.shape[1]:
             self._incidence = np.concatenate([self._incidence, np.zeros_like(self._incidence)], axis=1)
             self._fail_at = np.concatenate([self._fail_at, np.zeros_like(self._fail_at)], axis=1)
@@ -250,7 +253,11 @@ def gen_parallel_corpus(
     seed: int = 0,
     reorder_b: str = "reverse",
 ) -> ParallelCorpus:
-    """Aligned pairs across all three splits, deterministic in the seed."""
+    """Aligned pairs across all three splits, deterministic in the seed.
+
+    Pairs are drawn split by split; each pair's tokens go straight into the
+    flat columns of the corpus tables.
+    """
     if n_train < 1:
         raise ConfigError(f"n_train must be >= 1 (got {n_train})")
     if n_val < 0 or n_test < 0:
@@ -263,15 +270,22 @@ def gen_parallel_corpus(
     sampler = _ConceptSampler(lexicon, rng)
     surface_a, noise_a = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
     surface_b, noise_b = lexicon.surface_b.tolist(), lexicon.noise_b.tolist()
-    corpus = ParallelCorpus()
-    for split, count in (("train", n_train), ("validation", n_val), ("test", n_test)):
-        for _ in range(count):
-            length = int(rng.integers(len_range[0], len_range[1] + 1))
-            concepts = sampler.draw(length)
-            tokens_a = _render(concepts, surface_a, noise_a, noise_rate, rng)
-            tokens_b = _render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng)
-            corpus.pairs.append(PairExample(tokens_a, tokens_b, concepts, split))
-    return corpus
+    counts = (n_train, n_val, n_test)
+    # the ids of side A, side B and the concepts, and the three lengths of
+    # each pair, as C ints
+    ids_a, ids_b, ids_c, lengths = array("i"), array("i"), array("i"), array("i")
+    for _ in range(sum(counts)):
+        length = int(rng.integers(len_range[0], len_range[1] + 1))
+        concepts = sampler.draw(length)
+        tokens_a = _render(concepts, surface_a, noise_a, noise_rate, rng)
+        tokens_b = _render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng)
+        ids_a.extend(tokens_a)
+        ids_b.extend(tokens_b)
+        ids_c.extend(concepts)
+        lengths.extend((len(tokens_a), len(tokens_b), length))
+    per_pair = np.array(lengths).reshape(-1, 3)
+    tables = (token_table(np.array(ids), per_pair[:, k]) for k, ids in enumerate((ids_a, ids_b, ids_c)))
+    return ParallelCorpus(*tables, np.repeat(np.arange(len(SPLITS), dtype=np.int8), counts))
 
 
 def gen_mining_corpus(
@@ -490,29 +504,95 @@ def _save_lines(path: str, lines: Iterable[str]) -> None:
     atomic_write({path: "".join(line + "\n" for line in lines).encode("utf-8")})
 
 
+def _texts(table: TokenTable) -> list[str]:
+    """Each sequence of a table as a token field; each distinct id is made a
+    string once, and its tokens share that string."""
+    distinct, inverse = np.unique(table.ids, return_inverse=True)
+    words = np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
+    bounds = zip(table.starts.tolist(), table.lengths.tolist())
+    return [" ".join(words[start : start + length]) for start, length in bounds]
+
+
 def save_tsv(corpus: ParallelCorpus, path: str) -> None:
-    _save_lines(
-        path,
-        (
-            f"{_tokens(p.tokens_a)}\t{_tokens(p.tokens_b)}\t{_tokens(p.concepts)}\t{p.split}"
-            for p in corpus.pairs
-        ),
-    )
+    columns = _texts(corpus.tokens_a), _texts(corpus.tokens_b), _texts(corpus.concepts)
+    names = (SPLITS[code] for code in corpus.split_codes.tolist())
+    _save_lines(path, map("\t".join, zip(*columns, names)))
+
+
+# The whole-array pass over a parallel corpus file reads each byte's class
+# through bytes.translate tables: numpy work at import would map code pages
+# into every process.
+_DIGIT, _SPACE, _OTHER, _TAB, _LF = range(5)
+_SEPARATORS = {ord(" "): _SPACE, ord("\t"): _TAB, ord("\n"): _LF}
+_BYTE_CLASSES = bytes(_DIGIT if c in b"0123456789" else _SEPARATORS.get(c, _OTHER) for c in range(256))
+# Every byte but an ASCII digit to a space, the separator np.fromstring reads.
+_DIGITS_AND_SPACES = bytes(c if c in b"0123456789" else ord(" ") for c in range(256))
+# A space that is not between two digits: leading, trailing or doubled.
+_STRAY_SPACES = (b"  ", b"\t ", b" \t", b"\n ", b" \n")
+
+
+def _parse_parallel(data: bytes) -> ParallelCorpus | None:
+    """The corpus in `data` if it is laid out exactly as save_tsv writes it,
+    checked and parsed as whole arrays; None otherwise.
+
+    Each line must be three non-empty token fields of ASCII digits and
+    single spaces, then a split name, separated by tabs and ended by LF.
+    The files save_tsv writes pass. None is also the answer for CR line
+    ends, blank lines and a last line without LF, which load_tsv's line
+    walk takes.
+    """
+    if not data.isascii() or data[:1] == b" " or data[-1:] != b"\n":
+        return None
+    if any(pair in data for pair in _STRAY_SPACES):
+        return None
+    byte_class = np.frombuffer(data.translate(_BYTE_CLASSES), dtype=np.uint8)
+    ends = np.flatnonzero(byte_class >= _TAB)  # each field's tab or LF
+    n = len(ends) // 4
+    if not n or len(ends) != 4 * n or (byte_class[ends].reshape(n, 4) != (_TAB, _TAB, _TAB, _LF)).any():
+        return None
+    widths = (np.diff(ends, prepend=-1) - 1).reshape(n, 4)
+    # The split names are the only bytes that are not digits, spaces, tabs or
+    # LFs: every fourth field is one, and no other field holds such a byte.
+    if (
+        not widths[:, :3].all()
+        or sum(data.count(b"\t%s\n" % name.encode()) for name in SPLITS) != n
+        or np.count_nonzero(byte_class == _OTHER) != widths[:, 3].sum()
+    ):
+        return None
+    # a token field's spaces, plus one, are its tokens
+    spaces_before = np.searchsorted(np.flatnonzero(byte_class == _SPACE), ends)
+    counts = np.diff(spaces_before, prepend=0).reshape(n, 4)[:, :3] + 1
+    del byte_class, ends
+    digits = data.translate(_DIGITS_AND_SPACES)
+    ids = np.fromstring(digits, dtype=np.int64, count=counts.sum(), sep=" ")
+    if ids.max() == np.iinfo(np.int64).max:  # where np.fromstring saturates
+        ids = np.array(list(map(int, digits.split())), dtype=object)
+    del digits
+    fields = token_table(ids, counts.ravel())  # the 3n token fields in file order, narrowed
+    del ids
+    column = np.tile(np.arange(3, dtype=np.int8), n).repeat(counts.ravel())
+    tables = (token_table(fields.ids[column == c], counts[:, c]) for c in range(3))
+    split_codes = np.zeros(n, dtype=np.int8)
+    for code, name in enumerate(SPLITS):  # the names differ in length
+        split_codes[widths[:, 3] == len(name)] = code
+    return ParallelCorpus(*tables, split_codes)
 
 
 def load_tsv(path: str) -> ParallelCorpus:
-    corpus = ParallelCorpus()
-    for lineno, cols in _read_rows(path, 4):
-        if cols[3] not in SPLITS:
-            raise CorpusParseError(f"{path}:{lineno}: unknown split {cols[3]!r}")
-        corpus.pairs.append(
-            PairExample(
-                _ints(cols[0], path, lineno),
-                _ints(cols[1], path, lineno),
-                _ints(cols[2], path, lineno),
-                cols[3],
-            )
-        )
+    """A parallel corpus as save_tsv writes it. A file that the whole-array
+    pass refuses is walked line by line: a fault raises CorpusParseError
+    citing its line, and a file without one is read as its records."""
+    with open(path, "rb") as fh:
+        corpus = _parse_parallel(fh.read())
+    if corpus is None:
+        rows = _read_rows(path, 4)
+        for lineno, cols in rows:
+            if cols[3] not in SPLITS:
+                raise CorpusParseError(f"{path}:{lineno}: unknown split {cols[3]!r}")
+            for fieldtext in cols[:3]:
+                _ints(fieldtext, path, lineno)
+        corpus = _parse_parallel("".join("\t".join(cols) + "\n" for _, cols in rows).encode("ascii"))
+        assert corpus is not None  # the walk takes no record that the array pass refuses
     return corpus
 
 

@@ -15,7 +15,6 @@ parameter settings (it is still checked and raised).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -27,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CorpusParseError, InvalidInputError
+from .errors import ConfigError, CorpusParseError, InvalidInputError
 from .numerics import ZERO_NORM_EPS
 
 TokenSeq = Sequence[int]
@@ -41,6 +40,14 @@ class Pooling(str, Enum):
     MEAN = "mean"
     MAX = "max"
     FIRST = "first"
+
+
+def as_pooling(pooling: Pooling | str) -> Pooling:
+    """`pooling` as a Pooling; ConfigError names the accepted values otherwise."""
+    try:
+        return Pooling(pooling)
+    except ValueError:
+        raise ConfigError(f"pooling must be one of {', '.join(Pooling)} (got {pooling!r})") from None
 
 
 @dataclass
@@ -119,18 +126,37 @@ class PackedBatch:
 
 
 class TokenTable(NamedTuple):
-    """Token sequences flattened and range-checked once, without the pooling
-    gather: sequence i is ids[starts[i] : starts[i] + lengths[i]]. A batch
-    of any of its sequences is then an index gather (`gather_batch`).
+    """Token sequences flattened once, without the pooling gather: sequence
+    i is ids[starts[i] : starts[i] + lengths[i]]. A batch of any of its
+    sequences is then an index gather (`gather_batch`).
 
     A table may hold a whole corpus side for a whole run, so it stores
-    32-bit integers where the vocabulary allows; batches gathered from it
-    hold intp, as pack_batch's do.
+    32-bit integers where its values allow (see token_table); batches
+    gathered from it hold intp, as pack_batch's do.
     """
 
     ids: np.ndarray  # (total,) token ids, sequence by sequence
     lengths: np.ndarray  # (n,)
     starts: np.ndarray  # (n,) offset of each sequence in ids
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def token_table(ids: np.ndarray, lengths: np.ndarray) -> TokenTable:
+    """The table of consecutive sequences of `ids` with the given lengths.
+
+    ids are stored as int32 when every one fits, and kept as given
+    otherwise (int64, or Python ints of dtype object for ids beyond int64);
+    lengths and starts are int32 when the total length fits.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    if len(ids) and _INT32.min <= ids.min() and ids.max() <= _INT32.max:
+        ids = ids.astype(np.int32, copy=False)
+    if len(ids) <= _INT32.max:
+        lengths, starts = lengths.astype(np.int32), starts.astype(np.int32)
+    return TokenTable(ids, lengths, starts)
 
 
 def _out_of_range(
@@ -141,6 +167,19 @@ def _out_of_range(
     return InvalidInputError(
         f"{item} {index}: token id {ids[position]} outside [0, {vocab_size})"
     )
+
+
+def _check_ids(
+    ids: np.ndarray, lengths: np.ndarray, starts: np.ndarray, vocab_size: int, item: str
+) -> None:
+    """InvalidInputError naming the first sequence, as `item` and its index,
+    that is empty or holds an id outside [0, vocab_size)."""
+    bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size and (not bad.size or starts[empty[0]] <= bad[0]):
+        raise InvalidInputError(f"{item} {empty[0]}: empty token sequence")
+    if bad.size:
+        raise _out_of_range(ids, starts, bad[0], vocab_size, item)
 
 
 def _flatten(
@@ -156,12 +195,7 @@ def _flatten(
         ids = np.fromiter(chain.from_iterable(sequences), np.intp, int(lengths.sum()))
     except OverflowError:  # an id too large for intp: range-check the Python ints instead
         ids = np.fromiter(chain.from_iterable(sequences), object, int(lengths.sum()))
-    bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size and (not bad.size or starts[empty[0]] <= bad[0]):
-        raise InvalidInputError(f"{item} {empty[0]}: empty token sequence")
-    if bad.size:
-        raise _out_of_range(ids, starts, bad[0], vocab_size, item)
+    _check_ids(ids, lengths, starts, vocab_size, item)
     return ids, lengths, starts
 
 
@@ -170,11 +204,31 @@ def pack_tokens(sequences: Sequence[TokenSeq], vocab_size: int, item: str) -> To
 
     Every sequence must be non-empty with ids in [0, vocab_size); otherwise
     InvalidInputError names the first offending sequence as `item` and
-    its index (as in "side A of training pair 17").
+    its index (as in "premise of inference triple 17").
     """
-    ids, lengths, starts = _flatten(sequences, vocab_size, item)
-    dtype = np.int32 if max(vocab_size, len(ids)) <= np.iinfo(np.int32).max else np.intp
-    return TokenTable(ids.astype(dtype), lengths.astype(dtype), starts.astype(dtype))
+    ids, lengths, _ = _flatten(sequences, vocab_size, item)
+    return token_table(ids, lengths)
+
+
+def _take(table: TokenTable, selection: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ids (the table's dtype), lengths and starts (intp) of table sequences
+    `selection`, in that order."""
+    lengths = table.lengths[selection].astype(np.intp)
+    starts = np.cumsum(lengths) - lengths
+    offsets = np.repeat(table.starts[selection] - starts, lengths)
+    return table.ids[offsets + np.arange(len(offsets))], lengths, starts
+
+
+def table_rows(table: TokenTable, rows: np.ndarray, vocab_size: int, item: str) -> TokenTable:
+    """Table sequences `rows` as a table of their own.
+
+    Every sequence must be non-empty with ids in [0, vocab_size); otherwise
+    InvalidInputError names the first offending one as `item` and its
+    position in `rows` (as in "side A of training pair 17").
+    """
+    ids, lengths, starts = _take(table, rows)
+    _check_ids(ids, lengths, starts, vocab_size, item)
+    return token_table(ids, lengths)
 
 
 def _packed_batch(ids: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> PackedBatch:
@@ -207,11 +261,17 @@ def pack_batch(batch: Sequence[TokenSeq], vocab_size: int) -> PackedBatch:
 
 def gather_batch(table: TokenTable, selection: np.ndarray) -> PackedBatch:
     """The PackedBatch of table sequences `selection`, in that order; equal,
-    field by field, to pack_batch of the same sequences as token lists."""
-    lengths = table.lengths[selection].astype(np.intp)
-    starts = np.cumsum(lengths) - lengths
-    offsets = np.repeat(table.starts[selection] - starts, lengths)
-    ids = table.ids[offsets + np.arange(len(offsets))].astype(np.intp)
+    field by field, to pack_batch of the same sequences as token lists.
+
+    Its ids are not range-checked: forward_batch refuses those outside the
+    tower, with pack_batch's message. A batch holding an id beyond intp
+    keeps them as Python ints, which only that refusal reads.
+    """
+    ids, lengths, starts = _take(table, selection)
+    try:
+        ids = ids.astype(np.intp)
+    except OverflowError:
+        pass
     return _packed_batch(ids, lengths, starts)
 
 
@@ -249,7 +309,7 @@ def forward_batch(params: EncoderParams, packed: PackedBatch, pooling: Pooling |
       differently depending on the batch size;
     - bias, tanh and the row norms are elementwise or per row.
     """
-    pooling = Pooling(pooling)
+    pooling = as_pooling(pooling)
     if packed.max_id >= params.vocab_size:
         bad = int(np.argmax(packed.ids >= params.vocab_size))
         raise _out_of_range(packed.ids, packed.starts, bad, params.vocab_size, "batch item")
@@ -313,7 +373,7 @@ def encode_backward(
     sentence-then-token order, so repeated ids accumulate in the same order
     as a per-sentence loop would.
     """
-    pooling = Pooling(pooling)
+    pooling = as_pooling(pooling)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (len(packed), params.d_out):
         raise InvalidInputError(
@@ -407,8 +467,8 @@ def read_tensor_file(
     magic: bytes,
     header_len: int,
     shapes: Callable[[tuple[int, ...]], list[tuple[int, ...]]],
-) -> tuple[tuple[int, ...], list[np.ndarray], str]:
-    """Read a tensor file; return its header, its tensors and its sha256.
+) -> tuple[tuple[int, ...], list[np.ndarray], bytes]:
+    """Read a tensor file; return its header, its tensors and its bytes.
 
     `shapes` maps the header to the shapes of the tensors that follow it.
     The file size must match them exactly before any tensor is parsed.
@@ -431,7 +491,7 @@ def read_tensor_file(
     for shape, size in layout:
         tensors.append(np.frombuffer(data, "<f8", size, offset).astype(np.float64).reshape(shape))
         offset += 8 * size
-    return header, tensors, hashlib.sha256(data).hexdigest()
+    return header, tensors, data
 
 
 def _checkpoint_shapes(header: tuple[int, ...]) -> list[tuple[int, ...]]:

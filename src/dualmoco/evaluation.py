@@ -14,7 +14,6 @@ validation set to maximize F1.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +35,8 @@ from .numerics import spearman_correlation
 EMBEDDING_MAGIC = b"DMCE"
 
 RATIO_EPS = 1e-12
+
+MARGIN_VARIANTS = ("distance", "ratio")
 
 Pair = tuple[int, int]
 
@@ -145,15 +146,19 @@ def margin_score(
     """
     if k < 1 or k > nn_a.sims.shape[1] or k > nn_b.sims.shape[1]:
         raise ConfigError(f"k={k} exceeds available neighbor lists")
+    _check_variant(variant)
     b = nn_a.sims[i, :k].sum(axis=-1) / (2 * k) + nn_b.sims[j, :k].sum(axis=-1) / (2 * k)
     if variant == "distance":
         return cos - b
-    if variant == "ratio":
-        small = b[b <= RATIO_EPS]
-        if small.size:
-            raise InvalidInputError(f"neighborhood average {small[0]:.3e} too small for ratio margin")
-        return cos / b
-    raise ConfigError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
+    small = b[b <= RATIO_EPS]
+    if small.size:
+        raise InvalidInputError(f"neighborhood average {small[0]:.3e} too small for ratio margin")
+    return cos / b
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in MARGIN_VARIANTS:
+        raise ConfigError(f"variant must be 'distance' or 'ratio' (got {variant!r})")
 
 
 def mine_bitext(
@@ -168,7 +173,9 @@ def mine_bitext(
     Candidates are the union of each side's rank-1 matches under nn_search
     (so no n_a x n_b matrix is held), in (i, j) order, each scored from the
     dot product of its two rows. A sentence may be in several accepted pairs.
+    An unknown variant is refused before either search runs.
     """
+    _check_variant(variant)
     embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
     embs_b = np.atleast_2d(np.asarray(embs_b, dtype=np.float64))
     if embs_a.shape[0] == 0 or embs_b.shape[0] == 0:
@@ -263,6 +270,10 @@ def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") 
     bad = _first_non_finite_row(embeddings)
     if bad is not None:
         raise NumericalFailureError(f"{path}: row {bad} holds a NaN or infinite value")
+    # hashlib maps OpenSSL, about 3.5 MB of RSS, into the process: only the
+    # embedding dumps are hashed, so only their writer and reader import it
+    import hashlib
+
     data = pack_tensor_file(EMBEDDING_MAGIC, embeddings.shape, [embeddings])
     sidecar = {
         "count": embeddings.shape[0],
@@ -275,11 +286,13 @@ def save_embeddings(path: str, embeddings: np.ndarray, source_corpus: str = "") 
 
 def load_embeddings(path: str) -> np.ndarray:
     """Read an embedding dump, verify it against its sidecar and refuse non-finite rows."""
-    (count, dim), (embeddings,), digest = read_tensor_file(
+    import hashlib  # imported here, as in save_embeddings
+
+    (count, dim), (embeddings,), data = read_tensor_file(
         path, EMBEDDING_MAGIC, 2, lambda header: [header]
     )
     sidecar = read_json_object(path + ".json")
-    expected = {"count": count, "dim": dim, "checksum": digest}
+    expected = {"count": count, "dim": dim, "checksum": hashlib.sha256(data).hexdigest()}
     for key, value in expected.items():
         if sidecar.get(key) != value:
             raise CorpusParseError(

@@ -32,6 +32,7 @@ from .encoder import (
     FlatTensors,
     PackedBatch,
     Pooling,
+    as_pooling,
     encode_backward,
     encode_batch,
     forward_batch,
@@ -88,13 +89,19 @@ def enqueue_batch(queue: MemoryQueue, keys: np.ndarray | Sequence[np.ndarray]) -
     queue.filled = min(queue.filled + b, queue.capacity)
 
 
-def momentum_update(base: np.ndarray, momentum: np.ndarray, m: float) -> None:
+def momentum_update(
+    base: np.ndarray, momentum: np.ndarray, m: float, scratch: np.ndarray | None = None
+) -> None:
     """momentum <- m * momentum + (1 - m) * base, elementwise and in place, on
-    two flat buffers of one layout (a state's towers and momentum_towers)."""
+    two flat buffers of one layout (a state's towers and momentum_towers).
+
+    (1 - m) * base goes into `scratch` when given, a buffer of the same
+    length that the caller owns, so the update allocates nothing.
+    """
     if base.shape != momentum.shape:
         raise InvalidInputError(f"base shape {base.shape} != momentum shape {momentum.shape}")
     momentum *= m
-    momentum += (1.0 - m) * base
+    momentum += np.multiply(base, 1.0 - m, out=scratch)
 
 
 def tower_pair(tensors: Sequence[np.ndarray]) -> tuple[EncoderParams, EncoderParams]:
@@ -216,7 +223,7 @@ def loss_and_gradients(
     pass is reused by its backward pass.
     """
     _check_batches(batch_a, batch_b)
-    pooling = Pooling(pooling)
+    pooling = as_pooling(pooling)
     n = len(batch_a)
 
     queries_a = forward_batch(state.base_a, batch_a, pooling)
@@ -240,17 +247,22 @@ def loss_and_gradients(
 
 
 def advance_state(
-    state: DualMocoState, batch_a: PackedBatch, batch_b: PackedBatch, pooling: Pooling | str
+    state: DualMocoState,
+    batch_a: PackedBatch,
+    batch_b: PackedBatch,
+    pooling: Pooling | str,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """EMA-update both momentum towers in one whole-buffer blend, then
     enqueue the batch's fresh keys.
 
     Keys are re-encoded with the updated momentum parameters before they
     enter the queues. Mutates the momentum towers and queues of `state`; the
-    base towers are only read.
+    base towers are only read. `scratch`, when given, is a buffer of the
+    length of state.towers.flat for the blend (see momentum_update).
     """
     _check_batches(batch_a, batch_b)
-    pooling = Pooling(pooling)
-    momentum_update(state.towers.flat, state.momentum_towers.flat, state.momentum)
+    pooling = as_pooling(pooling)
+    momentum_update(state.towers.flat, state.momentum_towers.flat, state.momentum, scratch)
     enqueue_batch(state.queue_a, encode_batch(state.momentum_a, batch_a, pooling))
     enqueue_batch(state.queue_b, encode_batch(state.momentum_b, batch_b, pooling))

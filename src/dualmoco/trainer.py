@@ -3,10 +3,11 @@ clipping, and an optional 3-way inference head trained jointly with the
 contrastive objective. The momentum ablation is momentum = 0, which makes
 each key tower a copy of its query tower after every step.
 
-`train` packs the corpus once and hands every step function packed batches
-(step_gradients takes PackedBatch sides and an NliBatch). Every trainable
-tensor lives in one encoder.FlatTensors buffer: the two towers in the layout
-of moco.DualMocoState.towers, which is a view of its start, then the head.
+`train` takes the training split from the corpus tables once, range-checked,
+and hands every step function packed batches (step_gradients takes
+PackedBatch sides and an NliBatch). Every trainable tensor lives in one
+encoder.FlatTensors buffer: the two towers in the layout of
+moco.DualMocoState.towers, which is a view of its start, then the head.
 step_gradients writes the gradients into a second buffer of that layout, and
 clip_gradients and adamw_step work in place on whole buffers.
 
@@ -38,6 +39,7 @@ from .encoder import (
     gather_batch,
     init_params,
     pack_tokens,
+    table_rows,
 )
 from .errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from .moco import DualMocoState, LossValue, advance_state, loss_and_gradients, new_state, tower_pair
@@ -383,12 +385,13 @@ def train(
     Each step: gradients of the bidirectional loss (plus the weighted
     inference objective when enabled), global clip, AdamW, EMA update of the
     momentum towers, re-encode and enqueue the batch's keys. Each side of
-    the training split (and each field of the inference triples) is
-    flattened and range-checked once per corpus, before the first step; a
-    step's batch is an index gather from it, shared by all of the above. The
-    last partial batch of every epoch is dropped so enqueue sizes stay
-    constant. Per-epoch rows carry retrieval accuracy on the validation
-    split and, when similarity pairs are supplied, their rank correlation.
+    the training split is taken from the corpus tables (and each field of
+    the inference triples flattened) and range-checked once per corpus,
+    before the first step; a step's batch is an index gather from it,
+    shared by all of the above. The last partial batch of every epoch is
+    dropped so enqueue sizes stay constant. Per-epoch rows carry retrieval
+    accuracy on the validation split and, when similarity pairs are
+    supplied, their rank correlation.
     Both towers get `vocab_size` rows, by default one more than the largest
     token id on either side of the corpus.
 
@@ -399,17 +402,21 @@ def train(
     clipping and AdamW work on whole buffers.
     """
     config.validate()
-    train_pairs = corpus.split("train")
-    if not train_pairs:
+    train_rows = corpus.split("train")
+    if not len(train_rows):
         raise CorpusParseError("corpus has no training pairs")
-    if len(train_pairs) < config.batch_size:
+    if len(train_rows) < config.batch_size:
         raise ConfigError(
-            f"batch_size must be <= {len(train_pairs)} training pairs (got {config.batch_size})"
+            f"batch_size must be <= {len(train_rows)} training pairs (got {config.batch_size})"
         )
 
     vocab = vocab_size if vocab_size is not None else corpus.max_token() + 1
-    side_a = pack_tokens([p.tokens_a for p in train_pairs], vocab, "side A of training pair")
-    side_b = pack_tokens([p.tokens_b for p in train_pairs], vocab, "side B of training pair")
+    side_a = table_rows(corpus.tokens_a, train_rows, vocab, "side A of training pair")
+    side_b = table_rows(corpus.tokens_b, train_rows, vocab, "side B of training pair")
+    val_rows = corpus.split("validation")
+    if not len(val_rows):
+        val_rows = train_rows[:256]
+    val = gather_batch(corpus.tokens_a, val_rows), gather_batch(corpus.tokens_b, val_rows)
 
     nli_on = nli_data is not None and len(nli_data) > 0 and config.nli_weight > 0.0
     if nli_on:
@@ -437,17 +444,19 @@ def train(
         head = NliHead(*trainable[6:])
     grads = FlatTensors(np.zeros_like(trainable.flat), shapes)
     opt = AdamWState.for_params(trainable)
+    # AdamW's scratch is free from the end of its step to the next clip
+    ema_scratch = opt.scratch[0][: towers.flat.size]
 
     if nli_on:
         nli_order = nli_rng.permutation(len(nli_data))
 
-    steps_per_epoch = len(train_pairs) // config.batch_size
+    steps_per_epoch = len(train_rows) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
 
     result = TrainResult(head, state)
     step = 0
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(train_pairs))
+        order = shuffle_rng.permutation(len(train_rows))
         for b in range(steps_per_epoch):
             sel = order[b * config.batch_size : (b + 1) * config.batch_size]
             lr = lr_at(
@@ -480,7 +489,7 @@ def train(
 
             clip_gradients(grads, config.grad_clip, scratch=opt.scratch[0])
             adamw_step(trainable, grads, opt, lr, config.weight_decay)
-            advance_state(state, batch_a, batch_b, config.pooling)
+            advance_state(state, batch_a, batch_b, config.pooling, scratch=ema_scratch)
 
             result.records.append(
                 {
@@ -494,7 +503,7 @@ def train(
             )
             step += 1
 
-        record = _epoch_eval(state, corpus, sts_pairs, config, epoch)
+        record = _epoch_eval(state, val, sts_pairs, config, epoch)
         result.records.append(record)
         logger.info(
             "epoch %d: acc_ab=%.4f acc_ba=%.4f sts=%s",
@@ -508,14 +517,16 @@ def train(
 
 def _epoch_eval(
     state: DualMocoState,
-    corpus: ParallelCorpus,
+    val: tuple[PackedBatch, PackedBatch],
     sts_pairs: Sequence[StsPair] | None,
     config: TrainConfig,
     epoch: int,
 ) -> dict:
-    val = corpus.split("validation") or corpus.split("train")[:256]
-    embs_a = encode_batch(state.base_a, [p.tokens_a for p in val], config.pooling)
-    embs_b = encode_batch(state.base_b, [p.tokens_b for p in val], config.pooling)
+    """The epoch record: retrieval accuracy between the two sides of the
+    validation pairs (the first 256 training pairs without any), and the
+    rank correlation on the similarity pairs when given."""
+    embs_a = encode_batch(state.base_a, val[0], config.pooling)
+    embs_b = encode_batch(state.base_b, val[1], config.pooling)
     acc_ab, acc_ba = evaluation.retrieval_accuracy(embs_a, embs_b)
     sts = None
     if sts_pairs:

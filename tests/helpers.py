@@ -5,7 +5,8 @@ per-pair contrastive and inference losses with the token-list and
 fresh-array entry points built on the packed step API, the two-exp
 contrastive kernel, the per-tensor EMA and optimizer steps, the step rows of
 a training log, per-element reference implementations of the array-coded
-evaluation paths, and the per-token generator draws and rendering."""
+evaluation paths, the per-token generator draws and rendering, and the
+pairs of a columnar parallel corpus as tuples."""
 
 from __future__ import annotations
 
@@ -17,17 +18,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from dualmoco import moco
-from dualmoco.datagen import NliTriple
+from dualmoco.datagen import SPLITS, NliTriple, ParallelCorpus
 from dualmoco.encoder import (
     EncoderParams,
     FlatTensors,
     PackedBatch,
     Pooling,
     TokenSeq,
+    TokenTable,
     encode_backward,
     forward_batch,
     pack_batch,
     pack_tensor_file,
+    token_table,
 )
 from dualmoco.errors import ConfigError, InvalidInputError, NumericalFailureError
 from dualmoco.evaluation import EMBEDDING_MAGIC, RATIO_EPS, MiningResult, Neighbors
@@ -521,3 +524,34 @@ def reference_render(
             tokens.append(int(noise[rng.integers(len(noise))]))
         tokens.append(int(surface[c]))
     return tuple(tokens)
+
+
+# ---------------------------------------------------------------------------
+# A parallel corpus holds its pairs as columns; these give them as tuples.
+# ---------------------------------------------------------------------------
+
+
+def sequences(table: TokenTable, rows: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """The sequences of a token table, or those at `rows` in that order, as
+    tuples of Python ints."""
+    rows = range(len(table.lengths)) if rows is None else np.asarray(rows).tolist()
+    return [tuple(table.ids[table.starts[i] : table.starts[i] + table.lengths[i]].tolist()) for i in rows]
+
+
+def corpus_rows(corpus: ParallelCorpus) -> list[tuple]:
+    """Each pair of a corpus as (tokens_a, tokens_b, concepts, split name)."""
+    names = [SPLITS[code] for code in corpus.split_codes.tolist()]
+    columns = (sequences(corpus.tokens_a), sequences(corpus.tokens_b), sequences(corpus.concepts))
+    return list(zip(*columns, names))
+
+
+def corpus_of(rows: Sequence[tuple[Sequence[int], Sequence[int], Sequence[int], str]]) -> ParallelCorpus:
+    """The corpus of (tokens_a, tokens_b, concepts, split name) rows."""
+
+    def table(column: int) -> TokenTable:
+        seqs = [row[column] for row in rows]
+        flat = [t for seq in seqs for t in seq]
+        return token_table(np.array(flat, dtype=np.int64), [len(seq) for seq in seqs])
+
+    codes = np.array([SPLITS.index(row[3]) for row in rows], dtype=np.int8)
+    return ParallelCorpus(table(0), table(1), table(2), codes)

@@ -30,7 +30,7 @@ from test_evaluation import brute_force_threshold, naive_nn
 from test_numerics import rank_formula_rho
 
 from dualmoco import datagen, evaluation, trainer
-from dualmoco.encoder import FlatTensors, Pooling, encode_batch, forward_batch, init_params
+from dualmoco.encoder import FlatTensors, Pooling, encode_batch, forward_batch, gather_batch, init_params
 from dualmoco.moco import (
     MemoryQueue,
     enqueue_batch,
@@ -71,9 +71,9 @@ def timed_train(config, corpus, lexicon, **kwargs):
 
 
 def held_out_accuracy(result, corpus, pooling, split="test"):
-    pairs = corpus.split(split)
-    embs_a = encode_batch(result.state.base_a, [p.tokens_a for p in pairs], pooling)
-    embs_b = encode_batch(result.state.base_b, [p.tokens_b for p in pairs], pooling)
+    rows = corpus.split(split)
+    embs_a = encode_batch(result.state.base_a, gather_batch(corpus.tokens_a, rows), pooling)
+    embs_b = encode_batch(result.state.base_b, gather_batch(corpus.tokens_b, rows), pooling)
     return evaluation.retrieval_accuracy(embs_a, embs_b)
 
 
@@ -268,13 +268,13 @@ def test_monolingual_transfer_after_training(world, default_run):
     _, corpus, _, _, _, _ = world
     result, _ = default_run
     pooling = trainer.TrainConfig().pooling
-    pairs = corpus.split("test")[:200]
-    embs_a = encode_batch(result.state.base_a, [p.tokens_a for p in pairs], pooling)
-    embs_b = encode_batch(result.state.base_b, [p.tokens_b for p in pairs], pooling)
+    rows = corpus.split("test")[:200]
+    embs_a = encode_batch(result.state.base_a, gather_batch(corpus.tokens_a, rows), pooling)
+    embs_b = encode_batch(result.state.base_b, gather_batch(corpus.tokens_b, rows), pooling)
     gaps = np.linalg.norm(embs_a - embs_b, axis=1)
     xi = embs_a[0]
     worst = 0.0
-    for j in range(1, len(pairs)):
+    for j in range(1, len(rows)):
         lhs = abs(float(xi @ embs_a[j]) - float(xi @ embs_b[j]))
         assert lhs <= 2.0 * float(gaps[j]) + 1e-12
         worst = max(worst, lhs)

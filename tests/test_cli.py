@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import write_embedding_dump
+from helpers import sequences, write_embedding_dump
 
 import dualmoco
 from dualmoco import cli, errors
@@ -529,9 +529,10 @@ class TestTrainedPooling:
         argv = ["embed", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data), "--out", str(emb)]
         assert cli.main(argv) == 0
         towers = load_checkpoint(str(run / "checkpoint.bin"))
-        pairs = load_tsv(str(data / "parallel.tsv")).split("test")
+        corpus = load_tsv(str(data / "parallel.tsv"))
+        rows = corpus.split("test")
         for side, params in zip("ab", towers):
-            expected = encode_batch(params, [getattr(p, f"tokens_{side}") for p in pairs], Pooling.MAX)
+            expected = encode_batch(params, sequences(getattr(corpus, f"tokens_{side}"), rows), Pooling.MAX)
             np.testing.assert_array_equal(load_embeddings(str(emb / f"test_{side}.emb")), expected)
         assert "pooling" not in json.loads((emb / "embed_config.json").read_text())
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import reference_draw_concepts, reference_render
+from helpers import corpus_rows, reference_draw_concepts, reference_render, sequences
 
 from dualmoco import cli, datagen
 from dualmoco.datagen import (
@@ -73,29 +73,29 @@ class TestGenParallelCorpus:
     def test_different_seeds_differ(self, lexicon):
         c1 = gen_parallel_corpus(lexicon, 40, 0, 0, seed=5)
         c2 = gen_parallel_corpus(lexicon, 40, 0, 0, seed=6)
-        assert [p.tokens_a for p in c1.pairs] != [p.tokens_a for p in c2.pairs]
+        assert sequences(c1.tokens_a) != sequences(c2.tokens_a)
 
     def test_pair_sides_share_concept_multiset(self, lexicon):
         corpus = gen_parallel_corpus(lexicon, 50, 0, 0, seed=7)
-        for p in corpus.pairs:
-            got_a = recover_concepts(p.tokens_a, lexicon.surface_a, lexicon.noise_a)
-            got_b = recover_concepts(p.tokens_b, lexicon.surface_b, lexicon.noise_b)
-            assert sorted(got_a) == sorted(got_b) == sorted(p.concepts)
+        for tokens_a, tokens_b, concepts, _ in corpus_rows(corpus):
+            got_a = recover_concepts(tokens_a, lexicon.surface_a, lexicon.noise_a)
+            got_b = recover_concepts(tokens_b, lexicon.surface_b, lexicon.noise_b)
+            assert sorted(got_a) == sorted(got_b) == sorted(concepts)
 
     def test_reversed_word_order_on_side_b(self, lexicon):
         corpus = gen_parallel_corpus(lexicon, 20, 0, 0, noise_rate=0.0, seed=8)
-        for p in corpus.pairs:
-            got_b = recover_concepts(p.tokens_b, lexicon.surface_b, lexicon.noise_b)
-            assert tuple(got_b) == p.concepts[::-1]
+        for _, tokens_b, concepts, _ in corpus_rows(corpus):
+            got_b = recover_concepts(tokens_b, lexicon.surface_b, lexicon.noise_b)
+            assert tuple(got_b) == concepts[::-1]
 
     def test_no_noise_identity_reorder_equal_lengths(self, lexicon):
         corpus = gen_parallel_corpus(
             lexicon, 30, 0, 0, noise_rate=0.0, seed=9, reorder_b="identity"
         )
-        for p in corpus.pairs:
-            assert len(p.tokens_a) == len(p.tokens_b)
-            got_b = recover_concepts(p.tokens_b, lexicon.surface_b, lexicon.noise_b)
-            assert tuple(got_b) == p.concepts
+        for tokens_a, tokens_b, concepts, _ in corpus_rows(corpus):
+            assert len(tokens_a) == len(tokens_b)
+            got_b = recover_concepts(tokens_b, lexicon.surface_b, lexicon.noise_b)
+            assert tuple(got_b) == concepts
 
     def test_split_sizes_and_tags(self, lexicon):
         corpus = gen_parallel_corpus(lexicon, 12, 5, 7, seed=10)
@@ -106,7 +106,7 @@ class TestGenParallelCorpus:
     def test_split_hygiene_hash_audit(self, lexicon):
         corpus = gen_parallel_corpus(lexicon, 40, 20, 20, seed=11)
         per_split = {
-            name: {hash(tuple(p.concepts)) for p in corpus.split(name)}
+            name: {hash(concepts) for concepts in sequences(corpus.concepts, corpus.split(name))}
             for name in ("train", "validation", "test")
         }
         assert not per_split["train"] & per_split["validation"]
@@ -117,7 +117,7 @@ class TestGenParallelCorpus:
         # brute-force audit: each side-A sentence's highest concept-Jaccard
         # match on side B is its own partner, uniquely
         corpus = gen_parallel_corpus(lexicon, 60, 0, 0, seed=12)
-        sets = [set(p.concepts) for p in corpus.pairs]
+        sets = [set(concepts) for concepts in sequences(corpus.concepts)]
         for i, si in enumerate(sets):
             jac = [len(si & sj) / len(si | sj) for sj in sets]
             best = max(range(len(sets)), key=lambda j: jac[j])
@@ -126,9 +126,9 @@ class TestGenParallelCorpus:
 
     def test_length_range_enforced(self, lexicon):
         corpus = gen_parallel_corpus(lexicon, 40, 0, 0, len_range=(4, 6), noise_rate=0.0, seed=13)
-        for p in corpus.pairs:
-            assert 4 <= len(p.concepts) <= 6
-            assert len(p.tokens_a) == len(p.concepts)
+        for tokens_a, _, concepts, _ in corpus_rows(corpus):
+            assert 4 <= len(concepts) <= 6
+            assert len(tokens_a) == len(concepts)
 
     def test_validation(self, lexicon):
         with pytest.raises(ConfigError):
@@ -192,8 +192,6 @@ class TestGenMiningCorpus:
 def all_pairs_acceptable(self, cand):
     """The all-pairs `_ConceptSampler._acceptable` scan, kept as the reference
     for the whole-array one."""
-    if self.max_overlap >= 1.0:
-        return cand not in self._seen_lookup
     return all(len(cand & s) / len(cand | s) < self.max_overlap for s in self.seen)
 
 
@@ -260,6 +258,17 @@ class TestConceptIndex:
         monkeypatch.setattr(datagen._ConceptSampler, "_acceptable", reference)
         assert draws() == indexed
         assert verdicts.count(False) > 0
+
+    def test_duplicate_sampler_runs_out_after_every_distinct_set(self):
+        # 4 concepts hold 4 sets of 3, each drawn in any of 6 orders
+        small = make_lexicon(concept_count=4, noise_count=1, seed=0)
+        sampler = datagen._ConceptSampler(small, np.random.default_rng(3))
+        drawn = [sampler.draw(3) for _ in range(4)]
+        every_set = {frozenset(s) for s in ({0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3})}
+        assert {frozenset(seq) for seq in drawn} == every_set
+        with pytest.raises(ConfigError, match="could not sample a sufficiently distinct concept sequence"):
+            sampler.draw(3)
+        assert sampler.seen == []  # sets are kept only for the mining audit
 
     def test_max_overlap_must_be_positive(self, lexicon):
         with pytest.raises(ConfigError, match="max_overlap"):
@@ -362,6 +371,36 @@ class TestMatchesPerPairReferences:
         assert peak - start < 1000 * 1000 * 2
 
 
+def traced_peak(fn):
+    """fn()'s result and the peak bytes it allocated under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestParallelCorpusMemory:
+    """The seed-1 default corpus of gen-data: 6,500 pairs, a 0.54 MB file.
+    As objects, a tuple per field and a set per pair, it took 7.5 MB to
+    generate and 7.2 MB to load."""
+
+    def test_generation_peak(self):
+        lexicon = make_lexicon(380, 20, seed=1)
+        corpus, peak = traced_peak(lambda: gen_parallel_corpus(lexicon, seed=2))
+        assert len(corpus) == 6500
+        assert peak < 5_000_000
+
+    def test_load_peak(self, tmp_path):
+        assert cli.main(["gen-data", "--seed", "1", "--out", str(tmp_path)]) == 0
+        corpus, peak = traced_peak(lambda: load_tsv(str(tmp_path / "parallel.tsv")))
+        assert len(corpus) == 6500
+        assert peak < 4_000_000
+
+
 class TestGenStsPairs:
     def test_identical_sets_score_one(self):
         lexicon = make_lexicon(40, 4, seed=1)
@@ -411,7 +450,13 @@ class TestFileRoundTrips:
         corpus = gen_parallel_corpus(lexicon, 25, 5, 5, seed=23)
         path = tmp_path / "corpus.tsv"
         save_tsv(corpus, str(path))
-        assert load_tsv(str(path)) == corpus
+        loaded = load_tsv(str(path))
+        assert corpus_rows(loaded) == corpus_rows(corpus)
+        for column in ("tokens_a", "tokens_b", "concepts"):
+            for got, want in zip(getattr(loaded, column), getattr(corpus, column)):
+                assert got.dtype == want.dtype == np.int32
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(loaded.split_codes, corpus.split_codes)
 
     def test_sts_round_trip(self, lexicon, tmp_path):
         pairs = gen_sts_pairs(lexicon, 30, seed=24)
@@ -462,6 +507,44 @@ class TestFileRoundTrips:
         path.write_text("1\t2\t3\tdev\n")
         with pytest.raises(CorpusParseError, match="split"):
             load_tsv(str(path))
+
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            (6, "1 2\t3 4\t5 x\ttest", r"non-integer token field '5 x'"),
+            (3, " 1 2\t3 4\t5 6\ttrain", r"non-integer token field ' 1 2'"),
+            (3, "1 2\t3 4 \t5 6\ttrain", r"non-integer token field '3 4 '"),
+            (4, "1 2\t3  4\t5 6\ttrain", r"non-integer token field '3  4'"),
+            (2, "1 2\t3 4\t5 \u0666\ttrain", r"non-integer token field '5 \u0666'"),
+            (5, "1 +7\t3 4\t5 6\ttrain", r"non-integer token field '1 \+7'"),
+            (1, "1_0\t3 4\t5 6\ttrain", r"non-integer token field '1_0'"),
+            (4, "1 2\t\t5 6\ttrain", r"empty token field"),
+            (3, "1 2\t3 4\t5 6\tdev", r"unknown split 'dev'"),
+            (6, "1 2\t3 4\t5 6\ttest\textra", r"expected 4 columns, got 5"),
+            (2, "1 2\t3 4\ttrain", r"expected 4 columns, got 3"),
+        ],
+        ids=[
+            "last-line", "leading-space", "trailing-space", "doubled-space", "arabic-indic",
+            "plus", "underscore", "empty-field", "unknown-split", "five-columns", "three-columns",
+        ],
+    )
+    def test_fault_among_good_lines_cites_its_line(self, tmp_path, line, bad, message):
+        # the whole-array pass refuses the file; the line walk names the line
+        lines = ["1 2\t3 4\t5 6\ttrain"] * 6
+        lines[line - 1] = bad
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusParseError, match=rf"bad\.tsv:{line}: {message}"):
+            load_tsv(str(path))
+
+    def test_line_walk_reads_records_the_array_pass_refuses(self, lexicon, tmp_path):
+        # CRLF line ends, blank lines and no final LF are read as the records
+        corpus = gen_parallel_corpus(lexicon, 6, 2, 2, seed=28)
+        path = tmp_path / "corpus.tsv"
+        save_tsv(corpus, str(path))
+        lines = path.read_bytes().split(b"\n")[:-1]
+        path.write_bytes(b"\n\n" + b"\r\n".join(lines[:4]) + b"\n\n\n" + b"\n".join(lines[4:]))
+        assert corpus_rows(load_tsv(str(path))) == corpus_rows(corpus)
 
     @pytest.mark.parametrize("gold", ["nan", "-7.5", "inf", "-inf", "1.0000001", "-0.001"])
     def test_sts_gold_outside_unit_interval_cites_line(self, tmp_path, gold):

@@ -28,8 +28,10 @@ from dualmoco.encoder import (
     pack_batch,
     pack_tokens,
     save_checkpoint,
+    table_rows,
+    token_table,
 )
-from dualmoco.errors import CorpusParseError, InvalidInputError
+from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError
 
 
 @pytest.fixture
@@ -140,6 +142,17 @@ class TestEncodeForward:
         np.testing.assert_array_equal(
             encode(params, [1, 2], "mean"), encode(params, [1, 2], Pooling.MEAN)
         )
+
+    def test_unknown_pooling_is_a_config_error(self, params):
+        packed = pack_batch([[1, 2]], params.vocab_size)
+        grads = zeros_like_tower(params)
+        for call in (
+            lambda: encode_batch(params, [[1, 2]], "avg"),
+            lambda: forward_batch(params, packed, "avg"),
+            lambda: encode_backward(params, packed, "avg", np.zeros((1, 3)), None, grads),
+        ):
+            with pytest.raises(ConfigError, match=r"pooling must be one of mean, max, first \(got 'avg'\)"):
+                call()
 
     def test_permutation_invariance_of_mean_and_max(self, params):
         rng = np.random.default_rng(3)
@@ -274,11 +287,26 @@ class TestTokenTable:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, len(sel))
             assert got.live == want.live and got.max_id == want.max_id
 
+    def test_ids_beyond_int64_reach_the_forward_range_check(self, params):
+        # a corpus file may hold such an id; batches without it gather as intp
+        table = token_table(np.array([1, 2, 10**25, 3], dtype=object), [2, 1, 1])
+        batch = gather_batch(table, np.array([2, 0]))
+        assert batch.ids.dtype == np.intp and batch.ids.tolist() == [3, 1, 2]
+        want = encode_batch(params, [[3], [1, 2]], "max")
+        np.testing.assert_array_equal(encode_batch(params, batch, "max"), want)
+        with pytest.raises(InvalidInputError, match=rf"batch item 1: token id {10**25} outside \[0, 10\)"):
+            encode_batch(params, gather_batch(table, np.array([0, 1])), "max")
+
     def test_errors_name_the_item_and_its_index(self):
         with pytest.raises(InvalidInputError, match=r"side A of training pair 2: token id 9 outside \[0, 9\)"):
             pack_tokens([[1, 2], [3], [4, 9, 9]], 9, "side A of training pair")
         with pytest.raises(InvalidInputError, match="premise 1: empty token sequence"):
             pack_tokens([[1], [], [-1]], 9, "premise")
+        # table_rows names a sequence by its position in the selection
+        table = pack_tokens([[1, 2], [3], [4, 9, 9], [5]], 10, "sentence")
+        assert table_rows(table, np.array([3, 0]), 9, "side A of training pair").ids.tolist() == [5, 1, 2]
+        with pytest.raises(InvalidInputError, match=r"side A of training pair 1: token id 9 outside \[0, 9\)"):
+            table_rows(table, np.array([1, 2, 0]), 9, "side A of training pair")
 
 
 class TestEncodeBackward:

@@ -14,6 +14,7 @@ from helpers import (
     write_embedding_dump,
 )
 
+from dualmoco import evaluation
 from dualmoco.encoder import init_params, encode_batch
 from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from dualmoco.evaluation import (
@@ -224,6 +225,15 @@ class TestMineBitext:
         rng = np.random.default_rng(15)
         with pytest.raises(InvalidInputError, match="query dim 4 != corpus dim 5"):
             mine_bitext(random_unit_rows(3, 4, rng), random_unit_rows(3, 5, rng))
+
+    def test_unknown_variant_refused_before_any_search(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        a, b, _ = self.planted_instance(rng)
+        searches = []
+        monkeypatch.setattr(evaluation, "nn_search", lambda *args, **kwargs: searches.append(args))
+        with pytest.raises(ConfigError, match=r"variant must be 'distance' or 'ratio' \(got 'cosine'\)"):
+            mine_bitext(a, b, k=2, variant="cosine")
+        assert searches == []
 
     def test_peak_allocation_below_one_dense_matrix(self):
         rng = np.random.default_rng(39)

@@ -98,12 +98,16 @@ class TestMomentumUpdate:
     def test_flat_blend_equals_per_tensor_reference_bitwise(self, m):
         rng = np.random.default_rng(int(100 * m))
         base_a, base_b, start_a, start_b = (init_params(11, 5, 4, rng) for _ in range(4))
-        momentum = flat_towers(start_a, start_b)
-        momentum_update(flat_towers(base_a, base_b).flat, momentum.flat, m)
+        base, momentum = flat_towers(base_a, base_b).flat, flat_towers(start_a, start_b)
+        # the same blend with (1 - m) * base written into caller-owned scratch
+        through_scratch, scratch = momentum.flat.copy(), np.full(base.size, np.nan)
+        momentum_update(base, momentum.flat, m)
+        momentum_update(base, through_scratch, m, scratch)
         reference_momentum_update(base_a, start_a, m)
         reference_momentum_update(base_b, start_b, m)
         want = [*start_a.arrays(), *start_b.arrays()]
         assert [a.tobytes() for a in momentum] == [w.tobytes() for w in want]
+        assert through_scratch.tobytes() == momentum.flat.tobytes()
 
 
 class TestNewState:

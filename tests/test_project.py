@@ -1,8 +1,8 @@
 """Checks on the project as shipped: the README's library example runs as
 written and it names only commands and flags the CLI accepts, no module
 imports a name it never uses, every public name the package defines has
-a user outside the tests, and every raise is one of the package's error
-families."""
+a user outside the tests, every raise is one of the package's error
+families, and so is the error of every conversion to one of its enums."""
 
 import argparse
 import ast
@@ -178,3 +178,54 @@ def test_foreign_raise_is_reported():
         ),
     }
     assert _foreign_raises(sources, {"ConfigError", "InvalidInputError"}) == ["a line 4", "a line 13"]
+
+
+def _bare_enum_conversions(sources: dict[str, str]) -> list[str]:
+    """The calls of `sources` (module name -> code) that convert a value to
+    an Enum class the sources define, such as Pooling(x), outside a
+    function annotated to return that class.
+
+    Such a conversion raises ValueError for an unknown value, outside the
+    error families; the annotated function is where it is turned into one.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    enums = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "Enum" for b in node.bases)
+    }
+    allowed = {
+        id(call)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name) and node.returns.id in enums
+        for call in ast.walk(node)
+    }
+    return [
+        f"{module} line {node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in enums
+        and id(node) not in allowed
+    ]
+
+
+def test_every_enum_conversion_is_an_error_family():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _bare_enum_conversions(sources) == []
+
+
+def test_bare_enum_conversion_is_reported():
+    sources = {
+        "a": (
+            "class Mode(str, Enum):\n    X = 'x'\n"
+            "def as_mode(v) -> Mode:\n    try:\n        return Mode(v)\n"
+            "    except ValueError:\n        raise ConfigError(v) from None\n"
+            "def f(v):\n    return Mode(v)\n"
+        ),
+        "b": "def g(v):\n    return [Mode(v), as_mode(v), Other(v)]\n",
+    }
+    assert _bare_enum_conversions(sources) == ["a line 9", "b line 2"]

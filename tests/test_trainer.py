@@ -9,6 +9,8 @@ from helpers import (
     central_difference,
     central_difference_at,
     copy_tower,
+    corpus_of,
+    corpus_rows,
     encode_backward_tokens,
     flat_towers,
     insertion_order,
@@ -20,6 +22,7 @@ from helpers import (
     random_unit_rows,
     reference_adamw_step,
     reference_clip_gradients,
+    sequences,
     step_new_gradients,
     step_records,
 )
@@ -469,9 +472,12 @@ class TestTrain:
         assert nli_losses[-1] < nli_losses[0]
         assert result.nli_head is not None
 
-    def test_empty_corpus_rejected(self):
+    def test_empty_corpus_rejected(self, small_world):
+        # every pair of the corpus relabelled to the test split
+        _, corpus, _, _ = small_world
+        held_out = dataclasses.replace(corpus, split_codes=np.full_like(corpus.split_codes, 2))
         with pytest.raises(CorpusParseError, match="corpus has no training pairs"):
-            train(small_config(), datagen.ParallelCorpus())
+            train(small_config(), held_out)
 
     def test_config_validation_names_field(self):
         with pytest.raises(ConfigError, match="temperature"):
@@ -578,14 +584,28 @@ class TestTrain:
         # training pair 5 gets one side-B id past the vocabulary, which side A stays inside
         _, corpus, _, _ = small_world
         top = corpus.max_token() + 1
-        pairs = list(corpus.pairs)
-        assert pairs[5].split == "train"
-        pairs[5] = dataclasses.replace(pairs[5], tokens_b=pairs[5].tokens_b + (top,))
+        rows = corpus_rows(corpus)
+        assert rows[5][3] == "train"
+        rows[5] = (rows[5][0], rows[5][1] + (top,), *rows[5][2:])
         steps = []
         monkeypatch.setattr(trainer, "step_gradients", lambda *args, **kwargs: steps.append(args))
         with pytest.raises(InvalidInputError, match=f"side B of training pair 5: token id {top}"):
-            train(small_config(), datagen.ParallelCorpus(pairs), vocab_size=top)
+            train(small_config(), corpus_of(rows), vocab_size=top)
         assert steps == []
+
+    @pytest.mark.parametrize("big", [2**63, 10**25], ids=["int64-max-plus-one", "25-digits"])
+    def test_id_beyond_int64_in_a_file_reaches_the_out_of_range_message(self, small_world, tmp_path, big):
+        # side A of training pair 3 gets an id that no int64 holds
+        _, corpus, _, _ = small_world
+        path = tmp_path / "parallel.tsv"
+        datagen.save_tsv(corpus, str(path))
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace("\t", f" {big}\t", 1)
+        path.write_text("\n".join(lines) + "\n")
+        loaded = datagen.load_tsv(str(path))
+        top = corpus.max_token() + 1
+        with pytest.raises(InvalidInputError, match=f"side A of training pair 3: token id {big} outside"):
+            train(small_config(), loaded, vocab_size=top)
 
     def test_nan_guard(self):
         with pytest.raises(NumericalFailureError):
@@ -616,8 +636,8 @@ class TestStepGradientLinearity:
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
-        pairs = corpus.split("train")[:8]
-        sides = ([p.tokens_a for p in pairs], [p.tokens_b for p in pairs])
+        rows = corpus.split("train")[:8]
+        sides = (sequences(corpus.tokens_a, rows), sequences(corpus.tokens_b, rows))
         batch_a, batch_b = pack_pair(state, *sides)
         nli_batch = pack_nli(nli[:8], lexicon.vocab_size)
         alpha = 0.37
@@ -650,8 +670,8 @@ class TestStepGradientLinearity:
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
-        pairs = corpus.split("train")[:8]
-        sides = ([p.tokens_a for p in pairs], [p.tokens_b for p in pairs])
+        rows = corpus.split("train")[:8]
+        sides = (sequences(corpus.tokens_a, rows), sequences(corpus.tokens_b, rows))
         args = (state, *pack_pair(state, *sides), "mean")
         kwargs = dict(head=head, nli_batch=pack_nli(nli[:12], lexicon.vocab_size), nli_weight=0.3)
         loss, nli_loss, want = step_new_gradients(*args, **kwargs)  # into zeros
@@ -671,9 +691,9 @@ class TestStepGradientLinearity:
         enqueue_batch(state.queue_a, random_unit_rows(16, 8, rng))
         enqueue_batch(state.queue_b, random_unit_rows(16, 8, rng))
         head = init_nli_head(8, rng)
-        pairs = corpus.split("train")[:8]
-        batch_a = [p.tokens_a for p in pairs]
-        batch_b = [p.tokens_b for p in pairs]
+        rows = corpus.split("train")[:8]
+        batch_a = sequences(corpus.tokens_a, rows)
+        batch_b = sequences(corpus.tokens_b, rows)
         nli_batch = nli[:12]
         packed = pack_pair(state, batch_a, batch_b)
         _, nli_loss, got = step_new_gradients(
