@@ -14,10 +14,12 @@ layout, so the EMA of both is one whole-buffer blend per step.
 Queues start empty and the loss uses only the filled region, so early steps
 see fewer (or zero) negatives instead of fabricated ones.
 
-The step functions, loss_and_gradients and advance_state, take batches
-packed by encoder.pack_batch or encoder.gather_batch; the key encodes go
-through encode_batch. loss_and_gradients writes the gradients into towers
-of arrays that its caller owns.
+A step follows MoCo's Algorithm 1 (He et al. 2020) and runs four encoder
+forwards: loss_and_gradients encodes the queries and, with the momentum
+towers as they stand, the keys, from batches packed by encoder.pack_batch
+or encoder.gather_batch, and writes the gradients into towers of arrays
+that its caller owns; after the optimizer step, advance_state blends the
+momentum towers and enqueues those same keys.
 """
 
 from __future__ import annotations
@@ -159,11 +161,14 @@ def new_state(
 
 @dataclass
 class LossValue:
-    """Bidirectional contrastive loss; total = forward + backward."""
+    """Bidirectional contrastive loss; total = forward + backward. `keys`,
+    left out of comparisons, holds the positives it scored as (keys_a,
+    keys_b), momentum_a and momentum_b outputs, for advance_state."""
 
     total: float
     forward: float
     backward: float
+    keys: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
 def _nce_batch(
@@ -201,11 +206,6 @@ def _nce_batch(
     return losses, grad_q
 
 
-def _check_batches(batch_a: PackedBatch, batch_b: PackedBatch) -> None:
-    if len(batch_a) != len(batch_b):
-        raise InvalidInputError(f"batch sizes differ: {len(batch_a)} vs {len(batch_b)}")
-
-
 def loss_and_gradients(
     state: DualMocoState,
     batch_a: PackedBatch,
@@ -216,13 +216,15 @@ def loss_and_gradients(
     """Bidirectional loss; the gradients of both base towers go into `out`.
 
     `out` is (grads_a, grads_b), towers of arrays shaped like the bases,
-    which are overwritten. Keys come from the momentum towers and the
-    queues, so they contribute no gradient; grads_a stems from the a->b
-    direction only and grads_b from b->a, each averaged over the batch. The
-    batches come from pack_batch or gather_batch, and each query forward
-    pass is reused by its backward pass.
+    which are overwritten. Keys come from the momentum towers as they stand
+    before the step, and the negatives from the queues, so they contribute
+    no gradient; grads_a stems from the a->b direction only and grads_b
+    from b->a, each averaged over the batch. The batches come from
+    pack_batch or gather_batch, and each query forward pass is reused by
+    its backward pass. The result carries the keys for advance_state.
     """
-    _check_batches(batch_a, batch_b)
+    if len(batch_a) != len(batch_b):
+        raise InvalidInputError(f"batch sizes differ: {len(batch_a)} vs {len(batch_b)}")
     pooling = as_pooling(pooling)
     n = len(batch_a)
 
@@ -243,26 +245,23 @@ def loss_and_gradients(
 
     forward = float(fwd_losses.mean())
     backward = float(bwd_losses.mean())
-    return LossValue(forward + backward, forward, backward)
+    return LossValue(forward + backward, forward, backward, (keys_a, keys_b))
 
 
 def advance_state(
     state: DualMocoState,
-    batch_a: PackedBatch,
-    batch_b: PackedBatch,
-    pooling: Pooling | str,
+    keys_a: np.ndarray,
+    keys_b: np.ndarray,
     scratch: np.ndarray | None = None,
 ) -> None:
     """EMA-update both momentum towers in one whole-buffer blend, then
-    enqueue the batch's fresh keys.
+    enqueue the keys the step's loss scored (its LossValue.keys), which the
+    momentum towers encoded before this blend, as in MoCo's Algorithm 1.
 
-    Keys are re-encoded with the updated momentum parameters before they
-    enter the queues. Mutates the momentum towers and queues of `state`; the
-    base towers are only read. `scratch`, when given, is a buffer of the
-    length of state.towers.flat for the blend (see momentum_update).
+    Mutates the momentum towers and queues of `state`; the base towers are
+    only read. `scratch`, when given, is a buffer of the length of
+    state.towers.flat for the blend (see momentum_update).
     """
-    _check_batches(batch_a, batch_b)
-    pooling = as_pooling(pooling)
     momentum_update(state.towers.flat, state.momentum_towers.flat, state.momentum, scratch)
-    enqueue_batch(state.queue_a, encode_batch(state.momentum_a, batch_a, pooling))
-    enqueue_batch(state.queue_b, encode_batch(state.momentum_b, batch_b, pooling))
+    enqueue_batch(state.queue_a, keys_a)
+    enqueue_batch(state.queue_b, keys_b)

@@ -337,7 +337,7 @@ def step_gradients(
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[LossValue, float]:
     """Write the gradients of the full step objective into `out`; return the
-    contrastive loss and the inference loss (0.0 without the head).
+    contrastive loss, keys included, and the inference loss (0.0 if no head).
 
     Both sides come from pack_batch or gather_batch, and the inference
     triples as an NliBatch packed for tower A. `out` holds the base_a
@@ -382,16 +382,16 @@ def train(
 ) -> TrainResult:
     """Run the full contrastive (optionally multitask) optimization.
 
-    Each step: gradients of the bidirectional loss (plus the weighted
-    inference objective when enabled), global clip, AdamW, EMA update of the
-    momentum towers, re-encode and enqueue the batch's keys. Each side of
-    the training split is taken from the corpus tables (and each field of
-    the inference triples flattened) and range-checked once per corpus,
-    before the first step; a step's batch is an index gather from it,
-    shared by all of the above. The last partial batch of every epoch is
-    dropped so enqueue sizes stay constant. Per-epoch rows carry retrieval
-    accuracy on the validation split and, when similarity pairs are
-    supplied, their rank correlation.
+    Each step, in the order of MoCo's Algorithm 1: gradients of the
+    bidirectional loss (plus the weighted inference objective when enabled)
+    against the momentum towers' keys, global clip, AdamW, EMA update of the
+    momentum towers, enqueue of the keys the loss used. Each side of the
+    training split is taken from the corpus tables (and each field of the
+    inference triples flattened) and range-checked once per corpus, before
+    the first step; a step's batch is an index gather from it. The last
+    partial batch of every epoch is dropped so enqueue sizes stay constant.
+    Per-epoch rows carry retrieval accuracy on the validation split and,
+    when similarity pairs are supplied, their rank correlation.
     Both towers get `vocab_size` rows, by default one more than the largest
     token id on either side of the corpus.
 
@@ -489,7 +489,7 @@ def train(
 
             clip_gradients(grads, config.grad_clip, scratch=opt.scratch[0])
             adamw_step(trainable, grads, opt, lr, config.weight_decay)
-            advance_state(state, batch_a, batch_b, config.pooling, scratch=ema_scratch)
+            advance_state(state, *loss.keys, scratch=ema_scratch)
 
             result.records.append(
                 {
@@ -502,6 +502,7 @@ def train(
                 }
             )
             step += 1
+            del loss  # its keys are queued: free them before the next step's loss
 
         record = _epoch_eval(state, val, sts_pairs, config, epoch)
         result.records.append(record)

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     bidirectional_loss,
     central_difference,
+    copy_tower,
     encode_backward_tokens,
     flat_towers,
     info_nce,
@@ -50,7 +51,7 @@ def moco_step(state, batch_a, batch_b, pooling):
     """One training step's MoCo part: gradients from the state, then advance it in place."""
     batch_a, batch_b = pack_pair(state, batch_a, batch_b)
     loss, grads_a, grads_b = loss_and_new_gradients(state, batch_a, batch_b, pooling)
-    advance_state(state, batch_a, batch_b, pooling)
+    advance_state(state, *loss.keys)
     return loss, grads_a, grads_b
 
 
@@ -386,17 +387,20 @@ class TestMocoStep:
         moco_step(state, batch_a, batch_b, Pooling.MEAN)
         assert state.queue_a.filled == 8
 
-    def test_keys_use_updated_momentum_params(self):
-        # with m = 0 the EMA collapses onto the base, so the enqueued keys
-        # must equal fresh base-encoder outputs, not the old momentum ones
+    def test_keys_use_pre_step_momentum_params(self):
+        # MoCo's Algorithm 1: the queue takes the keys the loss scored, from
+        # the momentum tower before its EMA update, not re-encoded after it
         rng = np.random.default_rng(18)
-        state = tiny_state(rng, m=0.0)
+        state = tiny_state(rng, m=0.9)
+        state.base_a.embedding += 0.5 * rng.normal(size=state.base_a.embedding.shape)
         batch_a = random_token_batch(rng, 3, 10)
         batch_b = random_token_batch(rng, 3, 10)
+        before = copy_tower(state.momentum_a)
         moco_step(state, batch_a, batch_b, Pooling.MEAN)
-        np.testing.assert_array_equal(
-            insertion_order(state.queue_a), encode_batch(state.base_a, batch_a, Pooling.MEAN)
-        )
+        queued = insertion_order(state.queue_a)
+        np.testing.assert_array_equal(queued, encode_batch(before, batch_a, Pooling.MEAN))
+        # the EMA moved the tower, so the post-step encode would differ
+        assert not np.array_equal(queued, encode_batch(state.momentum_a, batch_a, Pooling.MEAN))
 
     def test_base_params_untouched(self):
         # advance_state leaves both bases bit-unchanged and mutates only the
@@ -408,7 +412,9 @@ class TestMocoStep:
         buffers = [*state.momentum_a.arrays(), *state.momentum_b.arrays()]
         slots = (state.queue_a.slots, state.queue_b.slots)
         batch = pack_pair(state, random_token_batch(rng, 2, 10), random_token_batch(rng, 2, 10))
-        advance_state(state, *batch, "mean")
+        key_towers = (state.momentum_a, state.momentum_b)
+        keys = [encode_batch(tower, side, "mean") for tower, side in zip(key_towers, batch)]
+        advance_state(state, *keys)
         for a, b in zip(bases, (*state.base_a.arrays(), *state.base_b.arrays())):
             np.testing.assert_array_equal(a, b)
         after = [*state.momentum_a.arrays(), *state.momentum_b.arrays()]

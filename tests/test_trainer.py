@@ -27,7 +27,7 @@ from helpers import (
     step_records,
 )
 
-from dualmoco import datagen, trainer
+from dualmoco import datagen, moco, trainer
 from dualmoco.encoder import FlatTensors, encode_batch, init_params
 from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from dualmoco.moco import LossValue, enqueue_batch, new_state
@@ -534,7 +534,7 @@ class TestTrain:
 
     def test_ablation_queue_holds_base_outputs(self, small_world, monkeypatch):
         # with parameter sharing the newest queue entries must equal the
-        # current base encoder applied to the step's batch
+        # base encoder as it stood before the last step, applied to its batch
         _, corpus, _, _ = small_world
         snapshots = []
         real = trainer.step_gradients
@@ -547,10 +547,55 @@ class TestTrain:
         config = small_config(epochs=1, momentum=0.0)
         result = train(config, corpus)
         newest = insertion_order(result.state.queue_a)[-config.batch_size :]
-        # the final step's keys were encoded with the post-update params,
-        # which are exactly the returned base params
-        replay = encode_batch(result.state.base_a, snapshots[-1][1], config.pooling)
-        np.testing.assert_allclose(newest, replay, atol=1e-12)
+        # the final step's keys were encoded before its update, by a momentum
+        # tower equal to the base that the probe copied
+        tower, batch = snapshots[-1]
+        np.testing.assert_array_equal(newest, encode_batch(tower, batch, config.pooling))
+
+    @pytest.mark.parametrize("nli_on, per_step", [(False, 4), (True, 6)], ids=["contrastive", "multitask"])
+    def test_encoder_forwards_per_step(self, small_world, monkeypatch, nli_on, per_step):
+        # two query and two key forwards, plus the premise and hypothesis
+        # forwards of the inference head; the enqueue encodes nothing
+        _, corpus, nli, _ = small_world
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in ((moco, "forward_batch"), (moco, "encode_batch"), (trainer, "forward_batch")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        result = train(small_config(epochs=1), corpus, nli_data=nli if nli_on else None)
+        steps = len(step_records(result))
+        assert steps == len(corpus.split("train")) // 16
+        assert len(calls) == per_step * steps
+        assert calls.count("encode_batch") == 2 * steps
+
+    def test_enqueued_keys_are_the_loss_positives(self, small_world, monkeypatch):
+        _, corpus, _, _ = small_world
+        positives, enqueued = [], []
+        real_nce, real_enqueue = moco._nce_batch, moco.enqueue_batch
+
+        def nce(queries, keys, negatives, temperature):
+            positives.append(keys)
+            return real_nce(queries, keys, negatives, temperature)
+
+        def enqueue(queue, keys):
+            enqueued.append(keys)
+            return real_enqueue(queue, keys)
+
+        monkeypatch.setattr(moco, "_nce_batch", nce)
+        monkeypatch.setattr(moco, "enqueue_batch", enqueue)
+        result = train(small_config(epochs=1), corpus)
+        steps = len(step_records(result))
+        assert steps > 0 and len(positives) == len(enqueued) == 2 * steps
+        # each step scores keys_b (a->b), then keys_a (b->a), and enqueues
+        # the same two arrays into queue_a, then queue_b
+        for k in range(0, 2 * steps, 2):
+            assert enqueued[k] is positives[k + 1] and enqueued[k + 1] is positives[k]
 
     def test_step_probe_sees_every_step(self, small_world, monkeypatch):
         _, corpus, _, _ = small_world
