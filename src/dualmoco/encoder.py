@@ -21,6 +21,7 @@ import os
 import struct
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -101,43 +102,59 @@ def init_params(vocab_size: int, d_emb: int, d_out: int, rng: np.random.Generato
 
 
 @dataclass(frozen=True, eq=False)
-class PackedBatch:
-    """A batch of token sequences flattened and validated once.
+class TokenTable:
+    """Token sequences flattened once: sequence i is
+    ids[starts[i] : starts[i] + lengths[i]], and len() counts the sequences.
 
-    One pack serves every forward and backward pass over the batch. Sentence
-    i is ids[starts[i] : starts[i] + lengths[i]]. Mean pooling reads the
-    tokens position by position instead: `by_position` holds position 0 of
-    every sentence, then position 1 of every sentence longer than one token,
-    and so on, with the sentences ordered longest first (stably), so the
-    sentences still running at position t are the first live[t] of that
-    order; row `restore[i]` of that order is batch item i.
-    """
-
-    ids: np.ndarray  # (total,) token ids, sentence by sentence
-    lengths: np.ndarray  # (n,)
-    starts: np.ndarray  # (n,) offset of each sentence in ids
-    by_position: np.ndarray  # (total,) ids, position by position, longest sentence first
-    live: tuple[int, ...]  # live[t]: number of sentences longer than t tokens
-    restore: np.ndarray  # (n,) longest-first row of each batch item
-    max_id: int  # -1 for an empty batch
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-
-class TokenTable(NamedTuple):
-    """Token sequences flattened once, without the pooling gather: sequence
-    i is ids[starts[i] : starts[i] + lengths[i]]. A batch of any of its
-    sequences is then an index gather (`gather_batch`).
-
-    A table may hold a whole corpus side for a whole run, so it stores
-    32-bit integers where its values allow (see token_table); batches
-    gathered from it hold intp, as pack_batch's do.
+    One type holds a corpus column and a batch alike. A column may hold a
+    corpus side for a whole run, so it stores 32-bit integers where its
+    values allow (see token_table); a batch of any of its sequences is an
+    index gather (`gather_batch`) holding intp, as pack_tokens's tables do.
+    Every forward pass checks a table's ids against its tower. The id range
+    and the mean-pooling order are computed on first use and kept, so the
+    forward passes of both towers over one batch share them.
     """
 
     ids: np.ndarray  # (total,) token ids, sequence by sequence
     lengths: np.ndarray  # (n,)
     starts: np.ndarray  # (n,) offset of each sequence in ids
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @cached_property
+    def _bounds(self) -> tuple[int, int, int]:
+        """min(0, smallest id), max(-1, largest id) and min(1, shortest
+        length): all _check_ids needs to pass a table."""
+        return self.ids.min(initial=0), self.ids.max(initial=-1), self.lengths.min(initial=1)
+
+    @cached_property
+    def mean_order(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """(by_position, live, restore): the order mean pooling reads tokens in.
+
+        by_position holds position 0 of every sequence, then position 1 of
+        every sequence longer than one token, and so on, with the sequences
+        ordered longest first (stably), so the sequences still running at
+        position t are the first live[t] of that order; row restore[i] of
+        that order is sequence i.
+        """
+        lengths = self.lengths
+        n = len(lengths)
+        # Sequences longest first, each length's in table order. A match
+        # against the lengths present finds this order without an argsort,
+        # whose code pages alone add about 0.2 MB to the peak RSS of a short
+        # CLI process.
+        counts = np.bincount(lengths, minlength=1)
+        order = np.nonzero(lengths == np.flatnonzero(counts)[::-1, None])[1]
+        restore = np.empty(n, np.intp)
+        restore[order] = np.arange(n)
+        live = (n - np.cumsum(counts)[:-1]).tolist()
+        # Row t of this (longest length, n) grid holds the offset of token t
+        # of every sequence, longest first; the sequences still running at t
+        # are a prefix of the row, so the mask reads the rows' prefixes in order.
+        position = np.arange(len(live))[:, None]
+        by_position = self.ids[(self.starts[order] + position)[position < lengths[order]]]
+        return by_position, tuple(live), restore
 
 
 _INT32 = np.iinfo(np.int32)
@@ -159,55 +176,40 @@ def token_table(ids: np.ndarray, lengths: np.ndarray) -> TokenTable:
     return TokenTable(ids, lengths, starts)
 
 
-def _out_of_range(
-    ids: np.ndarray, starts: np.ndarray, position: int, vocab_size: int, item: str
-) -> InvalidInputError:
-    # the last sentence starting at or before the bad position holds it
-    index = int(np.searchsorted(starts, position, side="right")) - 1
-    return InvalidInputError(
-        f"{item} {index}: token id {ids[position]} outside [0, {vocab_size})"
-    )
-
-
-def _check_ids(
-    ids: np.ndarray, lengths: np.ndarray, starts: np.ndarray, vocab_size: int, item: str
-) -> None:
-    """InvalidInputError naming the first sequence, as `item` and its index,
-    that is empty or holds an id outside [0, vocab_size)."""
+def _check_ids(table: TokenTable, vocab_size: int, item: str) -> None:
+    """InvalidInputError naming the first sequence of `table`, as `item` and
+    its index, that is empty or holds an id outside [0, vocab_size)."""
+    low, high, shortest = table._bounds
+    if low >= 0 and high < vocab_size and shortest > 0:
+        return
+    ids, starts = table.ids, table.starts
     bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
-    empty = np.flatnonzero(lengths == 0)
+    empty = np.flatnonzero(table.lengths == 0)
     if empty.size and (not bad.size or starts[empty[0]] <= bad[0]):
         raise InvalidInputError(f"{item} {empty[0]}: empty token sequence")
-    if bad.size:
-        raise _out_of_range(ids, starts, bad[0], vocab_size, item)
-
-
-def _flatten(
-    sequences: Sequence[TokenSeq], vocab_size: int, item: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ids, lengths and starts (intp) of non-empty sequences with ids in
-    [0, vocab_size); otherwise InvalidInputError names the first
-    offending sequence as `item` and its index."""
-    n = len(sequences)
-    lengths = np.fromiter(map(len, sequences), np.intp, n)
-    starts = np.cumsum(lengths) - lengths
-    try:
-        ids = np.fromiter(chain.from_iterable(sequences), np.intp, int(lengths.sum()))
-    except OverflowError:  # an id too large for intp: range-check the Python ints instead
-        ids = np.fromiter(chain.from_iterable(sequences), object, int(lengths.sum()))
-    _check_ids(ids, lengths, starts, vocab_size, item)
-    return ids, lengths, starts
+    # the last sequence starting at or before the bad position holds it
+    index = int(np.searchsorted(starts, bad[0], side="right")) - 1
+    raise InvalidInputError(f"{item} {index}: token id {ids[bad[0]]} outside [0, {vocab_size})")
 
 
 def pack_tokens(sequences: Sequence[TokenSeq], vocab_size: int, item: str) -> TokenTable:
-    """Flatten and check sequences once into a TokenTable.
+    """The table of token lists `sequences`, with intp ids, lengths and
+    starts, checked once; encode_batch packs token lists with
+    pack_tokens(batch, vocab_size, "batch item").
 
     Every sequence must be non-empty with ids in [0, vocab_size); otherwise
     InvalidInputError names the first offending sequence as `item` and
     its index (as in "premise of inference triple 17").
     """
-    ids, lengths, _ = _flatten(sequences, vocab_size, item)
-    return token_table(ids, lengths)
+    lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
+    total = int(lengths.sum())
+    try:
+        ids = np.fromiter(chain.from_iterable(sequences), np.intp, total)
+    except OverflowError:  # an id too large for intp: range-check the Python ints instead
+        ids = np.fromiter(chain.from_iterable(sequences), object, total)
+    table = TokenTable(ids, lengths, np.cumsum(lengths) - lengths)
+    _check_ids(table, vocab_size, item)
+    return table
 
 
 def _take(table: TokenTable, selection: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,59 +222,35 @@ def _take(table: TokenTable, selection: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def table_rows(table: TokenTable, rows: np.ndarray, vocab_size: int, item: str) -> TokenTable:
-    """Table sequences `rows` as a table of their own.
+    """Table sequences `rows` as a table of their own, stored as token_table
+    stores a column.
 
     Every sequence must be non-empty with ids in [0, vocab_size); otherwise
     InvalidInputError names the first offending one as `item` and its
     position in `rows` (as in "side A of training pair 17").
     """
-    ids, lengths, starts = _take(table, rows)
-    _check_ids(ids, lengths, starts, vocab_size, item)
-    return token_table(ids, lengths)
+    ids, lengths, _ = _take(table, rows)
+    rows_table = token_table(ids, lengths)
+    _check_ids(rows_table, vocab_size, item)
+    return rows_table
 
 
-def _packed_batch(ids: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> PackedBatch:
-    """The PackedBatch of checked sequences: adds the position-by-position gather."""
-    n = len(lengths)
-    # Sentences longest first, each length's in batch order. A match against
-    # the lengths present finds this order without an argsort, whose code
-    # pages alone add about 0.2 MB to the peak RSS of a short CLI process.
-    counts = np.bincount(lengths, minlength=1)
-    order = np.nonzero(lengths == np.flatnonzero(counts)[::-1, None])[1]
-    restore = np.empty(n, np.intp)
-    restore[order] = np.arange(n)
-    live = (n - np.cumsum(counts)[:-1]).tolist()
-    # Row t of this (longest length, n) grid holds the offset of token t of
-    # every sentence, longest first; the sentences still running at t are a
-    # prefix of the row, so the mask reads the rows' prefixes in order.
-    position = np.arange(len(live))[:, None]
-    by_position = ids[(starts[order] + position)[position < lengths[order]]]
-    return PackedBatch(ids, lengths, starts, by_position, tuple(live), restore, int(ids.max()) if n else -1)
+def gather_batch(table: TokenTable, selection: np.ndarray) -> TokenTable:
+    """The batch of table sequences `selection`, in that order, with intp
+    ids, lengths and starts; equal, array by array, to pack_tokens of the
+    same sequences as token lists.
 
-
-def pack_batch(batch: Sequence[TokenSeq], vocab_size: int) -> PackedBatch:
-    """Pack a batch of token lists for towers with `vocab_size` tokens.
-
-    Every sequence must be non-empty with ids in [0, vocab_size); otherwise
-    InvalidInputError names the first offending batch item.
-    """
-    return _packed_batch(*_flatten(batch, vocab_size, "batch item"))
-
-
-def gather_batch(table: TokenTable, selection: np.ndarray) -> PackedBatch:
-    """The PackedBatch of table sequences `selection`, in that order; equal,
-    field by field, to pack_batch of the same sequences as token lists.
-
-    Its ids are not range-checked: forward_batch refuses those outside the
-    tower, with pack_batch's message. A batch holding an id beyond intp
-    keeps them as Python ints, which only that refusal reads.
+    Its ids are not checked here: every forward pass refuses a batch with an
+    empty sequence or an id outside its tower, in pack_tokens's "batch item"
+    words. A batch holding an id beyond intp keeps them as Python ints,
+    which only that refusal reads.
     """
     ids, lengths, starts = _take(table, selection)
     try:
         ids = ids.astype(np.intp)
     except OverflowError:
         pass
-    return _packed_batch(ids, lengths, starts)
+    return TokenTable(ids, lengths, starts)
 
 
 class Forward(NamedTuple):
@@ -289,8 +267,9 @@ def encode(params: EncoderParams, tokens: TokenSeq, pooling: Pooling | str) -> n
     return encode_batch(params, [tokens], pooling)[0]
 
 
-def forward_batch(params: EncoderParams, packed: PackedBatch, pooling: Pooling | str) -> Forward:
-    """Forward pass over a packed batch, whose ids must fit the tower.
+def forward_batch(params: EncoderParams, batch: TokenTable, pooling: Pooling | str) -> Forward:
+    """Forward pass over a batch table; InvalidInputError names the first
+    batch item that is empty or holds an id outside the tower.
 
     Each sentence's row is a pure function of its own tokens, computed with
     the same floating-point operations in the same order whatever the batch
@@ -310,21 +289,20 @@ def forward_batch(params: EncoderParams, packed: PackedBatch, pooling: Pooling |
     - bias, tanh and the row norms are elementwise or per row.
     """
     pooling = as_pooling(pooling)
-    if packed.max_id >= params.vocab_size:
-        bad = int(np.argmax(packed.ids >= params.vocab_size))
-        raise _out_of_range(packed.ids, packed.starts, bad, params.vocab_size, "batch item")
+    _check_ids(batch, params.vocab_size, "batch item")
     if pooling is Pooling.MAX:
-        pooled = np.maximum.reduceat(params.embedding[packed.ids], packed.starts, axis=0)
+        pooled = np.maximum.reduceat(params.embedding[batch.ids], batch.starts, axis=0)
     elif pooling is Pooling.FIRST:
-        pooled = params.embedding[packed.ids[packed.starts]]
+        pooled = params.embedding[batch.ids[batch.starts]]
     else:
-        offset = len(packed)
-        pooled = params.embedding.take(packed.by_position[:offset], axis=0)
-        for live in packed.live[1:]:
-            pooled[:live] += params.embedding.take(packed.by_position[offset : offset + live], axis=0)
+        by_position, live_counts, restore = batch.mean_order
+        offset = len(batch)
+        pooled = params.embedding.take(by_position[:offset], axis=0)
+        for live in live_counts[1:]:
+            pooled[:live] += params.embedding.take(by_position[offset : offset + live], axis=0)
             offset += live
-        pooled = pooled[packed.restore]
-        pooled /= packed.lengths[:, None]
+        pooled = pooled[restore]
+        pooled /= batch.lengths[:, None]
     projected = np.matmul(pooled[:, None, :], params.proj_w)[:, 0]
     z = np.tanh(projected + params.proj_b)
     norms = np.linalg.norm(z, axis=1)
@@ -335,12 +313,12 @@ def forward_batch(params: EncoderParams, packed: PackedBatch, pooling: Pooling |
 
 
 def encode_batch(
-    params: EncoderParams, batch: Sequence[TokenSeq] | PackedBatch, pooling: Pooling | str
+    params: EncoderParams, batch: Sequence[TokenSeq] | TokenTable, pooling: Pooling | str
 ) -> np.ndarray:
-    """Encode a batch of token lists or a PackedBatch; row i is bit-identical
-    to encode(params, batch[i], pooling)."""
-    if not isinstance(batch, PackedBatch):
-        batch = pack_batch(batch, params.vocab_size)
+    """Encode a batch of token lists or a batch table; row i is bit-identical
+    to encode(params, tokens of sequence i, pooling)."""
+    if not isinstance(batch, TokenTable):
+        batch = pack_tokens(batch, params.vocab_size, "batch item")
     return forward_batch(params, batch, pooling).h
 
 
@@ -356,7 +334,7 @@ def _scatter_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> N
 
 def encode_backward(
     params: EncoderParams,
-    packed: PackedBatch,
+    batch: TokenTable,
     pooling: Pooling | str,
     upstream: np.ndarray,
     forward: Forward,
@@ -365,7 +343,7 @@ def encode_backward(
     """Write the gradient of sum_i upstream[i] . h_i with respect to `params`
     into `out`, arrays of the same shapes: they are zeroed, then accumulated.
 
-    `forward` is forward_batch(params, packed, pooling), the pass whose
+    `forward` is forward_batch(params, batch, pooling), the pass whose
     outputs received `upstream`; it is reused as is. Exact chain rule
     through normalization, tanh, the affine projection, and pooling. Max
     pooling routes each dimension's subgradient to the earliest token
@@ -375,17 +353,17 @@ def encode_backward(
     """
     pooling = as_pooling(pooling)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (len(packed), params.d_out):
+    if upstream.shape != (len(batch), params.d_out):
         raise InvalidInputError(
-            f"upstream shape {upstream.shape} != ({len(packed)}, {params.d_out})"
+            f"upstream shape {upstream.shape} != ({len(batch)}, {params.d_out})"
         )
     for a in out.arrays():
         a.fill(0.0)
-    if len(packed) == 0:
+    if len(batch) == 0:
         return
 
     h, z, norms, pooled = forward
-    ids, lengths, starts = packed.ids, packed.lengths, packed.starts
+    ids, lengths, starts = batch.ids, batch.lengths, batch.starts
 
     # normalization: dz = (g - (g.h) h) / ||z||, rowwise
     gh = np.sum(upstream * h, axis=1, keepdims=True)

@@ -77,20 +77,15 @@ def top_k_from_sims(sims: np.ndarray, k: int) -> Neighbors:
         cols[:, p] = work.argmax(axis=1)
         if p + 1 < k:
             work[rows, cols[:, p]] = -np.inf
-    # Once a row has only -inf left, a pass may take a masked column again;
-    # its picks from there on are its first -inf columns: the top k of a key
-    # marking them, shifted past the entries above -inf (all picked before).
-    low = np.isneginf(work[rows, cols[:, -1]])
-    if low.any():
-        neg = np.isneginf(sims[low])
-        shift = np.arange(k) - (m - neg.sum(axis=1, keepdims=True))
-        neg_cols = top_k_from_sims(neg.astype(np.float64), k).indices
-        cols[low] = np.where(shift < 0, cols[low], np.take_along_axis(neg_cols, shift % k, axis=1))
-    top = np.take_along_axis(sims, cols, axis=1)
-    nan_rows = np.isnan(top[:, 0])
+    nan_rows = np.isnan(sims[rows, cols[:, 0]])
     if nan_rows.any():
         raise InvalidInputError(f"similarity row {int(nan_rows.argmax())} holds NaN")
-    return Neighbors(cols, top)
+    # Once a row has only -inf left, a pass may take a masked column again;
+    # such rows take their picks from the stable descending sort itself.
+    low = np.isneginf(work[rows, cols[:, -1]])
+    if low.any():
+        cols[low] = np.argsort(-sims[low], axis=1, kind="stable")[:, :k]
+    return Neighbors(cols, np.take_along_axis(sims, cols, axis=1))
 
 
 def nn_search(queries: np.ndarray, corpus: np.ndarray, k: int, block_size: int = 512) -> Neighbors:

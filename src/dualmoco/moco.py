@@ -16,10 +16,12 @@ see fewer (or zero) negatives instead of fabricated ones.
 
 A step follows MoCo's Algorithm 1 (He et al. 2020) and runs four encoder
 forwards: loss_and_gradients encodes the queries and, with the momentum
-towers as they stand, the keys, from batches packed by encoder.pack_batch
-or encoder.gather_batch, and writes the gradients into towers of arrays
-that its caller owns; after the optimizer step, advance_state blends the
-momentum towers and enqueues those same keys.
+towers as they stand, the keys, from one encoder.TokenTable per side (from
+encoder.pack_tokens or encoder.gather_batch), which every forward checks
+against its tower and whose mean-pooling order a side's query and key
+forwards share; it writes the gradients into towers of arrays that its
+caller owns. After the optimizer step, advance_state blends the momentum
+towers and enqueues those same keys.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from .encoder import (
     EncoderParams,
     FlatTensors,
-    PackedBatch,
     Pooling,
+    TokenTable,
     as_pooling,
     encode_backward,
     encode_batch,
@@ -208,8 +210,8 @@ def _nce_batch(
 
 def loss_and_gradients(
     state: DualMocoState,
-    batch_a: PackedBatch,
-    batch_b: PackedBatch,
+    batch_a: TokenTable,
+    batch_b: TokenTable,
     pooling: Pooling | str,
     out: tuple[EncoderParams, EncoderParams],
 ) -> LossValue:
@@ -219,9 +221,9 @@ def loss_and_gradients(
     which are overwritten. Keys come from the momentum towers as they stand
     before the step, and the negatives from the queues, so they contribute
     no gradient; grads_a stems from the a->b direction only and grads_b
-    from b->a, each averaged over the batch. The batches come from
-    pack_batch or gather_batch, and each query forward pass is reused by
-    its backward pass. The result carries the keys for advance_state.
+    from b->a, each averaged over the batch. The batches are tables
+    from pack_tokens or gather_batch, and each query forward pass is reused
+    by its backward pass. The result carries the keys for advance_state.
     """
     if len(batch_a) != len(batch_b):
         raise InvalidInputError(f"batch sizes differ: {len(batch_a)} vs {len(batch_b)}")

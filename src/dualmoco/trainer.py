@@ -4,12 +4,14 @@ contrastive objective. The momentum ablation is momentum = 0, which makes
 each key tower a copy of its query tower after every step.
 
 `train` takes the training split from the corpus tables once, range-checked,
-and hands every step function packed batches (step_gradients takes
-PackedBatch sides and an NliBatch). Every trainable tensor lives in one
-encoder.FlatTensors buffer: the two towers in the layout of
-moco.DualMocoState.towers, which is a view of its start, then the head.
-step_gradients writes the gradients into a second buffer of that layout, and
-clip_gradients and adamw_step work in place on whole buffers.
+and hands every step function batches gathered from it: step_gradients
+takes one encoder.TokenTable per side, and an NliBatch of two more. A
+table's len() counts its sequences, and every forward checks its ids.
+Every trainable tensor lives in one encoder.FlatTensors buffer: the two
+towers in the layout of moco.DualMocoState.towers, which is a view of its
+start, then the head. step_gradients writes the gradients into a second
+buffer of that layout, and clip_gradients and adamw_step work in place on
+whole buffers.
 
 Reproducibility contract: given the same config and corpus, two runs produce
 bit-identical metrics logs. Every source of randomness draws from its own
@@ -31,8 +33,8 @@ from . import evaluation
 from .datagen import NliTriple, ParallelCorpus, StsPair, NLI_LABELS
 from .encoder import (
     FlatTensors,
-    PackedBatch,
     Pooling,
+    TokenTable,
     encode_backward,
     encode_batch,
     forward_batch,
@@ -243,10 +245,10 @@ def _label_indices(labels: Sequence[str]) -> np.ndarray:
 
 
 class NliBatch(NamedTuple):
-    """Inference triples packed for tower A, with their label indices."""
+    """Inference triples as two tables for tower A, with their label indices."""
 
-    premises: PackedBatch
-    hypotheses: PackedBatch
+    premises: TokenTable
+    hypotheses: TokenTable
     labels: np.ndarray  # (n,) indices into NLI_LABELS
 
 
@@ -326,8 +328,8 @@ class TrainResult:
 
 def step_gradients(
     state: DualMocoState,
-    batch_a: PackedBatch,
-    batch_b: PackedBatch,
+    batch_a: TokenTable,
+    batch_b: TokenTable,
     pooling: Pooling | str,
     out: FlatTensors,
     head: NliHead | None = None,
@@ -339,8 +341,8 @@ def step_gradients(
     """Write the gradients of the full step objective into `out`; return the
     contrastive loss, keys included, and the inference loss (0.0 if no head).
 
-    Both sides come from pack_batch or gather_batch, and the inference
-    triples as an NliBatch packed for tower A. `out` holds the base_a
+    Both sides are tables from pack_tokens or gather_batch, and the
+    inference triples an NliBatch of tables for tower A. `out` holds the base_a
     tensors, the base_b tensors, then the head tensors when the head is
     given. The inference term adds exactly nli_weight times its own gradient
     to the shared encoder, so the combined gradient is the sum of the two
@@ -518,7 +520,7 @@ def train(
 
 def _epoch_eval(
     state: DualMocoState,
-    val: tuple[PackedBatch, PackedBatch],
+    val: tuple[TokenTable, TokenTable],
     sts_pairs: Sequence[StsPair] | None,
     config: TrainConfig,
     epoch: int,

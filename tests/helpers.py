@@ -22,14 +22,13 @@ from dualmoco.datagen import SPLITS, NliTriple, ParallelCorpus
 from dualmoco.encoder import (
     EncoderParams,
     FlatTensors,
-    PackedBatch,
     Pooling,
     TokenSeq,
     TokenTable,
     encode_backward,
     forward_batch,
-    pack_batch,
     pack_tensor_file,
+    pack_tokens,
     token_table,
 )
 from dualmoco.errors import ConfigError, InvalidInputError, NumericalFailureError
@@ -152,7 +151,7 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
 
 # ---------------------------------------------------------------------------
 # Per-pair losses and token-list entry points. The library's step API takes
-# packed batches and writes gradients into the caller's arrays; these pack
+# batch tables and writes gradients into the caller's arrays; these pack
 # token lists at the call, return gradients in fresh zeroed arrays, score one
 # query or one inference pair, and read a queue back in insertion order.
 # ---------------------------------------------------------------------------
@@ -208,11 +207,11 @@ def softmax_entropy(similarities: np.ndarray, temperature: float) -> float:
 
 def pack_pair(
     state: moco.DualMocoState, batch_a: Sequence[TokenSeq], batch_b: Sequence[TokenSeq]
-) -> tuple[PackedBatch, PackedBatch]:
+) -> tuple[TokenTable, TokenTable]:
     """Both sides of a token-list batch packed for the state's towers."""
     return (
-        pack_batch(batch_a, state.base_a.vocab_size),
-        pack_batch(batch_b, state.base_b.vocab_size),
+        pack_tokens(batch_a, state.base_a.vocab_size, "batch item"),
+        pack_tokens(batch_b, state.base_b.vocab_size, "batch item"),
     )
 
 
@@ -244,7 +243,7 @@ def zeros_like_tower(params: EncoderParams) -> EncoderParams:
 
 
 def loss_and_new_gradients(
-    state: moco.DualMocoState, batch_a: PackedBatch, batch_b: PackedBatch, pooling: Pooling | str
+    state: moco.DualMocoState, batch_a: TokenTable, batch_b: TokenTable, pooling: Pooling | str
 ) -> tuple[moco.LossValue, EncoderParams, EncoderParams]:
     """moco.loss_and_gradients with both towers' gradients in fresh arrays."""
     grads = (zeros_like_tower(state.base_a), zeros_like_tower(state.base_b))
@@ -254,8 +253,8 @@ def loss_and_new_gradients(
 
 def step_new_gradients(
     state: moco.DualMocoState,
-    batch_a: PackedBatch,
-    batch_b: PackedBatch,
+    batch_a: TokenTable,
+    batch_b: TokenTable,
     pooling: Pooling | str,
     head: NliHead | None = None,
     **kwargs,
@@ -285,7 +284,7 @@ def encode_backward_tokens(
 ) -> EncoderParams:
     """encode_backward of a token-list batch, after its own pack and forward
     pass, into fresh zeroed arrays."""
-    packed = pack_batch(batch, params.vocab_size)
+    packed = pack_tokens(batch, params.vocab_size, "batch item")
     forward = forward_batch(params, packed, pooling)
     grads = zeros_like_tower(params)
     encode_backward(params, packed, pooling, upstream, forward, grads)
@@ -295,8 +294,8 @@ def encode_backward_tokens(
 def pack_nli(triples: Sequence[NliTriple], vocab_size: int) -> NliBatch:
     """Inference triples packed for a tower of vocab_size tokens."""
     return NliBatch(
-        pack_batch([t.premise for t in triples], vocab_size),
-        pack_batch([t.hypothesis for t in triples], vocab_size),
+        pack_tokens([t.premise for t in triples], vocab_size, "batch item"),
+        pack_tokens([t.hypothesis for t in triples], vocab_size, "batch item"),
         _label_indices([t.label for t in triples]),
     )
 

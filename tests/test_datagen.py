@@ -453,7 +453,8 @@ class TestFileRoundTrips:
         loaded = load_tsv(str(path))
         assert corpus_rows(loaded) == corpus_rows(corpus)
         for column in ("tokens_a", "tokens_b", "concepts"):
-            for got, want in zip(getattr(loaded, column), getattr(corpus, column)):
+            for name in ("ids", "lengths", "starts"):
+                got, want = (getattr(getattr(c, column), name) for c in (loaded, corpus))
                 assert got.dtype == want.dtype == np.int32
                 np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(loaded.split_codes, corpus.split_codes)

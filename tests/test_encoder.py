@@ -25,7 +25,6 @@ from dualmoco.encoder import (
     gather_batch,
     init_params,
     load_checkpoint,
-    pack_batch,
     pack_tokens,
     save_checkpoint,
     table_rows,
@@ -144,7 +143,7 @@ class TestEncodeForward:
         )
 
     def test_unknown_pooling_is_a_config_error(self, params):
-        packed = pack_batch([[1, 2]], params.vocab_size)
+        packed = pack_tokens([[1, 2]], params.vocab_size, "batch item")
         grads = zeros_like_tower(params)
         for call in (
             lambda: encode_batch(params, [[1, 2]], "avg"),
@@ -213,13 +212,15 @@ class TestEncodeBatch:
 
 
 class TestPackedBatch:
+    """Token lists packed once into a batch table by pack_tokens."""
+
     def test_encode_batch_on_packed_equals_token_lists_bitwise(self):
         rng = np.random.default_rng(6)
         params = wide_params(rng)
         for n in (0, 1, 2, 64, 300):
             batch = random_token_batch(rng, n, params.vocab_size, min_len=1, max_len=12)
-            packed = pack_batch(batch, params.vocab_size)
-            assert len(packed) == n
+            packed = pack_tokens(batch, params.vocab_size, "batch item")
+            assert len(packed) == n and packed.ids.dtype == np.intp
             for pooling in Pooling:
                 got = encode_batch(params, packed, pooling)
                 assert got.shape == (n, params.d_out)
@@ -231,7 +232,7 @@ class TestPackedBatch:
         params = wide_params(rng, ties=pooling is Pooling.MAX)
         batch = random_token_batch(rng, 64, params.vocab_size, min_len=1, max_len=12)
         upstream = rng.normal(size=(64, params.d_out))
-        packed = pack_batch(batch, params.vocab_size)
+        packed = pack_tokens(batch, params.vocab_size, "batch item")
         reused = zeros_like_tower(params)
         encode_backward(params, packed, pooling, upstream, forward_batch(params, packed, pooling), reused)
         own = encode_backward_tokens(params, batch, pooling, upstream)
@@ -241,7 +242,7 @@ class TestPackedBatch:
         # packed for a 60-token tower, used with the fixture's 10-token one
         # (the backward pass takes the forward pass that checks the pack)
         batch = [[0, 1], [2, 3, 4], [5, 42, 7], [12]]
-        packed = pack_batch(batch, 60)
+        packed = pack_tokens(batch, 60, "batch item")
         upstream = np.zeros((4, params.d_out))
         for call in (
             lambda: encode_batch(params, packed, Pooling.MEAN),
@@ -267,9 +268,8 @@ class TestPackedBatch:
 
 class TestTokenTable:
     """A corpus flattened once by pack_tokens; gathered batches must equal
-    pack_batch of the same sentences as token lists, field by field."""
-
-    FIELDS = ("ids", "lengths", "starts", "by_position", "restore")
+    pack_tokens of the same sentences as token lists, array by array, and
+    every forward pass must refuse a batch that is not valid for its tower."""
 
     def test_gathered_batch_equals_packed_token_lists(self):
         rng = np.random.default_rng(11)
@@ -281,11 +281,42 @@ class TestTokenTable:
         selections += [rng.permutation(len(corpus))[:n] for n in (1, 2, 16, 64, 128, 540)]
         for sel in selections:
             got = gather_batch(table, sel)
-            want = pack_batch([corpus[i] for i in sel], 37)
-            for name in self.FIELDS:
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, len(sel))
-            assert got.live == want.live and got.max_id == want.max_id
+            want = pack_tokens([corpus[i] for i in sel], 37, "batch item")
+            for a, b in zip(self.arrays(got), self.arrays(want)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), len(sel)
+            assert got.ids.dtype == np.intp and len(got) == len(sel)
+            assert got.mean_order[1] == want.mean_order[1] and got._bounds == want._bounds
+
+    @staticmethod
+    def arrays(table):
+        """ids, lengths, starts, and the by_position and restore arrays of the mean-pooling order."""
+        by_position, _, restore = table.mean_order
+        return table.ids, table.lengths, table.starts, by_position, restore
+
+    def test_mean_order_is_computed_once_per_table(self, params):
+        table = pack_tokens([[1, 2, 3], [4], [5, 6]], 10, "sentence")
+        batch = gather_batch(table, np.array([2, 0, 1]))
+        assert "mean_order" not in vars(batch)
+        encode_batch(params, batch, "max")
+        assert "mean_order" not in vars(batch)  # max and first pooling do not read it
+        encode_batch(params, batch, "mean")
+        order = vars(batch)["mean_order"]
+        other = init_params(10, 4, 3, np.random.default_rng(1))
+        encode_batch(other, batch, "mean")
+        assert batch.mean_order is order
+        assert "mean_order" not in vars(table)
+
+    @pytest.mark.parametrize("pooling", list(Pooling))
+    def test_forward_refuses_a_negative_id(self, params, pooling):
+        batch = gather_batch(token_table(np.array([-1, 2, 3]), [2, 1]), np.array([0, 1]))
+        with pytest.raises(InvalidInputError, match=r"batch item 0: token id -1 outside \[0, 10\)"):
+            encode_batch(params, batch, pooling)
+
+    @pytest.mark.parametrize("pooling", list(Pooling))
+    def test_forward_refuses_an_empty_sequence(self, params, pooling):
+        batch = gather_batch(token_table(np.array([1, 2, 3]), [2, 0, 1]), np.array([0, 1, 2]))
+        with pytest.raises(InvalidInputError, match="batch item 1: empty token sequence"):
+            encode_batch(params, batch, pooling)
 
     def test_ids_beyond_int64_reach_the_forward_range_check(self, params):
         # a corpus file may hold such an id; batches without it gather as intp

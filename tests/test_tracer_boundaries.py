@@ -93,3 +93,26 @@ def test_one_ema_per_training_step(monkeypatch):
     layers = trace.summary()["layers"]
     assert layers["trainer.step"]["calls"] == 2 * 64 // 16
     assert layers["moco.ema"]["calls"] == layers["trainer.step"]["calls"]
+
+
+def test_batch_counts_read_sequences_of_a_token_table(monkeypatch):
+    # a batch is an encoder.TokenTable, whose len() counts its sequences
+    trace = install_tracer(monkeypatch)
+    lexicon = datagen.make_lexicon(40, 4, seed=0)
+    corpus = datagen.gen_parallel_corpus(
+        lexicon, n_train=64, n_val=12, n_test=16, len_range=(3, 5), seed=1
+    )
+    nli = datagen.gen_nli_triples(lexicon, 20, seed=2)
+    config = trainer.TrainConfig(
+        epochs=2, batch_size=16, queue_capacity=32, d_emb=4, d_out=4, warmup_steps=1, nli_batch_size=6
+    )
+    trainer.train(config, corpus, nli_data=nli, vocab_size=lexicon.vocab_size)
+    summary = trace.summary()
+    steps = [counts for name, _, _, _, counts in summary["spans"] if name == "trainer.step"]
+    assert steps == [{"pairs": 16}] * (2 * 64 // 16)
+    layers = summary["layers"]
+    # each step encodes both sides' keys and runs a backward pass over both
+    # sides and both inference fields; each epoch encodes both validation sides
+    assert summary["step_forward_sents"] == len(steps) * 2 * 16
+    assert layers["encoder.forward"]["sents"] == len(steps) * 2 * 16 + 2 * 2 * 12
+    assert layers["encoder.backward"]["sents"] == len(steps) * 2 * (16 + 6)
