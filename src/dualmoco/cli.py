@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import datagen, evaluation, trainer
 from .encoder import (
     Pooling,
@@ -319,18 +317,12 @@ def cmd_mine(config: MineConfig) -> int:
     data_dir = Path(config.data_dir)
     val = datagen.load_mining_json(str(data_dir / MINING_VAL_FILE))
     test = datagen.load_mining_json(str(data_dir / MINING_TEST_FILE))
-
-    def embed_sides(corpus: datagen.MiningCorpus) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            encode_batch(params_a, corpus.side_a, pooling),
-            encode_batch(params_b, corpus.side_b, pooling),
-        )
-
-    val_a, val_b = embed_sides(val)
+    (val_a, val_b), (test_a, test_b) = (
+        (encode_batch(params_a, corpus.side_a, pooling), encode_batch(params_b, corpus.side_b, pooling))
+        for corpus in (val, test)
+    )
     val_result = evaluation.mine_bitext(val_a, val_b, k=config.k, variant=config.variant)
     lam, val_f1 = evaluation.search_threshold(val_result.scored, val.gold_pairs)
-
-    test_a, test_b = embed_sides(test)
     test_result = evaluation.mine_bitext(
         test_a, test_b, k=config.k, variant=config.variant, threshold=lam
     )

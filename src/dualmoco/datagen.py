@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoder import TokenTable, atomic_write, read_json_object, token_table
+from .encoder import TokenTable, atomic_write, pack_tokens, read_json_object, token_table
 from .errors import ConfigError, CorpusParseError
 
 NLI_LABELS = ("entailment", "neutral", "contradiction")
@@ -97,28 +97,46 @@ class ParallelCorpus:
         return max(int(self.tokens_a.ids.max()), int(self.tokens_b.ids.max()))
 
 
-@dataclass
+@dataclass(eq=False)
 class MiningCorpus:
-    """Two sentence collections with a partially parallel gold alignment."""
+    """Two sentence tables with a partially parallel gold alignment."""
 
-    side_a: list[tuple[int, ...]]
-    side_b: list[tuple[int, ...]]
+    side_a: TokenTable
+    side_b: TokenTable
     gold_pairs: list[tuple[int, int]]
     parallel_fraction: float
 
 
-@dataclass
-class StsPair:
-    tokens_1: tuple[int, ...]
-    tokens_2: tuple[int, ...]
-    gold_sim: float  # Jaccard of the two concept sets
+@dataclass(eq=False)
+class StsPairs:
+    """Same-language sentence pairs as columns: pair i is sequence i of each
+    table and gold[i], the Jaccard of the two concept sets."""
+
+    tokens_1: TokenTable
+    tokens_2: TokenTable
+    gold: np.ndarray  # (n,) float64
+
+    def __len__(self) -> int:
+        return len(self.gold)
 
 
-@dataclass
-class NliTriple:
-    premise: tuple[int, ...]
-    hypothesis: tuple[int, ...]
-    label: str
+@dataclass(eq=False)
+class NliTriples:
+    """Premise/hypothesis pairs as columns: triple i is sequence i of each
+    table and labels[i], the index of its label in NLI_LABELS."""
+
+    premises: TokenTable
+    hypotheses: TokenTable
+    labels: np.ndarray  # (n,) int8
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _table(sequences: Sequence[Sequence[int]]) -> TokenTable:
+    """Token lists as a column, stored as token_table stores one."""
+    packed = pack_tokens(sequences)
+    return token_table(packed.ids, packed.lengths)
 
 
 def nli_label(premise_concepts: Iterable[int], hypothesis_concepts: Iterable[int]) -> str:
@@ -331,8 +349,8 @@ def gen_mining_corpus(
     # sequence i lands at position pos[i] of its side
     pos_a = rng.permutation(n_a)
     pos_b = rng.permutation(n_b)
-    side_a = [seqs_a[i] for i in np.argsort(pos_a).tolist()]
-    side_b = [seqs_b[i] for i in np.argsort(pos_b).tolist()]
+    side_a = _table([seqs_a[i] for i in np.argsort(pos_a).tolist()])
+    side_b = _table([seqs_b[i] for i in np.argsort(pos_b).tolist()])
     gold_pairs = [(int(pos_a[i]), int(pos_b[i])) for i in range(n_gold)]
 
     seen = sampler.seen
@@ -383,7 +401,7 @@ def gen_sts_pairs(
     seed: int = 0,
     len_range: tuple[int, int] = (3, 8),
     noise_rate: float = 0.1,
-) -> list[StsPair]:
+) -> StsPairs:
     """Same-language sentence pairs with Jaccard-of-concepts gold scores.
 
     Overlap sizes are drawn uniformly from full-identity down to disjoint,
@@ -395,22 +413,17 @@ def gen_sts_pairs(
     rng = np.random.default_rng(seed)
     surface, noise = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
     all_concepts = np.arange(lexicon.concept_count)
-    pairs: list[StsPair] = []
+    tokens_1, tokens_2, gold = [], [], []
     for _ in range(n):
         length = int(rng.integers(len_range[0], len_range[1] + 1))
         s1 = _draw_concepts(rng, lexicon.concept_count, length)
         overlap = int(rng.integers(0, length + 1))
         remaining = np.delete(all_concepts, s1)
         s2 = s1[:overlap] + _draw_concepts(rng, remaining, length - overlap)
-        gold = overlap / len(set(s1) | set(s2))
-        pairs.append(
-            StsPair(
-                _render(s1, surface, noise, noise_rate, rng),
-                _render(s2, surface, noise, noise_rate, rng),
-                gold,
-            )
-        )
-    return pairs
+        gold.append(overlap / len(set(s1) | set(s2)))
+        tokens_1.append(_render(s1, surface, noise, noise_rate, rng))
+        tokens_2.append(_render(s2, surface, noise, noise_rate, rng))
+    return StsPairs(_table(tokens_1), _table(tokens_2), np.array(gold))
 
 
 def gen_nli_triples(
@@ -419,7 +432,7 @@ def gen_nli_triples(
     seed: int = 0,
     len_range: tuple[int, int] = (3, 8),
     noise_rate: float = 0.1,
-) -> list[NliTriple]:
+) -> NliTriples:
     """Premise/hypothesis pairs with labels balanced by round-robin construction."""
     if n < 1:
         raise ConfigError(f"n must be >= 1 (got {n})")
@@ -427,7 +440,7 @@ def gen_nli_triples(
     rng = np.random.default_rng(seed)
     surface, noise = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
     all_concepts = np.arange(lexicon.concept_count)
-    triples: list[NliTriple] = []
+    premises, hypotheses = [], []
     for i in range(n):
         want = NLI_LABELS[i % len(NLI_LABELS)]
         length = int(rng.integers(len_range[0], len_range[1] + 1))
@@ -446,21 +459,18 @@ def gen_nli_triples(
             fresh_n = int(rng.integers(1, len_range[1]))
             hyp = prem[:shared_n] + _draw_concepts(rng, pool, fresh_n)
         assert nli_label(prem, hyp) == want
-        triples.append(
-            NliTriple(
-                _render(prem, surface, noise, noise_rate, rng),
-                _render(hyp, surface, noise, noise_rate, rng),
-                want,
-            )
-        )
-    return triples
+        premises.append(_render(prem, surface, noise, noise_rate, rng))
+        hypotheses.append(_render(hyp, surface, noise, noise_rate, rng))
+    labels = (np.arange(n) % len(NLI_LABELS)).astype(np.int8)  # triple i is NLI_LABELS[i % 3]
+    return NliTriples(_table(premises), _table(hypotheses), labels)
 
 
 # ---------------------------------------------------------------------------
 # File formats. Parallel corpora are TSV: one pair per line,
 # `a_tokens<TAB>b_tokens<TAB>concept_ids<TAB>split`, tokens space-separated
 # integers, UTF-8, LF line endings. Similarity / inference files carry their
-# gold column in the last field. Mining corpora are JSON.
+# gold column (similarity or label name) in the last field; mining corpora
+# are JSON. Each dataset is written from its columns and loaded back into them.
 # ---------------------------------------------------------------------------
 
 
@@ -494,10 +504,6 @@ def _read_rows(path: str, n_cols: int) -> list[tuple[int, list[str]]]:
     if not rows:
         raise CorpusParseError(f"{path}: no records")
     return rows
-
-
-def _tokens(seq: Sequence[int]) -> str:
-    return " ".join(map(str, seq))
 
 
 def _save_lines(path: str, lines: Iterable[str]) -> None:
@@ -596,12 +602,13 @@ def load_tsv(path: str) -> ParallelCorpus:
     return corpus
 
 
-def save_sts_tsv(pairs: Sequence[StsPair], path: str) -> None:
-    _save_lines(path, (f"{_tokens(p.tokens_1)}\t{_tokens(p.tokens_2)}\t{p.gold_sim!r}" for p in pairs))
+def save_sts_tsv(pairs: StsPairs, path: str) -> None:
+    golds = map(repr, pairs.gold.tolist())
+    _save_lines(path, map("\t".join, zip(_texts(pairs.tokens_1), _texts(pairs.tokens_2), golds)))
 
 
-def load_sts_tsv(path: str) -> list[StsPair]:
-    pairs = []
+def load_sts_tsv(path: str) -> StsPairs:
+    rows = []
     for lineno, cols in _read_rows(path, 3):
         try:
             gold = float(cols[2])
@@ -609,36 +616,45 @@ def load_sts_tsv(path: str) -> list[StsPair]:
             raise CorpusParseError(f"{path}:{lineno}: bad gold similarity {cols[2]!r}") from e
         if not 0.0 <= gold <= 1.0:  # false for NaN too
             raise CorpusParseError(f"{path}:{lineno}: gold similarity {cols[2]!r} outside [0, 1]")
-        pairs.append(StsPair(_ints(cols[0], path, lineno), _ints(cols[1], path, lineno), gold))
-    return pairs
+        rows.append((_ints(cols[0], path, lineno), _ints(cols[1], path, lineno), gold))
+    tokens_1, tokens_2, golds = zip(*rows)
+    return StsPairs(_table(tokens_1), _table(tokens_2), np.array(golds))
 
 
-def save_nli_tsv(triples: Sequence[NliTriple], path: str) -> None:
-    _save_lines(path, (f"{_tokens(t.premise)}\t{_tokens(t.hypothesis)}\t{t.label}" for t in triples))
+def save_nli_tsv(triples: NliTriples, path: str) -> None:
+    names = (NLI_LABELS[code] for code in triples.labels.tolist())
+    _save_lines(path, map("\t".join, zip(_texts(triples.premises), _texts(triples.hypotheses), names)))
 
 
-def load_nli_tsv(path: str) -> list[NliTriple]:
-    triples = []
+def load_nli_tsv(path: str) -> NliTriples:
+    rows = []
     for lineno, cols in _read_rows(path, 3):
         if cols[2] not in NLI_LABELS:
             raise CorpusParseError(f"{path}:{lineno}: unknown label {cols[2]!r}")
-        triples.append(NliTriple(_ints(cols[0], path, lineno), _ints(cols[1], path, lineno), cols[2]))
-    return triples
+        rows.append((_ints(cols[0], path, lineno), _ints(cols[1], path, lineno), NLI_LABELS.index(cols[2])))
+    premises, hypotheses, codes = zip(*rows)
+    return NliTriples(_table(premises), _table(hypotheses), np.array(codes, dtype=np.int8))
+
+
+def _sequences(table: TokenTable) -> list[list[int]]:
+    """Each sequence of a table as a list of Python ints."""
+    ids = table.ids.tolist()
+    return [ids[start : start + length] for start, length in zip(table.starts.tolist(), table.lengths.tolist())]
 
 
 def save_mining_json(corpus: MiningCorpus, path: str) -> None:
     doc = {
-        "side_a": [list(s) for s in corpus.side_a],
-        "side_b": [list(s) for s in corpus.side_b],
+        "side_a": _sequences(corpus.side_a),
+        "side_b": _sequences(corpus.side_b),
         "gold_pairs": [list(p) for p in corpus.gold_pairs],
         "parallel_fraction": corpus.parallel_fraction,
     }
     atomic_write({path: (json.dumps(doc) + "\n").encode("utf-8")})
 
 
-def _mining_side(doc: dict, key: str, path: str) -> list[tuple[int, ...]]:
-    """doc[key] as sentences: each a non-empty list of JSON integers (no
-    booleans), checked by type over the whole side before any is converted."""
+def _mining_side(doc: dict, key: str, path: str) -> TokenTable:
+    """doc[key] as a table of sentences, each a non-empty list of JSON integers
+    (no booleans), checked by type over the whole side before it is packed."""
     side = doc[key]
     if (
         type(side) is not list
@@ -659,7 +675,7 @@ def _mining_side(doc: dict, key: str, path: str) -> list[tuple[int, ...]]:
             for t in sentence:
                 if type(t) is not int:
                     raise CorpusParseError(f"{path}: {key}[{n}] token {t!r} is not an integer")
-    return [tuple(s) for s in side]
+    return _table(side)
 
 
 def load_mining_json(path: str) -> MiningCorpus:

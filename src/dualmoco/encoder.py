@@ -106,13 +106,13 @@ class TokenTable:
     """Token sequences flattened once: sequence i is
     ids[starts[i] : starts[i] + lengths[i]], and len() counts the sequences.
 
-    One type holds a corpus column and a batch alike. A column may hold a
-    corpus side for a whole run, so it stores 32-bit integers where its
+    One type holds every dataset column and every batch. A column may hold
+    its sentences for a whole run, so it stores 32-bit integers where its
     values allow (see token_table); a batch of any of its sequences is an
     index gather (`gather_batch`) holding intp, as pack_tokens's tables do.
     Every forward pass checks a table's ids against its tower. The id range
     and the mean-pooling order are computed on first use and kept, so the
-    forward passes of both towers over one batch share them.
+    forward passes over one batch, or over one column every epoch, share them.
     """
 
     ids: np.ndarray  # (total,) token ids, sequence by sequence
@@ -125,7 +125,7 @@ class TokenTable:
     @cached_property
     def _bounds(self) -> tuple[int, int, int]:
         """min(0, smallest id), max(-1, largest id) and min(1, shortest
-        length): all _check_ids needs to pass a table."""
+        length): all check_ids needs to pass a table."""
         return self.ids.min(initial=0), self.ids.max(initial=-1), self.lengths.min(initial=1)
 
     @cached_property
@@ -176,9 +176,10 @@ def token_table(ids: np.ndarray, lengths: np.ndarray) -> TokenTable:
     return TokenTable(ids, lengths, starts)
 
 
-def _check_ids(table: TokenTable, vocab_size: int, item: str) -> None:
+def check_ids(table: TokenTable, vocab_size: int, item: str) -> None:
     """InvalidInputError naming the first sequence of `table`, as `item` and
-    its index, that is empty or holds an id outside [0, vocab_size)."""
+    its index, that is empty or holds an id outside [0, vocab_size) (as in
+    "premise of inference triple 17"); a later check of the table is free."""
     low, high, shortest = table._bounds
     if low >= 0 and high < vocab_size and shortest > 0:
         return
@@ -192,24 +193,17 @@ def _check_ids(table: TokenTable, vocab_size: int, item: str) -> None:
     raise InvalidInputError(f"{item} {index}: token id {ids[bad[0]]} outside [0, {vocab_size})")
 
 
-def pack_tokens(sequences: Sequence[TokenSeq], vocab_size: int, item: str) -> TokenTable:
+def pack_tokens(sequences: Sequence[TokenSeq]) -> TokenTable:
     """The table of token lists `sequences`, with intp ids, lengths and
-    starts, checked once; encode_batch packs token lists with
-    pack_tokens(batch, vocab_size, "batch item").
-
-    Every sequence must be non-empty with ids in [0, vocab_size); otherwise
-    InvalidInputError names the first offending sequence as `item` and
-    its index (as in "premise of inference triple 17").
-    """
+    starts (ids beyond intp kept as Python ints); it checks nothing, since
+    every forward pass refuses an empty sequence or an id outside its tower."""
     lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
     total = int(lengths.sum())
     try:
         ids = np.fromiter(chain.from_iterable(sequences), np.intp, total)
-    except OverflowError:  # an id too large for intp: range-check the Python ints instead
+    except OverflowError:  # an id too large for intp: keep the Python ints for the range check
         ids = np.fromiter(chain.from_iterable(sequences), object, total)
-    table = TokenTable(ids, lengths, np.cumsum(lengths) - lengths)
-    _check_ids(table, vocab_size, item)
-    return table
+    return TokenTable(ids, lengths, np.cumsum(lengths) - lengths)
 
 
 def _take(table: TokenTable, selection: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,7 +225,7 @@ def table_rows(table: TokenTable, rows: np.ndarray, vocab_size: int, item: str) 
     """
     ids, lengths, _ = _take(table, rows)
     rows_table = token_table(ids, lengths)
-    _check_ids(rows_table, vocab_size, item)
+    check_ids(rows_table, vocab_size, item)
     return rows_table
 
 
@@ -241,9 +235,9 @@ def gather_batch(table: TokenTable, selection: np.ndarray) -> TokenTable:
     same sequences as token lists.
 
     Its ids are not checked here: every forward pass refuses a batch with an
-    empty sequence or an id outside its tower, in pack_tokens's "batch item"
-    words. A batch holding an id beyond intp keeps them as Python ints,
-    which only that refusal reads.
+    empty sequence or an id outside its tower, naming the batch item. A
+    batch holding an id beyond intp keeps them as Python ints, which only
+    that refusal reads.
     """
     ids, lengths, starts = _take(table, selection)
     try:
@@ -289,7 +283,7 @@ def forward_batch(params: EncoderParams, batch: TokenTable, pooling: Pooling | s
     - bias, tanh and the row norms are elementwise or per row.
     """
     pooling = as_pooling(pooling)
-    _check_ids(batch, params.vocab_size, "batch item")
+    check_ids(batch, params.vocab_size, "batch item")
     if pooling is Pooling.MAX:
         pooled = np.maximum.reduceat(params.embedding[batch.ids], batch.starts, axis=0)
     elif pooling is Pooling.FIRST:
@@ -318,7 +312,7 @@ def encode_batch(
     """Encode a batch of token lists or a batch table; row i is bit-identical
     to encode(params, tokens of sequence i, pooling)."""
     if not isinstance(batch, TokenTable):
-        batch = pack_tokens(batch, params.vocab_size, "batch item")
+        batch = pack_tokens(batch)
     return forward_batch(params, batch, pooling).h
 
 

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .datagen import StsPairs
 from .encoder import (
     EncoderParams,
     Pooling,
@@ -233,17 +234,14 @@ def search_threshold(
     return float("inf"), 0.0  # accept nothing when no threshold scores above zero
 
 
-def sts_eval(
-    encoder: EncoderParams, pairs: Sequence, pooling: Pooling | str
-) -> float:
-    """Rank correlation between model cosine similarity and gold scores."""
+def sts_eval(encoder: EncoderParams, pairs: StsPairs, pooling: Pooling | str) -> float:
+    """Rank correlation between model cosine similarity and gold scores; the
+    forward passes read the pairs' columns as they are."""
     if len(pairs) < 2:
         raise InvalidInputError("need at least 2 scored pairs")
-    h1 = encode_batch(encoder, [p.tokens_1 for p in pairs], pooling)
-    h2 = encode_batch(encoder, [p.tokens_2 for p in pairs], pooling)
-    model = np.sum(h1 * h2, axis=1)
-    gold = [p.gold_sim for p in pairs]
-    return spearman_correlation(model, gold)
+    h1 = encode_batch(encoder, pairs.tokens_1, pooling)
+    h2 = encode_batch(encoder, pairs.tokens_2, pooling)
+    return spearman_correlation(np.sum(h1 * h2, axis=1), pairs.gold)
 
 
 # ---------------------------------------------------------------------------

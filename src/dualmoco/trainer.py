@@ -30,17 +30,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import evaluation
-from .datagen import NliTriple, ParallelCorpus, StsPair, NLI_LABELS
+from .datagen import NLI_LABELS, NliTriples, ParallelCorpus, StsPairs
 from .encoder import (
     FlatTensors,
     Pooling,
     TokenTable,
+    check_ids,
     encode_backward,
     encode_batch,
     forward_batch,
     gather_batch,
     init_params,
-    pack_tokens,
     table_rows,
 )
 from .errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
@@ -233,19 +233,8 @@ def init_nli_head(d_out: int, rng: np.random.Generator) -> NliHead:
     return NliHead(w1, b1, w2, b2, w3, b3)
 
 
-def _label_index(label: str) -> int:
-    try:
-        return NLI_LABELS.index(label)
-    except ValueError:
-        raise InvalidInputError(f"unknown label {label!r}; expected one of {NLI_LABELS}") from None
-
-
-def _label_indices(labels: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(_label_index, labels), np.intp, len(labels))
-
-
 class NliBatch(NamedTuple):
-    """Inference triples as two tables for tower A, with their label indices."""
+    """Inference triples for tower A, gathered from datagen.NliTriples columns."""
 
     premises: TokenTable
     hypotheses: TokenTable
@@ -262,10 +251,10 @@ def nli_loss_and_grads(
 ) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
     """Mean cross-entropy plus gradients for the head and both sentence inputs.
 
-    `labels` holds the gold indices into NLI_LABELS, as `train` converts
-    them once per corpus. Dropout (inverted scaling) applies to the two
-    hidden layers only when dropout > 0 and a dropout rng is supplied (the
-    first layer's mask is drawn first); gradient checks run with it disabled.
+    `labels` holds the gold indices into NLI_LABELS, which `train` checks
+    once per run. Dropout (inverted scaling) applies to the two hidden layers
+    only when dropout > 0 and a dropout rng is supplied (the first layer's
+    mask is drawn first); gradient checks run with it disabled.
     """
     hp = np.atleast_2d(np.asarray(h_premise, dtype=np.float64))
     hh = np.atleast_2d(np.asarray(h_hypothesis, dtype=np.float64))
@@ -378,8 +367,8 @@ def _ensure_finite(loss: LossValue, step: int) -> None:
 def train(
     config: TrainConfig,
     corpus: ParallelCorpus,
-    nli_data: Sequence[NliTriple] | None = None,
-    sts_pairs: Sequence[StsPair] | None = None,
+    nli_data: NliTriples | None = None,
+    sts_pairs: StsPairs | None = None,
     vocab_size: int | None = None,
 ) -> TrainResult:
     """Run the full contrastive (optionally multitask) optimization.
@@ -388,9 +377,9 @@ def train(
     bidirectional loss (plus the weighted inference objective when enabled)
     against the momentum towers' keys, global clip, AdamW, EMA update of the
     momentum towers, enqueue of the keys the loss used. Each side of the
-    training split is taken from the corpus tables (and each field of the
-    inference triples flattened) and range-checked once per corpus, before
-    the first step; a step's batch is an index gather from it. The last
+    training split, and every column of the inference and similarity data,
+    is taken from its table and checked once, before the first step; a
+    step's batch is an index gather from it. The last
     partial batch of every epoch is dropped so enqueue sizes stay constant.
     Per-epoch rows carry retrieval accuracy on the validation split and,
     when similarity pairs are supplied, their rank correlation.
@@ -420,13 +409,22 @@ def train(
         val_rows = train_rows[:256]
     val = gather_batch(corpus.tokens_a, val_rows), gather_batch(corpus.tokens_b, val_rows)
 
-    nli_on = nli_data is not None and len(nli_data) > 0 and config.nli_weight > 0.0
+    nli_on = bool(nli_data) and config.nli_weight > 0.0
     if nli_on:
-        premises = pack_tokens([t.premise for t in nli_data], vocab, "premise of inference triple")
-        hypotheses = pack_tokens(
-            [t.hypothesis for t in nli_data], vocab, "hypothesis of inference triple"
-        )
-        nli_labels = _label_indices([t.label for t in nli_data])
+        check_ids(nli_data.premises, vocab, "premise of inference triple")
+        check_ids(nli_data.hypotheses, vocab, "hypothesis of inference triple")
+        bad = np.flatnonzero((nli_data.labels < 0) | (nli_data.labels >= len(NLI_LABELS)))
+        if bad.size:
+            code = nli_data.labels[bad[0]]
+            raise InvalidInputError(f"inference triple {bad[0]}: label code {code} outside [0, {len(NLI_LABELS)})")
+    if sts_pairs:
+        check_ids(sts_pairs.tokens_1, vocab, "first sentence of similarity pair")
+        check_ids(sts_pairs.tokens_2, vocab, "second sentence of similarity pair")
+        if sts_pairs.gold.min() == sts_pairs.gold.max():  # one pair, or a constant column
+            raise InvalidInputError(
+                f"similarity pairs: every gold score is {float(sts_pairs.gold[0])!r}; "
+                "a rank correlation needs 2 distinct scores"
+            )
 
     seed_seq = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng, nli_rng, dropout_rng = (
@@ -471,7 +469,9 @@ def train(
                 first = step * config.nli_batch_size
                 rows = nli_order[(first + np.arange(config.nli_batch_size)) % len(nli_data)]
                 nli_batch = NliBatch(
-                    gather_batch(premises, rows), gather_batch(hypotheses, rows), nli_labels[rows]
+                    gather_batch(nli_data.premises, rows),
+                    gather_batch(nli_data.hypotheses, rows),
+                    nli_data.labels[rows],
                 )
             loss, nli_loss = step_gradients(
                 state,
@@ -521,7 +521,7 @@ def train(
 def _epoch_eval(
     state: DualMocoState,
     val: tuple[TokenTable, TokenTable],
-    sts_pairs: Sequence[StsPair] | None,
+    sts_pairs: StsPairs | None,
     config: TrainConfig,
     epoch: int,
 ) -> dict:
@@ -531,9 +531,7 @@ def _epoch_eval(
     embs_a = encode_batch(state.base_a, val[0], config.pooling)
     embs_b = encode_batch(state.base_b, val[1], config.pooling)
     acc_ab, acc_ba = evaluation.retrieval_accuracy(embs_a, embs_b)
-    sts = None
-    if sts_pairs:
-        sts = evaluation.sts_eval(state.base_a, sts_pairs, config.pooling)
+    sts = evaluation.sts_eval(state.base_a, sts_pairs, config.pooling) if sts_pairs else None
     return {
         "epoch": epoch,
         "retrieval_acc_ab": acc_ab,

@@ -6,10 +6,11 @@ fresh-array entry points built on the packed step API, the two-exp
 contrastive kernel, the per-tensor EMA and optimizer steps, the step rows of
 a training log, per-element reference implementations of the array-coded
 evaluation paths, the per-token generator draws and rendering, and the
-pairs of a columnar parallel corpus as tuples."""
+records of a columnar dataset as tuples."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from dualmoco import moco
-from dualmoco.datagen import SPLITS, NliTriple, ParallelCorpus
+from dualmoco.datagen import NLI_LABELS, SPLITS, NliTriples, ParallelCorpus
 from dualmoco.encoder import (
     EncoderParams,
     FlatTensors,
@@ -27,6 +28,7 @@ from dualmoco.encoder import (
     TokenTable,
     encode_backward,
     forward_batch,
+    gather_batch,
     pack_tensor_file,
     pack_tokens,
     token_table,
@@ -41,7 +43,6 @@ from dualmoco.trainer import (
     NliBatch,
     NliHead,
     TrainResult,
-    _label_indices,
     nli_loss_and_grads,
     step_gradients,
 )
@@ -210,8 +211,8 @@ def pack_pair(
 ) -> tuple[TokenTable, TokenTable]:
     """Both sides of a token-list batch packed for the state's towers."""
     return (
-        pack_tokens(batch_a, state.base_a.vocab_size, "batch item"),
-        pack_tokens(batch_b, state.base_b.vocab_size, "batch item"),
+        pack_tokens(batch_a),
+        pack_tokens(batch_b),
     )
 
 
@@ -284,27 +285,29 @@ def encode_backward_tokens(
 ) -> EncoderParams:
     """encode_backward of a token-list batch, after its own pack and forward
     pass, into fresh zeroed arrays."""
-    packed = pack_tokens(batch, params.vocab_size, "batch item")
+    packed = pack_tokens(batch)
     forward = forward_batch(params, packed, pooling)
     grads = zeros_like_tower(params)
     encode_backward(params, packed, pooling, upstream, forward, grads)
     return grads
 
 
-def pack_nli(triples: Sequence[NliTriple], vocab_size: int) -> NliBatch:
-    """Inference triples packed for a tower of vocab_size tokens."""
-    return NliBatch(
-        pack_tokens([t.premise for t in triples], vocab_size, "batch item"),
-        pack_tokens([t.hypothesis for t in triples], vocab_size, "batch item"),
-        _label_indices([t.label for t in triples]),
-    )
+def gather_nli(triples: NliTriples, rows: Sequence[int]) -> NliBatch:
+    """The batch of inference triples `rows`, in that order."""
+    rows = np.asarray(rows)
+    return NliBatch(gather_batch(triples.premises, rows), gather_batch(triples.hypotheses, rows), triples.labels[rows])
+
+
+def label_codes(labels: Sequence[str]) -> np.ndarray:
+    """The indices of label names in NLI_LABELS, as an NliTriples stores them."""
+    return np.array([NLI_LABELS.index(label) for label in labels], dtype=np.int8)
 
 
 def nli_forward_loss(
     head: NliHead, h_premise: np.ndarray, h_hypothesis: np.ndarray, gold: str
 ) -> float:
     """Cross-entropy of one premise/hypothesis pair against its gold label."""
-    labels = _label_indices([gold])
+    labels = label_codes([gold])
     loss, _, _, _ = nli_loss_and_grads(head, h_premise[None, :], h_hypothesis[None, :], labels)
     return loss
 
@@ -535,6 +538,16 @@ def sequences(table: TokenTable, rows: Sequence[int] | None = None) -> list[tupl
     tuples of Python ints."""
     rows = range(len(table.lengths)) if rows is None else np.asarray(rows).tolist()
     return [tuple(table.ids[table.starts[i] : table.starts[i] + table.lengths[i]].tolist()) for i in rows]
+
+
+def columns(dataset) -> dict:
+    """The fields of a columnar dataset by name, each table as its
+    sequences and each array as a list, for comparing two datasets."""
+    values = {f.name: getattr(dataset, f.name) for f in dataclasses.fields(dataset)}
+    return {
+        name: sequences(v) if isinstance(v, TokenTable) else v.tolist() if isinstance(v, np.ndarray) else v
+        for name, v in values.items()
+    }
 
 
 def corpus_rows(corpus: ParallelCorpus) -> list[tuple]:

@@ -236,21 +236,31 @@ class TestTrain:
         assert params_a.vocab_size == params_b.vocab_size == size
 
     @pytest.mark.parametrize(
-        "extra, gen_config, message",
+        "extra, gen_config, sts, message",
         [
-            (["--batch-size", "400", "--queue-size", "400"], None, "batch_size must be <= 200"),
-            ([], '{"vocab_size_a": 50, "vocab_size_b": 50}', "outside [0, 50)"),
+            (["--batch-size", "400", "--queue-size", "400"], None, None, "batch_size must be <= 200"),
+            ([], '{"vocab_size_a": 50, "vocab_size_b": 50}', None, "outside [0, 50)"),
+            (
+                [],
+                None,
+                "1 2\t3 4\t0.5\n5\t6 99999\t0.25\n",
+                "second sentence of similarity pair 1: token id 99999 outside [0, 88)",
+            ),
+            ([], None, "1 2\t3 4\t0.5\n", "similarity pairs: every gold score is 0.5; a rank correlation needs 2"),
+            ([], None, "1 2\t3 4\t0.5\n5\t6 7\t0.5\n", "similarity pairs: every gold score is 0.5; "),
         ],
-        ids=["batch_size", "gen_config"],
+        ids=["batch_size", "gen_config", "sts_id", "sts_one_pair", "sts_constant_gold"],
     )
     def test_input_refused_by_train_leaves_no_run_directory(
-        self, pipeline, tmp_path, capsys, extra, gen_config, message
+        self, pipeline, tmp_path, capsys, extra, gen_config, sts, message
     ):
         _, data, _ = pipeline
         copy = tmp_path / "data"
         shutil.copytree(data, copy)
         if gen_config is not None:
             (copy / "gen_config.json").write_text(gen_config)
+        if sts is not None:
+            (copy / "sts.tsv").write_text(sts)
         run = tmp_path / "run"
         assert cli.main(tiny_train_args(copy, run, extra=extra)) == 2
         assert message in capsys.readouterr().err

@@ -4,10 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import corpus_rows, reference_draw_concepts, reference_render, sequences
+from helpers import columns, corpus_rows, reference_draw_concepts, reference_render, sequences
 
 from dualmoco import cli, datagen
 from dualmoco.datagen import (
+    NLI_LABELS,
+    MiningCorpus,
+    NliTriples,
+    StsPairs,
     gen_mining_corpus,
     gen_nli_triples,
     gen_parallel_corpus,
@@ -23,7 +27,8 @@ from dualmoco.datagen import (
     save_sts_tsv,
     save_tsv,
 )
-from dualmoco.errors import ConfigError, CorpusParseError
+from dualmoco.encoder import encode_batch, init_params, pack_tokens
+from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +154,10 @@ class TestGenMiningCorpus:
 
     def test_gold_pairs_share_concepts(self, lexicon):
         mining = gen_mining_corpus(lexicon, 40, 40, 0.15, seed=15)
+        side_a, side_b = sequences(mining.side_a), sequences(mining.side_b)
         for i, j in mining.gold_pairs:
-            got_a = recover_concepts(mining.side_a[i], lexicon.surface_a, lexicon.noise_a)
-            got_b = recover_concepts(mining.side_b[j], lexicon.surface_b, lexicon.noise_b)
+            got_a = recover_concepts(side_a[i], lexicon.surface_a, lexicon.noise_a)
+            got_b = recover_concepts(side_b[j], lexicon.surface_b, lexicon.noise_b)
             assert sorted(got_a) == sorted(got_b)
 
     def test_non_gold_overlap_below_half(self, lexicon):
@@ -159,10 +165,10 @@ class TestGenMiningCorpus:
         mining = gen_mining_corpus(lexicon, 30, 30, 0.2, seed=16)
         gold = set(mining.gold_pairs)
         sets_a = [
-            set(recover_concepts(s, lexicon.surface_a, lexicon.noise_a)) for s in mining.side_a
+            set(recover_concepts(s, lexicon.surface_a, lexicon.noise_a)) for s in sequences(mining.side_a)
         ]
         sets_b = [
-            set(recover_concepts(s, lexicon.surface_b, lexicon.noise_b)) for s in mining.side_b
+            set(recover_concepts(s, lexicon.surface_b, lexicon.noise_b)) for s in sequences(mining.side_b)
         ]
         for i, sa in enumerate(sets_a):
             for j, sb in enumerate(sets_b):
@@ -186,7 +192,7 @@ class TestGenMiningCorpus:
     def test_deterministic(self, lexicon):
         m1 = gen_mining_corpus(lexicon, 20, 20, 0.2, seed=17)
         m2 = gen_mining_corpus(lexicon, 20, 20, 0.2, seed=17)
-        assert m1.side_a == m2.side_a and m1.gold_pairs == m2.gold_pairs
+        assert sequences(m1.side_a) == sequences(m2.side_a) and m1.gold_pairs == m2.gold_pairs
 
 
 def all_pairs_acceptable(self, cand):
@@ -225,8 +231,8 @@ class TestConceptIndex:
 
         monkeypatch.setattr(datagen._ConceptSampler, "_acceptable", reference)
         scanned = gen_mining_corpus(lexicon, n, n, 0.1, seed=seed, len_range=len_range)
-        assert indexed.side_a == scanned.side_a
-        assert indexed.side_b == scanned.side_b
+        assert sequences(indexed.side_a) == sequences(scanned.side_a)
+        assert sequences(indexed.side_b) == sequences(scanned.side_b)
         assert indexed.gold_pairs == scanned.gold_pairs
         if len_range == (3, 4):
             # on 60 concepts, a large share of short draws overlaps a seen set
@@ -405,37 +411,42 @@ class TestGenStsPairs:
     def test_identical_sets_score_one(self):
         lexicon = make_lexicon(40, 4, seed=1)
         pairs = gen_sts_pairs(lexicon, 200, seed=18)
-        perfect = [p for p in pairs if p.gold_sim == 1.0]
+        perfect = [g for g in pairs.gold.tolist() if g == 1.0]
         assert perfect, "sampler should occasionally draw full overlap"
 
     def test_gold_is_jaccard_of_recovered_concepts(self, lexicon):
         pairs = gen_sts_pairs(lexicon, 100, seed=19)
-        for p in pairs:
-            c1 = set(recover_concepts(p.tokens_1, lexicon.surface_a, lexicon.noise_a))
-            c2 = set(recover_concepts(p.tokens_2, lexicon.surface_a, lexicon.noise_a))
-            assert p.gold_sim == pytest.approx(len(c1 & c2) / len(c1 | c2), abs=1e-12)
+        assert len(pairs) == 100 and pairs.gold.dtype == np.float64
+        for tokens_1, tokens_2, gold in zip(sequences(pairs.tokens_1), sequences(pairs.tokens_2), pairs.gold.tolist()):
+            c1 = set(recover_concepts(tokens_1, lexicon.surface_a, lexicon.noise_a))
+            c2 = set(recover_concepts(tokens_2, lexicon.surface_a, lexicon.noise_a))
+            assert gold == pytest.approx(len(c1 & c2) / len(c1 | c2), abs=1e-12)
 
     def test_gold_spans_both_extremes(self, lexicon):
         pairs = gen_sts_pairs(lexicon, 300, seed=20)
-        golds = [p.gold_sim for p in pairs]
+        golds = pairs.gold.tolist()
         assert min(golds) == 0.0 and max(golds) == 1.0
         assert len({round(g, 6) for g in golds}) > 5
 
 
 class TestGenNliTriples:
     def test_labels_match_rule(self, lexicon):
-        triples = gen_nli_triples(lexicon, 120, seed=21)
-        for t in triples:
-            prem = recover_concepts(t.premise, lexicon.surface_a, lexicon.noise_a)
-            hyp = recover_concepts(t.hypothesis, lexicon.surface_a, lexicon.noise_a)
-            assert nli_label(prem, hyp) == t.label
+        # above 128 triples, where a code column built in int8 arithmetic would wrap
+        triples = gen_nli_triples(lexicon, 300, seed=21)
+        assert len(triples) == 300 and triples.labels.dtype == np.int8
+        for premise, hypothesis, code in zip(
+            sequences(triples.premises), sequences(triples.hypotheses), triples.labels.tolist()
+        ):
+            prem = recover_concepts(premise, lexicon.surface_a, lexicon.noise_a)
+            hyp = recover_concepts(hypothesis, lexicon.surface_a, lexicon.noise_a)
+            assert nli_label(prem, hyp) == NLI_LABELS[code]
 
     def test_roughly_balanced(self, lexicon):
-        triples = gen_nli_triples(lexicon, 120, seed=22)
+        triples = gen_nli_triples(lexicon, 300, seed=22)
         counts = {label: 0 for label in datagen.NLI_LABELS}
-        for t in triples:
-            counts[t.label] += 1
-        assert all(c == 40 for c in counts.values())
+        for code in triples.labels.tolist():
+            counts[NLI_LABELS[code]] += 1
+        assert all(c == 100 for c in counts.values())
 
     def test_rule_definition(self):
         assert nli_label((1, 2, 3), (1, 2)) == "entailment"
@@ -463,19 +474,34 @@ class TestFileRoundTrips:
         pairs = gen_sts_pairs(lexicon, 30, seed=24)
         path = tmp_path / "sts.tsv"
         save_sts_tsv(pairs, str(path))
-        assert load_sts_tsv(str(path)) == pairs
+        assert columns(load_sts_tsv(str(path))) == columns(pairs)
 
     def test_nli_round_trip(self, lexicon, tmp_path):
         triples = gen_nli_triples(lexicon, 30, seed=25)
         path = tmp_path / "nli.tsv"
         save_nli_tsv(triples, str(path))
-        assert load_nli_tsv(str(path)) == triples
+        loaded = load_nli_tsv(str(path))
+        assert columns(loaded) == columns(triples) and loaded.labels.dtype == np.int8
 
     def test_mining_round_trip(self, lexicon, tmp_path):
         mining = gen_mining_corpus(lexicon, 20, 20, 0.2, seed=26)
         path = tmp_path / "mining.json"
         save_mining_json(mining, str(path))
-        assert load_mining_json(str(path)) == mining
+        assert columns(load_mining_json(str(path))) == columns(mining)
+
+    def test_writers_lay_out_hand_built_records(self, tmp_path):
+        # the layouts of the README's "File formats" section, byte for byte
+        sts = StsPairs(pack_tokens([[1, 2], [30]]), pack_tokens([[4], [5, 60, 7]]), np.array([0.25, 1.0]))
+        nli = NliTriples(pack_tokens([[1, 2], [3]]), pack_tokens([[4], [5, 6]]), np.array([2, 0], dtype=np.int8))
+        mining = MiningCorpus(pack_tokens([[1, 2], [3]]), pack_tokens([[4], [5, 6, 7]]), [(1, 0)], 0.5)
+        save_sts_tsv(sts, str(tmp_path / "sts.tsv"))
+        save_nli_tsv(nli, str(tmp_path / "nli.tsv"))
+        save_mining_json(mining, str(tmp_path / "mining.json"))
+        assert (tmp_path / "sts.tsv").read_bytes() == b"1 2\t4\t0.25\n30\t5 60 7\t1.0\n"
+        assert (tmp_path / "nli.tsv").read_bytes() == b"1 2\t4\tcontradiction\n3\t5 6\tentailment\n"
+        assert (tmp_path / "mining.json").read_bytes() == (
+            b'{"side_a": [[1, 2], [3]], "side_b": [[4], [5, 6, 7]], "gold_pairs": [[1, 0]], "parallel_fraction": 0.5}\n'
+        )
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -547,6 +573,17 @@ class TestFileRoundTrips:
         path.write_bytes(b"\n\n" + b"\r\n".join(lines[:4]) + b"\n\n\n" + b"\n".join(lines[4:]))
         assert corpus_rows(load_tsv(str(path))) == corpus_rows(corpus)
 
+    def test_pairs_loaders_read_crlf_and_blank_lines(self, lexicon, tmp_path):
+        for save, load, data in (
+            (save_sts_tsv, load_sts_tsv, gen_sts_pairs(lexicon, 6, seed=29)),
+            (save_nli_tsv, load_nli_tsv, gen_nli_triples(lexicon, 6, seed=30)),
+        ):
+            path = tmp_path / "pairs.tsv"
+            save(data, str(path))
+            lines = path.read_bytes().split(b"\n")[:-1]
+            path.write_bytes(b"\n\n" + b"\r\n".join(lines[:3]) + b"\r\n\n" + b"\n".join(lines[3:]))
+            assert columns(load(str(path))) == columns(data)
+
     @pytest.mark.parametrize("gold", ["nan", "-7.5", "inf", "-inf", "1.0000001", "-0.001"])
     def test_sts_gold_outside_unit_interval_cites_line(self, tmp_path, gold):
         path = tmp_path / "sts.tsv"
@@ -557,7 +594,7 @@ class TestFileRoundTrips:
     def test_sts_gold_endpoints_accepted(self, tmp_path):
         path = tmp_path / "sts.tsv"
         path.write_text("1 2\t3 4\t0.0\n1 2\t3 4\t1.0\n1\t2\t-0.0\n")
-        assert [p.gold_sim for p in load_sts_tsv(str(path))] == [0.0, 1.0, 0.0]
+        assert load_sts_tsv(str(path)).gold.tolist() == [0.0, 1.0, 0.0]
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -590,8 +627,18 @@ class TestFileRoundTrips:
 
     def test_mining_json_well_formed_loads(self, tmp_path, mining_doc):
         corpus = self.load_doc(tmp_path, mining_doc)
-        assert corpus.side_a == [(1, 2, 3), (4, 5), (6,)]
+        assert sequences(corpus.side_a) == [(1, 2, 3), (4, 5), (6,)]
         assert corpus.gold_pairs == [(0, 1), (2, 0)]
+
+    @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 10**25], ids=["int64-max-plus-one", "int64-min-minus-one", "25-digits"])
+    def test_mining_json_id_beyond_int64_reaches_the_out_of_range_message(self, tmp_path, mining_doc, big):
+        mining_doc["side_b"][1][1] = big
+        corpus = self.load_doc(tmp_path, mining_doc)
+        assert sequences(corpus.side_b) == [(7, 8), (9, big, 11)]
+        params = init_params(12, 4, 3, np.random.default_rng(0))
+        encode_batch(params, corpus.side_a, "mean")
+        with pytest.raises(InvalidInputError, match=rf"batch item 1: token id {big} outside \[0, 12\)"):
+            encode_batch(params, corpus.side_b, "mean")
 
     @pytest.mark.parametrize(
         "side, sentence, token, item",

@@ -18,6 +18,7 @@ from dualmoco import cli, datagen, encoder, evaluation
 from dualmoco.encoder import (
     EncoderParams,
     Pooling,
+    check_ids,
     encode,
     encode_backward,
     encode_batch,
@@ -143,7 +144,7 @@ class TestEncodeForward:
         )
 
     def test_unknown_pooling_is_a_config_error(self, params):
-        packed = pack_tokens([[1, 2]], params.vocab_size, "batch item")
+        packed = pack_tokens([[1, 2]])
         grads = zeros_like_tower(params)
         for call in (
             lambda: encode_batch(params, [[1, 2]], "avg"),
@@ -219,7 +220,7 @@ class TestPackedBatch:
         params = wide_params(rng)
         for n in (0, 1, 2, 64, 300):
             batch = random_token_batch(rng, n, params.vocab_size, min_len=1, max_len=12)
-            packed = pack_tokens(batch, params.vocab_size, "batch item")
+            packed = pack_tokens(batch)
             assert len(packed) == n and packed.ids.dtype == np.intp
             for pooling in Pooling:
                 got = encode_batch(params, packed, pooling)
@@ -232,17 +233,17 @@ class TestPackedBatch:
         params = wide_params(rng, ties=pooling is Pooling.MAX)
         batch = random_token_batch(rng, 64, params.vocab_size, min_len=1, max_len=12)
         upstream = rng.normal(size=(64, params.d_out))
-        packed = pack_tokens(batch, params.vocab_size, "batch item")
+        packed = pack_tokens(batch)
         reused = zeros_like_tower(params)
         encode_backward(params, packed, pooling, upstream, forward_batch(params, packed, pooling), reused)
         own = encode_backward_tokens(params, batch, pooling, upstream)
         assert [g.tobytes() for g in reused.arrays()] == [g.tobytes() for g in own.arrays()]
 
     def test_pack_for_larger_vocab_is_checked_against_each_tower(self, params):
-        # packed for a 60-token tower, used with the fixture's 10-token one
-        # (the backward pass takes the forward pass that checks the pack)
+        # packed with ids for a 60-token tower, used with the fixture's
+        # 10-token one (the backward pass takes the forward pass that checks the pack)
         batch = [[0, 1], [2, 3, 4], [5, 42, 7], [12]]
-        packed = pack_tokens(batch, 60, "batch item")
+        packed = pack_tokens(batch)
         upstream = np.zeros((4, params.d_out))
         for call in (
             lambda: encode_batch(params, packed, Pooling.MEAN),
@@ -276,12 +277,12 @@ class TestTokenTable:
         # many tied lengths, and sentences of one token
         corpus = random_token_batch(rng, 500, 37, min_len=1, max_len=4)
         corpus += [[int(t)] for t in rng.integers(0, 37, size=40)]
-        table = pack_tokens(corpus, 37, "sentence")
+        table = pack_tokens(corpus)
         selections = [np.arange(0), np.arange(3), np.array([520, 7, 520, 3])]
         selections += [rng.permutation(len(corpus))[:n] for n in (1, 2, 16, 64, 128, 540)]
         for sel in selections:
             got = gather_batch(table, sel)
-            want = pack_tokens([corpus[i] for i in sel], 37, "batch item")
+            want = pack_tokens([corpus[i] for i in sel])
             for a, b in zip(self.arrays(got), self.arrays(want)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), len(sel)
             assert got.ids.dtype == np.intp and len(got) == len(sel)
@@ -294,7 +295,7 @@ class TestTokenTable:
         return table.ids, table.lengths, table.starts, by_position, restore
 
     def test_mean_order_is_computed_once_per_table(self, params):
-        table = pack_tokens([[1, 2, 3], [4], [5, 6]], 10, "sentence")
+        table = pack_tokens([[1, 2, 3], [4], [5, 6]])
         batch = gather_batch(table, np.array([2, 0, 1]))
         assert "mean_order" not in vars(batch)
         encode_batch(params, batch, "max")
@@ -330,11 +331,11 @@ class TestTokenTable:
 
     def test_errors_name_the_item_and_its_index(self):
         with pytest.raises(InvalidInputError, match=r"side A of training pair 2: token id 9 outside \[0, 9\)"):
-            pack_tokens([[1, 2], [3], [4, 9, 9]], 9, "side A of training pair")
+            check_ids(pack_tokens([[1, 2], [3], [4, 9, 9]]), 9, "side A of training pair")
         with pytest.raises(InvalidInputError, match="premise 1: empty token sequence"):
-            pack_tokens([[1], [], [-1]], 9, "premise")
+            check_ids(pack_tokens([[1], [], [-1]]), 9, "premise")
         # table_rows names a sequence by its position in the selection
-        table = pack_tokens([[1, 2], [3], [4, 9, 9], [5]], 10, "sentence")
+        table = pack_tokens([[1, 2], [3], [4, 9, 9], [5]])
         assert table_rows(table, np.array([3, 0]), 9, "side A of training pair").ids.tolist() == [5, 1, 2]
         with pytest.raises(InvalidInputError, match=r"side A of training pair 1: token id 9 outside \[0, 9\)"):
             table_rows(table, np.array([1, 2, 0]), 9, "side A of training pair")

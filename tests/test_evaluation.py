@@ -15,7 +15,8 @@ from helpers import (
 )
 
 from dualmoco import evaluation
-from dualmoco.encoder import init_params, encode_batch
+from dualmoco.datagen import StsPairs
+from dualmoco.encoder import encode_batch, init_params, pack_tokens
 from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from dualmoco.evaluation import (
     Neighbors,
@@ -532,16 +533,14 @@ class TestStsEval:
         rng = np.random.default_rng(17)
         params = init_params(12, 4, 3, rng)
 
-        class Pair:
-            def __init__(self, t1, t2, gold):
-                self.tokens_1, self.tokens_2, self.gold_sim = t1, t2, gold
-
         token_pairs = [([i, (i + 1) % 12], [(i + 2) % 12, i]) for i in range(10)]
+        firsts = pack_tokens([t1 for t1, _ in token_pairs])
+        seconds = pack_tokens([t2 for _, t2 in token_pairs])
         h1 = encode_batch(params, [t1 for t1, _ in token_pairs], "mean")
         h2 = encode_batch(params, [t2 for _, t2 in token_pairs], "mean")
         model = np.sum(h1 * h2, axis=1)
-        aligned = [Pair(t1, t2, float(m)) for (t1, t2), m in zip(token_pairs, model)]
-        reversed_gold = [Pair(t1, t2, -float(m)) for (t1, t2), m in zip(token_pairs, model)]
+        aligned = StsPairs(firsts, seconds, model)
+        reversed_gold = StsPairs(firsts, seconds, -model)
         assert sts_eval(params, aligned, "mean") == pytest.approx(1.0)
         assert sts_eval(params, reversed_gold, "mean") == pytest.approx(-1.0)
 
@@ -549,19 +548,17 @@ class TestStsEval:
         rng = np.random.default_rng(18)
         params = init_params(12, 4, 3, rng)
 
-        class Pair:
-            tokens_1 = (0, 1)
-            tokens_2 = (2, 3)
-            gold_sim = 0.5
-
+        pairs = StsPairs(pack_tokens([(0, 1)] * 3), pack_tokens([(2, 3)] * 3), np.full(3, 0.5))
         with pytest.raises(InvalidInputError, match="constant sequence has no rank correlation"):
-            sts_eval(params, [Pair(), Pair(), Pair()], "mean")
+            sts_eval(params, pairs, "mean")
 
     def test_too_few_pairs(self):
         rng = np.random.default_rng(19)
         params = init_params(12, 4, 3, rng)
-        with pytest.raises(InvalidInputError, match="need at least 2 scored pairs"):
-            sts_eval(params, [], "mean")
+        for n in (0, 1):
+            pairs = StsPairs(pack_tokens([(0, 1)] * n), pack_tokens([(2, 3)] * n), np.full(n, 0.5))
+            with pytest.raises(InvalidInputError, match="need at least 2 scored pairs"):
+                sts_eval(params, pairs, "mean")
 
 
 class TestMonolingualTransferBound:

@@ -13,11 +13,12 @@ from helpers import (
     corpus_rows,
     encode_backward_tokens,
     flat_towers,
+    gather_nli,
     insertion_order,
+    label_codes,
     loss_and_new_gradients,
     max_rel_error,
     nli_forward_loss,
-    pack_nli,
     pack_pair,
     random_unit_rows,
     reference_adamw_step,
@@ -28,7 +29,8 @@ from helpers import (
 )
 
 from dualmoco import datagen, moco, trainer
-from dualmoco.encoder import FlatTensors, encode_batch, init_params
+from dualmoco.datagen import NliTriples, StsPairs
+from dualmoco.encoder import FlatTensors, encode_batch, init_params, pack_tokens
 from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from dualmoco.moco import LossValue, enqueue_batch, new_state
 from dualmoco.trainer import (
@@ -42,7 +44,6 @@ from dualmoco.trainer import (
     step_gradients,
     train,
     _ensure_finite,
-    _label_indices,
 )
 
 
@@ -381,7 +382,7 @@ class TestNliHead:
         hp = random_unit_rows(4, 3, rng)
         hh = random_unit_rows(4, 3, rng)
         labels = ["entailment", "neutral", "contradiction", "neutral"]
-        labels = _label_indices(labels)
+        labels = label_codes(labels)
         _, head_grads, g_hp, g_hh = nli_loss_and_grads(head, hp, hh, labels)
 
         def objective():
@@ -408,20 +409,12 @@ class TestNliHead:
             numeric = central_difference_at(objective, a, idx, step=1e-6)
             assert max_rel_error([g.ravel()[idx]], [numeric], floor=1e-3) < 1e-6
 
-    def test_invalid_label(self):
-        head = init_nli_head(3, np.random.default_rng(0))
-        h = random_unit_rows(1, 3, np.random.default_rng(1))[0]
-        with pytest.raises(InvalidInputError, match="unknown label 'maybe'"):
-            nli_forward_loss(head, h, h, "maybe")
-        with pytest.raises(InvalidInputError, match="unknown label 7"):
-            nli_forward_loss(head, h, h, 7)
-
     def test_dropout_masks_are_seeded(self):
         rng = np.random.default_rng(4)
         head = init_nli_head(3, rng)
         hp = random_unit_rows(2, 3, rng)
         hh = random_unit_rows(2, 3, rng)
-        labels = _label_indices(["neutral", "entailment"])
+        labels = label_codes(["neutral", "entailment"])
         loss1, _, _, _ = nli_loss_and_grads(
             head, hp, hh, labels, dropout=0.5, dropout_rng=np.random.default_rng(9)
         )
@@ -638,6 +631,67 @@ class TestTrain:
             train(small_config(), corpus_of(rows), vocab_size=top)
         assert steps == []
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("id", r"second sentence of similarity pair 4: token id {top} outside \[0, {top}\)"),
+            ("one_pair", "similarity pairs: every gold score is 0.5; a rank correlation needs 2 distinct scores"),
+            ("constant", "similarity pairs: every gold score is 0.25; a rank correlation needs 2 distinct scores"),
+        ],
+        ids=["id", "one_pair", "constant_gold"],
+    )
+    def test_bad_similarity_pairs_raise_before_the_first_step(self, small_world, monkeypatch, fault, message):
+        # each of these faults stopped a run only at the first epoch's evaluation
+        _, corpus, _, sts = small_world
+        top = corpus.max_token() + 1
+        firsts, seconds, gold = sequences(sts.tokens_1), sequences(sts.tokens_2), sts.gold
+        if fault == "id":
+            seconds[4] += (top,)
+        elif fault == "one_pair":
+            firsts, seconds, gold = firsts[:1], seconds[:1], np.array([0.5])
+        else:
+            gold = np.full(len(gold), 0.25)
+        steps = []
+        monkeypatch.setattr(trainer, "step_gradients", lambda *args, **kwargs: steps.append(args))
+        pairs = StsPairs(pack_tokens(firsts), pack_tokens(seconds), gold)
+        with pytest.raises(InvalidInputError, match=message.format(top=top)):
+            train(small_config(), corpus, sts_pairs=pairs, vocab_size=top)
+        assert steps == []
+
+    def test_label_code_outside_the_labels_raises_before_the_first_step(self, small_world, monkeypatch):
+        # a negative code would select the last class, and 3 or more no class
+        _, corpus, nli, _ = small_world
+        steps = []
+        monkeypatch.setattr(trainer, "step_gradients", lambda *args, **kwargs: steps.append(args))
+        for code in (3, 7, 127, -1, -128):
+            labels = nli.labels.copy()
+            labels[5] = code
+            bad = NliTriples(nli.premises, nli.hypotheses, labels)
+            with pytest.raises(InvalidInputError, match=rf"inference triple 5: label code {code} outside \[0, 3\)"):
+                train(small_config(), corpus, nli_data=bad)
+        assert steps == []
+
+    @pytest.mark.parametrize("big", [2**63, 10**25], ids=["int64-max-plus-one", "25-digits"])
+    @pytest.mark.parametrize("name", ["sts", "nli"])
+    def test_id_beyond_int64_in_a_pairs_file_reaches_the_out_of_range_message(
+        self, small_world, tmp_path, big, name
+    ):
+        # the second sentence of record 3 gets an id that no int64 holds
+        _, corpus, nli, sts = small_world
+        save, load, argument, item = {
+            "sts": (datagen.save_sts_tsv, datagen.load_sts_tsv, "sts_pairs", "second sentence of similarity pair"),
+            "nli": (datagen.save_nli_tsv, datagen.load_nli_tsv, "nli_data", "hypothesis of inference triple"),
+        }[name]
+        path = tmp_path / f"{name}.tsv"
+        save(sts if name == "sts" else nli, str(path))
+        lines = [line.split("\t") for line in path.read_text().splitlines()]
+        lines[3][1] += f" {big}"
+        path.write_text("".join("\t".join(cols) + "\n" for cols in lines))
+        loaded = load(str(path))
+        top = corpus.max_token() + 1
+        with pytest.raises(InvalidInputError, match=f"{item} 3: token id {big} outside"):
+            train(small_config(), corpus, vocab_size=top, **{argument: loaded})
+
     @pytest.mark.parametrize("big", [2**63, 10**25], ids=["int64-max-plus-one", "25-digits"])
     def test_id_beyond_int64_in_a_file_reaches_the_out_of_range_message(self, small_world, tmp_path, big):
         # side A of training pair 3 gets an id that no int64 holds
@@ -684,7 +738,7 @@ class TestStepGradientLinearity:
         rows = corpus.split("train")[:8]
         sides = (sequences(corpus.tokens_a, rows), sequences(corpus.tokens_b, rows))
         batch_a, batch_b = pack_pair(state, *sides)
-        nli_batch = pack_nli(nli[:8], lexicon.vocab_size)
+        nli_batch = gather_nli(nli, range(8))
         alpha = 0.37
 
         _, _, combined = step_new_gradients(
@@ -718,7 +772,7 @@ class TestStepGradientLinearity:
         rows = corpus.split("train")[:8]
         sides = (sequences(corpus.tokens_a, rows), sequences(corpus.tokens_b, rows))
         args = (state, *pack_pair(state, *sides), "mean")
-        kwargs = dict(head=head, nli_batch=pack_nli(nli[:12], lexicon.vocab_size), nli_weight=0.3)
+        kwargs = dict(head=head, nli_batch=gather_nli(nli, range(12)), nli_weight=0.3)
         loss, nli_loss, want = step_new_gradients(*args, **kwargs)  # into zeros
         got = FlatTensors(rng.normal(size=want.flat.size), [w.shape for w in want])
         assert step_gradients(*args, got, **kwargs) == (loss, nli_loss)
@@ -739,21 +793,20 @@ class TestStepGradientLinearity:
         rows = corpus.split("train")[:8]
         batch_a = sequences(corpus.tokens_a, rows)
         batch_b = sequences(corpus.tokens_b, rows)
-        nli_batch = nli[:12]
         packed = pack_pair(state, batch_a, batch_b)
         _, nli_loss, got = step_new_gradients(
-            state, *packed, "mean", head=head, nli_batch=pack_nli(nli_batch, lexicon.vocab_size),
+            state, *packed, "mean", head=head, nli_batch=gather_nli(nli, range(12)),
             nli_weight=0.3, nli_dropout=0.1, dropout_rng=np.random.default_rng(9),
         )
 
         _, grads_a, grads_b = loss_and_new_gradients(state, *packed, "mean")
-        premises = [t.premise for t in nli_batch]
-        hypotheses = [t.hypothesis for t in nli_batch]
+        premises = sequences(nli.premises, range(12))
+        hypotheses = sequences(nli.hypotheses, range(12))
         want_loss, head_grads, g_hp, g_hh = nli_loss_and_grads(
             head,
             encode_batch(state.base_a, premises, "mean"),
             encode_batch(state.base_a, hypotheses, "mean"),
-            _label_indices([t.label for t in nli_batch]),
+            nli.labels[:12],
             dropout=0.1,
             dropout_rng=np.random.default_rng(9),
         )
