@@ -25,6 +25,7 @@ from . import datagen, evaluation, trainer
 from .encoder import (
     Pooling,
     atomic_write,
+    check_ids,
     encode_batch,
     gather_batch,
     load_checkpoint,
@@ -314,9 +315,11 @@ class MineConfig:
 def cmd_mine(config: MineConfig) -> int:
     params_a, params_b = load_checkpoint(config.checkpoint)
     pooling = _trained_pooling(config.checkpoint)
-    data_dir = Path(config.data_dir)
-    val = datagen.load_mining_json(str(data_dir / MINING_VAL_FILE))
-    test = datagen.load_mining_json(str(data_dir / MINING_TEST_FILE))
+    paths = [str(Path(config.data_dir) / name) for name in (MINING_VAL_FILE, MINING_TEST_FILE)]
+    val, test = map(datagen.load_mining_json, paths)
+    for path, corpus in zip(paths, (val, test)):
+        check_ids(corpus.side_a, params_a.vocab_size, f"{path}: side_a sentence")
+        check_ids(corpus.side_b, params_b.vocab_size, f"{path}: side_b sentence")
     (val_a, val_b), (test_a, test_b) = (
         (encode_batch(params_a, corpus.side_a, pooling), encode_batch(params_b, corpus.side_b, pooling))
         for corpus in (val, test)
@@ -351,7 +354,9 @@ class StsConfig:
 def cmd_eval_sts(config: StsConfig) -> int:
     params_a, _ = load_checkpoint(config.checkpoint)
     pooling = _trained_pooling(config.checkpoint)
-    pairs = datagen.load_sts_tsv(str(Path(config.data_dir) / STS_FILE))
+    path = str(Path(config.data_dir) / STS_FILE)
+    pairs = datagen.load_sts_tsv(path)
+    evaluation.check_sts_pairs(pairs, params_a.vocab_size, path)
     rho = evaluation.sts_eval(params_a, pairs, pooling)
     _write_json(config.out, {"spearman": rho, "count": len(pairs)})
     _write_json(Path(config.out).with_suffix("").as_posix() + "_config.json", dataclasses.asdict(config))

@@ -9,7 +9,9 @@ retrieval, true pairs for mining, set-Jaccard for similarity, and a
 set-relation rule for inference triples.
 
 Every concept set generated within one corpus is unique, which makes the
-aligned sentence the unique maximum-Jaccard match of its partner.
+aligned sentence the unique maximum-Jaccard match of its partner. In a
+mining corpus no two sets share half their concepts (Jaccard < 1/2), the
+one rule its sampler decides.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,9 +33,6 @@ SPLITS = ("train", "validation", "test")
 
 _MAX_SAMPLING_ATTEMPTS = 2000
 _MAX_LEN = 20  # concepts per sentence at most
-# Side-A sets per step of the mining audit: at 1,000 side-B sets and 10
-# concepts a set, a block gathers at most 320 kB of incidence rows.
-_AUDIT_BLOCK = 32
 
 
 @dataclass
@@ -181,78 +180,65 @@ def _reorder(concepts: tuple[int, ...], rule: str) -> tuple[int, ...]:
     raise ConfigError(f"reorder_b must be 'reverse' or 'identity' (got {rule!r})")
 
 
-class _ConceptSampler:
-    """Draws distinct-concept sequences whose sets are unique (and optionally
-    low-overlap) across everything sampled so far.
+# A rule that takes a concept sequence, keeping its set, or refuses it.
+_Rule = Callable[[tuple[int, ...]], bool]
 
-    With max_overlap = 1 only a repeated set is rejected, so each set is
-    kept as an integer with one bit per concept. With max_overlap < 1 the
-    sets themselves are kept, in `seen`, for the mining audit, and a
-    candidate is rejected when its Jaccard with any seen set reaches
-    max_overlap. A concept x seen-set incidence matrix of
-    0/1 bytes, whose columns double in number as it fills, gives the number
-    of concepts the candidate shares with every seen set in one gather and
-    one sum. The float test an all-pairs scan makes, m / (n + |s| - m) >=
-    max_overlap for m shared concepts, grows with m at fixed n + |s|, so
-    for each candidate length n and seen set s it fails from one least m
-    on; those counts, kept per seen set for every n up to _MAX_LEN, turn
-    the test into one comparison of the whole count array.
+
+def _sample(lexicon: ConceptLexicon, rng: np.random.Generator, length: int, accept: _Rule) -> tuple[int, ...]:
+    """The first of up to _MAX_SAMPLING_ATTEMPTS draws of `length` distinct
+    concepts that the rule `accept` takes."""
+    if length > lexicon.concept_count:
+        raise ConfigError(f"sentence length {length} exceeds concept inventory {lexicon.concept_count}")
+    for _ in range(_MAX_SAMPLING_ATTEMPTS):
+        seq = _draw_concepts(rng, lexicon.concept_count, length)
+        if accept(seq):
+            return seq
+    raise ConfigError(
+        "could not sample a sufficiently distinct concept sequence; "
+        "increase concept_count or reduce corpus size"
+    )
+
+
+def _unseen_set() -> _Rule:
+    """The parallel corpus's rule: a set is accepted unless it was accepted
+    before. Each set is kept as an integer with one bit per concept."""
+    keys: set[int] = set()
+
+    def accept(seq: tuple[int, ...]) -> bool:
+        key = sum(1 << c for c in seq)  # the concepts are distinct
+        if key in keys:
+            return False
+        keys.add(key)
+        return True
+
+    return accept
+
+
+def _low_overlap(concept_count: int, capacity: int) -> _Rule:
+    """The mining corpus's rule for up to `capacity` sets: a set of n concepts
+    is accepted when its Jaccard with every set s accepted before is below
+    1/2, that is when 3m < n + |s| for the m concepts they share.
+
+    The accepted sets are kept as a concept x set incidence of 0/1 bytes and
+    their sizes, so one gather and one sum give the shared counts against
+    all of them. The counts stay within 3 * _MAX_LEN, which a byte holds.
     """
+    incidence = np.zeros((concept_count, capacity), dtype=np.uint8)
+    sizes = np.zeros(capacity, dtype=np.uint8)
+    kept = 0
 
-    def __init__(self, lexicon: ConceptLexicon, rng: np.random.Generator, max_overlap: float = 1.0):
-        if not max_overlap > 0.0:
-            raise ConfigError(f"max_overlap must be > 0 (got {max_overlap})")
-        self.lexicon = lexicon
-        self.rng = rng
-        self.max_overlap = max_overlap  # reject Jaccard >= this vs existing sets
-        self.seen: list[frozenset[int]] = []
-        self._seen_keys: set[int] = set()
-        self._incidence = np.zeros((lexicon.concept_count, 64), dtype=np.uint8)
-        self._fail_at = np.zeros((_MAX_LEN + 1, 64), dtype=np.uint8)  # [n, k]: least failing m
-        # [n + |s|]: least m failing the float test; 255, above any count, if none does
-        self._fail_by_total = np.array(
-            [
-                min((m for m in range(1, total // 2 + 1) if m / (total - m) >= max_overlap), default=255)
-                for total in range(2 * _MAX_LEN + 1)
-            ],
-            dtype=np.uint8,
-        )
+    def accept(seq: tuple[int, ...]) -> bool:
+        nonlocal kept
+        rows = list(seq)
+        shared = np.add.reduce(incidence[rows, :kept], axis=0, dtype=np.uint8)
+        if (3 * shared >= len(seq) + sizes[:kept]).any():
+            return False
+        incidence[rows, kept] = 1
+        sizes[kept] = len(seq)
+        kept += 1
+        return True
 
-    def draw(self, length: int) -> tuple[int, ...]:
-        if length > self.lexicon.concept_count:
-            raise ConfigError(
-                f"sentence length {length} exceeds concept inventory {self.lexicon.concept_count}"
-            )
-        for _ in range(_MAX_SAMPLING_ATTEMPTS):
-            seq = _draw_concepts(self.rng, self.lexicon.concept_count, length)
-            if self.max_overlap >= 1.0:
-                key = sum(1 << c for c in seq)  # the concepts are distinct
-                if key not in self._seen_keys:
-                    self._seen_keys.add(key)
-                    return seq
-            else:
-                cand = frozenset(seq)
-                if self._acceptable(cand):
-                    self._add(cand)
-                    return seq
-        raise ConfigError(
-            "could not sample a sufficiently distinct concept sequence; "
-            "increase concept_count or reduce corpus size"
-        )
-
-    def _acceptable(self, cand: frozenset[int]) -> bool:
-        k = len(self.seen)
-        shared = np.add.reduce(self._incidence[list(cand), :k], axis=0, dtype=np.uint8)
-        return not (shared >= self._fail_at[len(cand), :k]).any()
-
-    def _add(self, cand: frozenset[int]) -> None:
-        k = len(self.seen)
-        self.seen.append(cand)
-        if k == self._incidence.shape[1]:
-            self._incidence = np.concatenate([self._incidence, np.zeros_like(self._incidence)], axis=1)
-            self._fail_at = np.concatenate([self._fail_at, np.zeros_like(self._fail_at)], axis=1)
-        self._incidence[list(cand), k] = 1
-        self._fail_at[:, k] = self._fail_by_total[len(cand) : len(cand) + _MAX_LEN + 1]
+    return accept
 
 
 def _check_len_range(len_range: tuple[int, int]) -> None:
@@ -285,7 +271,7 @@ def gen_parallel_corpus(
         raise ConfigError(f"noise_rate must be in [0, 1) (got {noise_rate})")
 
     rng = np.random.default_rng(seed)
-    sampler = _ConceptSampler(lexicon, rng)
+    accept = _unseen_set()
     surface_a, noise_a = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
     surface_b, noise_b = lexicon.surface_b.tolist(), lexicon.noise_b.tolist()
     counts = (n_train, n_val, n_test)
@@ -294,7 +280,7 @@ def gen_parallel_corpus(
     ids_a, ids_b, ids_c, lengths = array("i"), array("i"), array("i"), array("i")
     for _ in range(sum(counts)):
         length = int(rng.integers(len_range[0], len_range[1] + 1))
-        concepts = sampler.draw(length)
+        concepts = _sample(lexicon, rng, length, accept)
         tokens_a = _render(concepts, surface_a, noise_a, noise_rate, rng)
         tokens_b = _render(_reorder(concepts, reorder_b), surface_b, noise_b, noise_rate, rng)
         ids_a.extend(tokens_a)
@@ -318,9 +304,9 @@ def gen_mining_corpus(
 ) -> MiningCorpus:
     """Partially parallel collections with at least one recorded gold pair.
 
-    Concept sets are rejected until every cross-side non-gold pair shares
-    less than half of its concepts (Jaccard < 0.5), which a final scan
-    re-verifies.
+    Every concept set is drawn until its Jaccard with each set drawn before
+    it is below 1/2; every non-gold cross pair is two distinct drawn sets,
+    so it shares less than half of its concepts.
     """
     if not (0.0 < parallel_fraction < 1.0):
         raise ConfigError(f"parallel_fraction must be in (0, 1) (got {parallel_fraction})")
@@ -330,7 +316,7 @@ def gen_mining_corpus(
     _check_len_range(len_range)
 
     rng = np.random.default_rng(seed)
-    sampler = _ConceptSampler(lexicon, rng, max_overlap=0.5)
+    accept = _low_overlap(lexicon.concept_count, n_a + n_b - n_gold)
     surface_a, noise_a = lexicon.surface_a.tolist(), lexicon.noise_a.tolist()
     surface_b, noise_b = lexicon.surface_b.tolist(), lexicon.noise_b.tolist()
 
@@ -340,7 +326,7 @@ def gen_mining_corpus(
     seqs_b: list[tuple[int, ...]] = []
     for i in range(n_a + n_b - n_gold):
         length = int(rng.integers(len_range[0], len_range[1] + 1))
-        concepts = sampler.draw(length)
+        concepts = _sample(lexicon, rng, length, accept)
         if i < n_a:
             seqs_a.append(_render(concepts, surface_a, noise_a, noise_rate, rng))
         if not n_gold <= i < n_a:
@@ -352,47 +338,7 @@ def gen_mining_corpus(
     side_a = _table([seqs_a[i] for i in np.argsort(pos_a).tolist()])
     side_b = _table([seqs_b[i] for i in np.argsort(pos_b).tolist()])
     gold_pairs = [(int(pos_a[i]), int(pos_b[i])) for i in range(n_gold)]
-
-    seen = sampler.seen
-    _audit_overlap(seen[:n_a], seen[:n_gold] + seen[n_a:], pos_a, pos_b, set(gold_pairs))
     return MiningCorpus(side_a, side_b, gold_pairs, parallel_fraction)
-
-
-def _audit_overlap(
-    sets_a: list[frozenset[int]],
-    sets_b: list[frozenset[int]],
-    pos_a: np.ndarray,
-    pos_b: np.ndarray,
-    gold: set[tuple[int, int]],
-) -> None:
-    """Cross-check that every non-gold cross pair shares < 50% of concepts.
-
-    Side-A sets are taken _AUDIT_BLOCK at a time, in generation order. A
-    block's shared-concept counts against every side-B set are the rows of a
-    concept x side-B incidence of 0/1 bytes gathered at the block's concepts
-    and summed set by set, with no float product; the float Jaccard test an
-    all-pairs scan makes then runs on the whole block. Failing pairs are
-    visited in row-major order, so the first non-gold one is the pair that
-    scan, in generation order of side A and then side B, reports.
-    """
-    len_a = np.fromiter(map(len, sets_a), dtype=np.int16, count=len(sets_a))
-    len_b = np.fromiter(map(len, sets_b), dtype=np.int16, count=len(sets_b))
-    flat_a = np.fromiter(chain.from_iterable(sets_a), dtype=np.intp, count=int(len_a.sum()))
-    flat_b = np.fromiter(chain.from_iterable(sets_b), dtype=np.intp, count=int(len_b.sum()))
-    incidence_b = np.zeros((max(flat_a.max(), flat_b.max()) + 1, len(sets_b)), dtype=np.uint8)
-    incidence_b[flat_b, np.repeat(np.arange(len(sets_b)), len_b)] = 1
-    starts_a = np.concatenate([[0], np.cumsum(len_a)])
-    for lo in range(0, len(sets_a), _AUDIT_BLOCK):
-        hi = min(lo + _AUDIT_BLOCK, len(sets_a))
-        rows = incidence_b[flat_a[starts_a[lo] : starts_a[hi]]]
-        shared = np.add.reduceat(rows, starts_a[lo:hi] - starts_a[lo], axis=0, dtype=np.uint8)
-        fails = shared / (len_a[lo:hi, None] + len_b - shared) >= 0.5
-        for ia, jb in zip(*np.nonzero(fails)):
-            i, j = int(pos_a[lo + ia]), int(pos_b[jb])
-            if (i, j) not in gold:
-                raise ConfigError(
-                    f"generation audit failed: non-gold pair ({i}, {j}) shares >= 50% of concepts"
-                )
 
 
 def gen_sts_pairs(

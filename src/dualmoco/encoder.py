@@ -206,29 +206,6 @@ def pack_tokens(sequences: Sequence[TokenSeq]) -> TokenTable:
     return TokenTable(ids, lengths, np.cumsum(lengths) - lengths)
 
 
-def _take(table: TokenTable, selection: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ids (the table's dtype), lengths and starts (intp) of table sequences
-    `selection`, in that order."""
-    lengths = table.lengths[selection].astype(np.intp)
-    starts = np.cumsum(lengths) - lengths
-    offsets = np.repeat(table.starts[selection] - starts, lengths)
-    return table.ids[offsets + np.arange(len(offsets))], lengths, starts
-
-
-def table_rows(table: TokenTable, rows: np.ndarray, vocab_size: int, item: str) -> TokenTable:
-    """Table sequences `rows` as a table of their own, stored as token_table
-    stores a column.
-
-    Every sequence must be non-empty with ids in [0, vocab_size); otherwise
-    InvalidInputError names the first offending one as `item` and its
-    position in `rows` (as in "side A of training pair 17").
-    """
-    ids, lengths, _ = _take(table, rows)
-    rows_table = token_table(ids, lengths)
-    check_ids(rows_table, vocab_size, item)
-    return rows_table
-
-
 def gather_batch(table: TokenTable, selection: np.ndarray) -> TokenTable:
     """The batch of table sequences `selection`, in that order, with intp
     ids, lengths and starts; equal, array by array, to pack_tokens of the
@@ -239,7 +216,10 @@ def gather_batch(table: TokenTable, selection: np.ndarray) -> TokenTable:
     batch holding an id beyond intp keeps them as Python ints, which only
     that refusal reads.
     """
-    ids, lengths, starts = _take(table, selection)
+    lengths = table.lengths[selection].astype(np.intp)
+    starts = np.cumsum(lengths) - lengths
+    offsets = np.repeat(table.starts[selection] - starts, lengths)
+    ids = table.ids[offsets + np.arange(len(offsets))]
     try:
         ids = ids.astype(np.intp)
     except OverflowError:

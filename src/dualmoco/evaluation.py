@@ -25,6 +25,7 @@ from .encoder import (
     EncoderParams,
     Pooling,
     atomic_write,
+    check_ids,
     encode_batch,
     pack_tensor_file,
     read_json_object,
@@ -232,6 +233,19 @@ def search_threshold(
     if score[best] > 0.0:
         return float(thresholds[best]), float(score[best])
     return float("inf"), 0.0  # accept nothing when no threshold scores above zero
+
+
+def check_sts_pairs(pairs: StsPairs, vocab_size: int, source: str) -> None:
+    """InvalidInputError unless every sentence of `pairs` is non-empty with
+    ids in [0, vocab_size) and the gold column holds 2 distinct scores, as a
+    rank correlation needs; the message starts with `source`, the file or
+    a name for the pairs, and names the column and the pair."""
+    check_ids(pairs.tokens_1, vocab_size, f"{source}: first sentence of similarity pair")
+    check_ids(pairs.tokens_2, vocab_size, f"{source}: second sentence of similarity pair")
+    if pairs.gold.min() == pairs.gold.max():  # one pair, or a constant column
+        raise InvalidInputError(
+            f"{source}: every gold score is {float(pairs.gold[0])!r}; a rank correlation needs 2 distinct scores"
+        )
 
 
 def sts_eval(encoder: EncoderParams, pairs: StsPairs, pooling: Pooling | str) -> float:

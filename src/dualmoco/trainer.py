@@ -41,7 +41,6 @@ from .encoder import (
     forward_batch,
     gather_batch,
     init_params,
-    table_rows,
 )
 from .errors import ConfigError, CorpusParseError, InvalidInputError, NumericalFailureError
 from .moco import DualMocoState, LossValue, advance_state, loss_and_gradients, new_state, tower_pair
@@ -378,9 +377,9 @@ def train(
     against the momentum towers' keys, global clip, AdamW, EMA update of the
     momentum towers, enqueue of the keys the loss used. Each side of the
     training split, and every column of the inference and similarity data,
-    is taken from its table and checked once, before the first step; a
-    step's batch is an index gather from it. The last
-    partial batch of every epoch is dropped so enqueue sizes stay constant.
+    is checked once, before the first step; a step's batch is an index
+    gather from the corpus columns. The last partial batch of every epoch
+    is dropped so enqueue sizes stay constant.
     Per-epoch rows carry retrieval accuracy on the validation split and,
     when similarity pairs are supplied, their rank correlation.
     Both towers get `vocab_size` rows, by default one more than the largest
@@ -402,8 +401,8 @@ def train(
         )
 
     vocab = vocab_size if vocab_size is not None else corpus.max_token() + 1
-    side_a = table_rows(corpus.tokens_a, train_rows, vocab, "side A of training pair")
-    side_b = table_rows(corpus.tokens_b, train_rows, vocab, "side B of training pair")
+    check_ids(gather_batch(corpus.tokens_a, train_rows), vocab, "side A of training pair")
+    check_ids(gather_batch(corpus.tokens_b, train_rows), vocab, "side B of training pair")
     val_rows = corpus.split("validation")
     if not len(val_rows):
         val_rows = train_rows[:256]
@@ -418,13 +417,7 @@ def train(
             code = nli_data.labels[bad[0]]
             raise InvalidInputError(f"inference triple {bad[0]}: label code {code} outside [0, {len(NLI_LABELS)})")
     if sts_pairs:
-        check_ids(sts_pairs.tokens_1, vocab, "first sentence of similarity pair")
-        check_ids(sts_pairs.tokens_2, vocab, "second sentence of similarity pair")
-        if sts_pairs.gold.min() == sts_pairs.gold.max():  # one pair, or a constant column
-            raise InvalidInputError(
-                f"similarity pairs: every gold score is {float(sts_pairs.gold[0])!r}; "
-                "a rank correlation needs 2 distinct scores"
-            )
+        evaluation.check_sts_pairs(sts_pairs, vocab, "similarity pairs")
 
     seed_seq = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng, nli_rng, dropout_rng = (
@@ -462,8 +455,8 @@ def train(
             lr = lr_at(
                 step, lr_max=config.lr_max, warmup_steps=config.warmup_steps, total_steps=total_steps
             )
-            batch_a = gather_batch(side_a, sel)
-            batch_b = gather_batch(side_b, sel)
+            batch_a = gather_batch(corpus.tokens_a, train_rows[sel])
+            batch_b = gather_batch(corpus.tokens_b, train_rows[sel])
             nli_batch = None
             if head is not None:
                 first = step * config.nli_batch_size

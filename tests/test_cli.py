@@ -510,6 +510,42 @@ class TestEvaluationCommands:
         assert "sts.tsv:1: gold similarity 'nan' outside [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fault, name, message",
+        [
+            ("id", "sts.tsv", "second sentence of similarity pair 1: token id 99999 outside [0, 88)"),
+            ("constant_gold", "sts.tsv", "every gold score is 0.5; a rank correlation needs 2 distinct scores"),
+            ("id", "mining_test.json", "side_b sentence 7: token id 99999 outside [0, 88)"),
+        ],
+        ids=["sts_id", "sts_constant_gold", "mining_id"],
+    )
+    def test_bad_evaluation_data_exits_2_naming_the_file_and_record(
+        self, pipeline, tmp_path, capsys, fault, name, message
+    ):
+        # each of these was refused only by the forward pass or the rank
+        # statistic, in words that named neither the file nor the record
+        _, data, run = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / name
+        if name == "mining_test.json":
+            doc = json.loads(path.read_text())
+            doc["side_b"][7].append(99999)
+            path.write_text(json.dumps(doc))
+            command, out = "mine", tmp_path / "mining.json"
+        else:
+            rows = [line.split("\t") for line in path.read_text().splitlines()]
+            if fault == "id":
+                rows[1][1] += " 99999"
+            else:
+                rows = [[a, b, "0.5"] for a, b, _ in rows]
+            path.write_text("".join("\t".join(row) + "\n" for row in rows))
+            command, out = "eval-sts", tmp_path / "sts.json"
+        argv = [command, "--checkpoint", str(run / "checkpoint.bin"), "--data", str(copy), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resolved_config_next_to_outputs(self, pipeline, tmp_path):
         _, data, run = pipeline
         out = tmp_path / "sts.json"

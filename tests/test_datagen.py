@@ -161,8 +161,10 @@ class TestGenMiningCorpus:
             assert sorted(got_a) == sorted(got_b)
 
     def test_non_gold_overlap_below_half(self, lexicon):
-        # direct concept-overlap scan over every cross pair
-        mining = gen_mining_corpus(lexicon, 30, 30, 0.2, seed=16)
+        # direct concept-overlap scan over every cross pair; on 60 concepts,
+        # sets of 3 or 4 often share half their concepts, so the sampler
+        # rejects many draws here
+        mining = gen_mining_corpus(lexicon, 120, 120, 0.1, seed=5, len_range=(3, 4))
         gold = set(mining.gold_pairs)
         sets_a = [
             set(recover_concepts(s, lexicon.surface_a, lexicon.noise_a)) for s in sequences(mining.side_a)
@@ -195,25 +197,24 @@ class TestGenMiningCorpus:
         assert sequences(m1.side_a) == sequences(m2.side_a) and m1.gold_pairs == m2.gold_pairs
 
 
-def all_pairs_acceptable(self, cand):
-    """The all-pairs `_ConceptSampler._acceptable` scan, kept as the reference
-    for the whole-array one."""
-    return all(len(cand & s) / len(cand | s) < self.max_overlap for s in self.seen)
+def all_pairs_low_overlap(verdicts):
+    """A stand-in for `datagen._low_overlap` that makes the all-pairs float
+    scan of the accepted sets, kept as the reference for the integer rule,
+    and appends each verdict to `verdicts`."""
 
+    def rule(concept_count, capacity):
+        kept = []
 
-def all_pairs_audit(sets_a, sets_b, pos_a, pos_b, gold):
-    """The all-pairs `_audit_overlap` scan, kept as the reference for the
-    blocked whole-array one."""
-    placed_a = {int(pos_a[i]): s for i, s in enumerate(sets_a)}
-    placed_b = {int(pos_b[j]): s for j, s in enumerate(sets_b)}
-    for i, sa in placed_a.items():
-        for j, sb in placed_b.items():
-            if (i, j) in gold:
-                continue
-            if len(sa & sb) / len(sa | sb) >= 0.5:
-                raise ConfigError(
-                    f"generation audit failed: non-gold pair ({i}, {j}) shares >= 50% of concepts"
-                )
+        def accept(seq):
+            cand = frozenset(seq)
+            verdicts.append(all(len(cand & s) / len(cand | s) < 0.5 for s in kept))
+            if verdicts[-1]:
+                kept.append(cand)
+            return verdicts[-1]
+
+        return accept
+
+    return rule
 
 
 class TestConceptIndex:
@@ -224,12 +225,7 @@ class TestConceptIndex:
     def test_sampler_matches_all_pairs_scan(self, lexicon, monkeypatch, seed, n, len_range):
         indexed = gen_mining_corpus(lexicon, n, n, 0.1, seed=seed, len_range=len_range)
         verdicts = []
-
-        def reference(self, cand):
-            verdicts.append(all_pairs_acceptable(self, cand))
-            return verdicts[-1]
-
-        monkeypatch.setattr(datagen._ConceptSampler, "_acceptable", reference)
+        monkeypatch.setattr(datagen, "_low_overlap", all_pairs_low_overlap(verdicts))
         scanned = gen_mining_corpus(lexicon, n, n, 0.1, seed=seed, len_range=len_range)
         assert sequences(indexed.side_a) == sequences(scanned.side_a)
         assert sequences(indexed.side_b) == sequences(scanned.side_b)
@@ -238,92 +234,63 @@ class TestConceptIndex:
             # on 60 concepts, a large share of short draws overlaps a seen set
             assert verdicts.count(False) > 0.3 * len(verdicts)
 
-    @pytest.mark.parametrize("max_overlap", [0.3, 1 / 3, 0.6, 0.75, 0.999])
-    def test_sampler_thresholds_match_all_pairs_scan(self, monkeypatch, max_overlap):
-        # 12 concepts: every threshold rejects, and the low ones run out
+    def test_sampler_matches_all_pairs_scan_until_it_runs_out(self):
+        # 12 concepts: the rule rejects often, and the low-overlap sets run out
         small = make_lexicon(concept_count=12, noise_count=4, seed=0)
 
-        def draws():
+        def draws(rule):
             rng = np.random.default_rng(7)
-            sampler = datagen._ConceptSampler(small, rng, max_overlap=max_overlap)
+            accept = rule(small.concept_count, 60)
             out = []
             try:
                 while len(out) < 60:
-                    out.append(sampler.draw(int(rng.integers(3, 6))))
+                    out.append(datagen._sample(small, rng, int(rng.integers(3, 6)), accept))
             except ConfigError as e:
                 out.append(str(e))
             return out, rng.random()
 
         verdicts = []
-
-        def reference(self, cand):
-            verdicts.append(all_pairs_acceptable(self, cand))
-            return verdicts[-1]
-
-        indexed = draws()
-        monkeypatch.setattr(datagen._ConceptSampler, "_acceptable", reference)
-        assert draws() == indexed
+        indexed = draws(datagen._low_overlap)
+        assert draws(all_pairs_low_overlap(verdicts)) == indexed
+        assert indexed[0][-1].startswith("could not sample a sufficiently distinct concept sequence")
         assert verdicts.count(False) > 0
 
     def test_duplicate_sampler_runs_out_after_every_distinct_set(self):
         # 4 concepts hold 4 sets of 3, each drawn in any of 6 orders
         small = make_lexicon(concept_count=4, noise_count=1, seed=0)
-        sampler = datagen._ConceptSampler(small, np.random.default_rng(3))
-        drawn = [sampler.draw(3) for _ in range(4)]
+        rng, accept = np.random.default_rng(3), datagen._unseen_set()
+        drawn = [datagen._sample(small, rng, 3, accept) for _ in range(4)]
         every_set = {frozenset(s) for s in ({0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3})}
         assert {frozenset(seq) for seq in drawn} == every_set
         with pytest.raises(ConfigError, match="could not sample a sufficiently distinct concept sequence"):
-            sampler.draw(3)
-        assert sampler.seen == []  # sets are kept only for the mining audit
+            datagen._sample(small, rng, 3, accept)
 
-    def test_max_overlap_must_be_positive(self, lexicon):
-        with pytest.raises(ConfigError, match="max_overlap"):
-            datagen._ConceptSampler(lexicon, np.random.default_rng(0), max_overlap=0.0)
+    def test_low_overlap_rejects_half_overlap(self):
+        accept = datagen._low_overlap(6, 3)
+        assert accept((1, 2, 3))
+        assert not accept((1, 2, 4))  # Jaccard 2/4
+        assert accept((2, 4, 5))  # shares 2 of 4 concepts with the rejected set, which is not kept
 
-    def test_audit_rejects_half_overlap(self):
-        with pytest.raises(ConfigError, match=r"non-gold pair \(0, 0\)"):
-            datagen._audit_overlap(
-                [frozenset({1, 2, 3})], [frozenset({1, 2, 4})], np.array([0]), np.array([0]), set()
-            )
+    def test_low_overlap_accepts_below_half(self):
+        accept = datagen._low_overlap(6, 2)
+        assert accept((1, 2, 3))
+        assert accept((1, 2, 4, 5))  # Jaccard 2/5
 
-    def test_audit_exempts_gold_and_passes_below_half(self):
-        datagen._audit_overlap(
-            [frozenset({1, 2, 3})], [frozenset({1, 2, 4})], np.array([0]), np.array([0]), {(0, 0)}
-        )
-        datagen._audit_overlap(
-            [frozenset({1, 2, 3})], [frozenset({1, 2, 4, 5})], np.array([0]), np.array([0]), set()
-        )
-
-    def test_audit_matches_all_pairs_scan(self):
-        # dense overlaps on 8 concepts, so most cases fail, often at several pairs
-        rng = np.random.default_rng(0)
-
-        def random_sets():
-            return [
-                frozenset(int(c) for c in rng.choice(8, size=rng.integers(1, 5), replace=False))
-                for _ in range(rng.integers(1, 7))
-            ]
-
-        outcomes = set()
-        for _ in range(300):
-            sets_a, sets_b = random_sets(), random_sets()
-            pos_a, pos_b = rng.permutation(len(sets_a)), rng.permutation(len(sets_b))
-            gold = {(int(i), int(j)) for i, j in zip(pos_a, pos_b) if rng.random() < 0.5}
-            results = []
-            for audit in (datagen._audit_overlap, all_pairs_audit):
-                try:
-                    audit(sets_a, sets_b, pos_a, pos_b, gold)
-                    results.append(None)
-                except ConfigError as e:
-                    results.append(str(e))
-            assert results[0] == results[1]
-            outcomes.add(results[0] is None)
-        assert outcomes == {True, False}
+    def test_low_overlap_is_the_float_test_at_every_size(self):
+        # every set size n and s up to 20 and every shared count m; the
+        # integer test 3m < n + s must be the scan's m / (n + s - m) < 1/2
+        for s in range(1, 21):
+            for n in range(1, 21):
+                for m in range(min(n, s) + 1):
+                    accept = datagen._low_overlap(40, 2)
+                    assert accept(tuple(range(s)))
+                    got = accept(tuple(range(s - m, s - m + n)))
+                    assert got == (m / (n + s - m) < 0.5), (n, s, m)
 
 
 class TestMatchesPerPairReferences:
     """gen-data with the per-token draws and rendering and the all-pairs
-    overlap scans patched in writes the same bytes as the array code."""
+    overlap scan patched in writes the same bytes as the array code."""
 
     @pytest.mark.parametrize(
         "extra",
@@ -343,8 +310,7 @@ class TestMatchesPerPairReferences:
         with monkeypatch.context() as patch:
             patch.setattr(datagen, "_draw_concepts", reference_draw_concepts)
             patch.setattr(datagen, "_render", reference_render)
-            patch.setattr(datagen._ConceptSampler, "_acceptable", all_pairs_acceptable)
-            patch.setattr(datagen, "_audit_overlap", all_pairs_audit)
+            patch.setattr(datagen, "_low_overlap", all_pairs_low_overlap([]))
             assert cli.main(["gen-data", "--out", str(tmp_path / "ref"), *args]) == 0
         names = sorted(p.name for p in (tmp_path / "new").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "ref").iterdir())
@@ -356,25 +322,6 @@ class TestMatchesPerPairReferences:
                 assert configs[0] == configs[1]
             else:
                 assert new.read_bytes() == ref.read_bytes(), name
-
-    def test_audit_memory_bounded(self, monkeypatch):
-        # 1,000 sets per side; a dense cross matrix of 2-byte counts would
-        # alone take n_a * n_b * 2 bytes
-        calls = []
-        monkeypatch.setattr(datagen, "_audit_overlap", lambda *args: calls.append(args))
-        lexicon = make_lexicon(380, 20, seed=1)
-        gen_mining_corpus(lexicon, 1000, 1000, 0.1, seed=5)
-        monkeypatch.undo()
-        (args,) = calls
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            datagen._audit_overlap(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 1000 * 1000 * 2
 
 
 def traced_peak(fn):

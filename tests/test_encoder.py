@@ -28,7 +28,6 @@ from dualmoco.encoder import (
     load_checkpoint,
     pack_tokens,
     save_checkpoint,
-    table_rows,
     token_table,
 )
 from dualmoco.errors import ConfigError, CorpusParseError, InvalidInputError
@@ -334,11 +333,11 @@ class TestTokenTable:
             check_ids(pack_tokens([[1, 2], [3], [4, 9, 9]]), 9, "side A of training pair")
         with pytest.raises(InvalidInputError, match="premise 1: empty token sequence"):
             check_ids(pack_tokens([[1], [], [-1]]), 9, "premise")
-        # table_rows names a sequence by its position in the selection
+        # a check of a gathered batch names a sequence by its position in the selection
         table = pack_tokens([[1, 2], [3], [4, 9, 9], [5]])
-        assert table_rows(table, np.array([3, 0]), 9, "side A of training pair").ids.tolist() == [5, 1, 2]
+        check_ids(gather_batch(table, np.array([3, 0])), 9, "side A of training pair")
         with pytest.raises(InvalidInputError, match=r"side A of training pair 1: token id 9 outside \[0, 9\)"):
-            table_rows(table, np.array([1, 2, 0]), 9, "side A of training pair")
+            check_ids(gather_batch(table, np.array([1, 2, 0])), 9, "side A of training pair")
 
 
 class TestEncodeBackward:

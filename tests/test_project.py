@@ -1,7 +1,7 @@
 """Checks on the project as shipped: the README's library example runs as
 written and it names only commands and flags the CLI accepts, no module
-imports a name it never uses, every public name the package defines has
-a user outside the tests, every raise is one of the package's error
+imports a name it never uses, every top-level name the package defines,
+private ones too, has a user outside the tests, every raise is one of the package's error
 families, and so is the error of every conversion to one of its enums."""
 
 import argparse
@@ -100,10 +100,11 @@ def test_unused_import_is_reported():
     assert _unused_imports(source) == ["line 3: Sequence"]
 
 
-def _unused_public_names(sources: dict[str, str], docs: str) -> list[str]:
-    """Public top-level names defined in `sources` (module name -> code) that
-    no source loads or imports and no word of `docs` matches. Only loads
-    count, so an assignment is not its own use."""
+def _unused_names(sources: dict[str, str], docs: str) -> list[str]:
+    """Top-level names but dunders defined in `sources` (module name -> code)
+    that no source loads or imports and no word of `docs` matches. Only
+    loads count, so an assignment is not its own use, and a private helper
+    that only the tests call is reported."""
     defined, used = [], set(re.findall(r"\w+", docs))
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -121,21 +122,22 @@ def _unused_public_names(sources: dict[str, str], docs: str) -> list[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return [f"{m}.{name}" for m, name in defined if not name.startswith("_") and name not in used]
+    return [f"{m}.{name}" for m, name in defined if name not in used and not re.fullmatch(r"__\w*__", name)]
 
 
 def test_every_public_name_has_a_user_outside_the_tests():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     docs = [ROOT / "README.md", ROOT / "pyproject.toml", *sorted((ROOT / "perfbench").glob("*.py"))]
-    assert _unused_public_names(sources, "\n".join(p.read_text(encoding="utf-8") for p in docs)) == []
+    assert _unused_names(sources, "\n".join(p.read_text(encoding="utf-8") for p in docs)) == []
 
 
 def test_unused_public_name_is_reported():
     sources = {
         "a": "X = 1\nY = 2\n_Z = 3\ndef f():\n    return Y\nclass C:\n    pass\nclass D:\n    pass\n",
-        "b": "from .a import C\nimport a\na.D\n",
+        "b": "from .a import C\nimport a\na.D\n__all__ = []\n_W = 4\ndef _g():\n    return _W\ndef _h():\n    pass\n",
+        "c": "from .b import _g\n",
     }
-    assert _unused_public_names(sources, "f is in the README") == ["a.X"]
+    assert _unused_names(sources, "f is in the README") == ["a.X", "a._Z", "b._h"]
 
 
 def _foreign_raises(sources: dict[str, str], families: set[str]) -> list[str]:
