@@ -64,46 +64,70 @@ def top_k_from_sims(sims: np.ndarray, k: int) -> Neighbors:
     Row i's neighbors are its k largest entries by descending value, ties
     going to the lower column index (+0.0 and -0.0 tie), exactly as the
     first k columns of a stable descending sort of the row. Each pass takes
-    the first maximum of every row and masks it with -inf for the next; the
-    masks go into one C-order copy, so the input is never written (k = 1
-    needs no copy). The first pass brings a NaN in a row to the top, and a
-    NaN raises InvalidInputError. The result owns (n, k) arrays only.
+    the first maximum of every row and masks it with -inf for the next. A
+    writable contiguous input takes the masks itself, and they are undone
+    before the call returns or raises, so the input reads as it did; any
+    other input (read-only, or a strided view whose entries may share
+    memory) masks one C-order copy instead. k = 1 writes nothing. The first
+    pass brings a NaN in a row to the top, and a NaN raises
+    InvalidInputError. The result owns (n, k) arrays only.
     """
     n, m = sims.shape
     if k < 1 or k > m:
         raise ConfigError(f"k={k} not in [1, {m}]")
-    work = np.array(sims, order="C") if k > 1 else sims
+    in_place = sims.flags.writeable and (sims.flags.c_contiguous or sims.flags.f_contiguous)
+    work = sims if k == 1 or in_place else np.array(sims, order="C")
     rows = np.arange(n)
     cols = np.empty((n, k), dtype=np.intp)
-    for p in range(k):
-        cols[:, p] = work.argmax(axis=1)
-        if p + 1 < k:
-            work[rows, cols[:, p]] = -np.inf
+    masked = np.empty((n, k - 1), dtype=sims.dtype)  # each masked pick's value, to undo the mask
+    passes = 0
+    try:
+        for p in range(k):
+            cols[:, p] = work.argmax(axis=1)
+            if p + 1 < k:
+                masked[:, p] = work[rows, cols[:, p]]
+                passes += 1
+                work[rows, cols[:, p]] = -np.inf
+        # Once a row has only -inf left, a pass may take a masked column
+        # again; such rows take their picks from the stable descending sort.
+        low = np.isneginf(work[rows, cols[:, -1]])
+    finally:
+        # a column picked twice was masked twice, and its second record is
+        # -inf: undo in reverse pass order, so the first record lands last
+        for p in reversed(range(passes)):
+            work[rows, cols[:, p]] = masked[:, p]
     nan_rows = np.isnan(sims[rows, cols[:, 0]])
     if nan_rows.any():
         raise InvalidInputError(f"similarity row {int(nan_rows.argmax())} holds NaN")
-    # Once a row has only -inf left, a pass may take a masked column again;
-    # such rows take their picks from the stable descending sort itself.
-    low = np.isneginf(work[rows, cols[:, -1]])
     if low.any():
         cols[low] = np.argsort(-sims[low], axis=1, kind="stable")[:, :k]
     return Neighbors(cols, np.take_along_axis(sims, cols, axis=1))
 
 
 def nn_search(queries: np.ndarray, corpus: np.ndarray, k: int, block_size: int = 512) -> Neighbors:
-    """Exact cosine top-k of unit-norm queries against a unit-norm corpus."""
+    """Exact cosine top-k of unit-norm queries against a unit-norm corpus.
+
+    The products of each block of block_size query rows go into one
+    (block_size, n_corpus) buffer that the call owns and reuses, and
+    top_k_from_sims selects in it; a NaN is refused with its block named.
+    """
+    if block_size < 1:
+        raise ConfigError(f"block_size must be at least 1 (got {block_size})")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     corpus = np.atleast_2d(np.asarray(corpus, dtype=np.float64))
     if queries.shape[1] != corpus.shape[1]:
         raise InvalidInputError(f"query dim {queries.shape[1]} != corpus dim {corpus.shape[1]}")
     if k < 1 or k > corpus.shape[0]:
         raise ConfigError(f"k={k} not in [1, {corpus.shape[0]}]")
-    indices = np.empty((queries.shape[0], k), dtype=np.int64)
-    sims = np.empty((queries.shape[0], k))
-    for start in range(0, queries.shape[0], block_size):
-        stop = min(start + block_size, queries.shape[0])
+    n = queries.shape[0]
+    indices = np.empty((n, k), dtype=np.int64)
+    sims = np.empty((n, k))
+    products = np.empty((min(block_size, n), corpus.shape[0]))
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        block_sims = np.matmul(queries[start:stop], corpus.T, out=products[: stop - start])
         try:
-            block = top_k_from_sims(queries[start:stop] @ corpus.T, k)
+            block = top_k_from_sims(block_sims, k)
         except InvalidInputError as e:
             raise InvalidInputError(f"query block starting at row {start}: {e}") from e
         indices[start:stop] = block.indices
@@ -167,10 +191,12 @@ def mine_bitext(
 ) -> MiningResult:
     """Score candidate pairs and accept those whose margin exceeds the threshold.
 
-    Candidates are the union of each side's rank-1 matches under nn_search
-    (so no n_a x n_b matrix is held), in (i, j) order, each scored from the
-    dot product of its two rows. A sentence may be in several accepted pairs.
-    An unknown variant is refused before either search runs.
+    Candidates are the union of each side's rank-1 matches under nn_search,
+    in (i, j) order, each scored from the dot product of its two rows. Each
+    search holds one block of products (512 x the other side's rows), never
+    the n_a x n_b matrix, and the candidate keys are deduplicated by a sort.
+    A sentence may be in several accepted pairs. An unknown variant is
+    refused before either search runs.
     """
     _check_variant(variant)
     embs_a = np.atleast_2d(np.asarray(embs_a, dtype=np.float64))
@@ -180,11 +206,13 @@ def mine_bitext(
     nn_a = nn_search(embs_a, embs_b, k)
     nn_b = nn_search(embs_b, embs_a, k)
 
-    # pair (i, j) as the key i * n_b + j, so sorted distinct keys are in (i, j) order
+    # pair (i, j) as the key i * n_b + j, so sorted distinct keys are in (i, j)
+    # order; np.unique would import numpy.ma on first use
     n_a, n_b = len(embs_a), len(embs_b)
     forward = np.arange(n_a) * n_b + nn_a.indices[:, 0]
     backward = nn_b.indices[:, 0] * n_b + np.arange(n_b)
-    i, j = np.divmod(np.unique(np.concatenate([forward, backward])), n_b)
+    keys = np.sort(np.concatenate([forward, backward]))
+    i, j = np.divmod(keys[np.concatenate([[True], keys[1:] != keys[:-1]])], n_b)
     scores = margin_score(i, j, np.einsum("ij,ij->i", embs_a[i], embs_b[j]), nn_a, nn_b, k, variant)
     keep = scores > threshold
     scored = list(zip(i.tolist(), j.tolist(), scores.tolist()))

@@ -1,4 +1,9 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -14,6 +19,7 @@ from helpers import (
     write_embedding_dump,
 )
 
+import dualmoco
 from dualmoco import evaluation
 from dualmoco.datagen import StsPairs
 from dualmoco.encoder import encode_batch, init_params, pack_tokens
@@ -111,6 +117,13 @@ class TestNnSearch:
         rng = np.random.default_rng(5)
         with pytest.raises(InvalidInputError, match="query dim 3 != corpus dim 4"):
             nn_search(random_unit_rows(2, 3, rng), random_unit_rows(5, 4, rng), 1)
+
+    def test_block_size_below_one_is_refused(self):
+        rng = np.random.default_rng(40)
+        queries, corpus = random_unit_rows(3, 4, rng), random_unit_rows(5, 4, rng)
+        for block_size in (-1, 0):
+            with pytest.raises(ConfigError, match=rf"block_size must be at least 1 \(got {block_size}\)"):
+                nn_search(queries, corpus, 2, block_size=block_size)
 
     def test_nan_similarity_is_refused(self):
         sims = np.array([[0.5, 0.9, 0.9, 0.1], [0.5, np.nan, 0.9, 0.1], [np.nan] * 4])
@@ -414,6 +427,44 @@ class TestTopKMatchesSortReference:
                 self.assert_same(top_k_from_sims(view, k), reference_top_k(view, k))
         assert sims.tobytes() == before
 
+    def test_writable_input_is_left_as_it_was(self):
+        # the masks go into a writable input and are undone: every entry,
+        # signed zeros and infinities included, reads its old bytes again
+        rng = np.random.default_rng(41)
+        for sims in itertools.islice(sort_reference_cases(rng), 100):
+            for view in (sims, np.asfortranarray(sims), sims.T):
+                before = view.tobytes()
+                for k in range(1, view.shape[1] + 1):
+                    self.assert_same(top_k_from_sims(view, k), reference_top_k(view, k))
+                    assert view.tobytes() == before
+
+    def test_overlapping_writable_view_is_not_masked_in_place(self):
+        # each row of a sliding window shares entries with its neighbours,
+        # so a mask written into one row would show in the next
+        values = np.round(np.random.default_rng(43).normal(size=14), 1)
+        windows = np.lib.stride_tricks.as_strided(values, shape=(10, 5), strides=(8, 8))
+        assert windows.flags.writeable
+        for k in range(1, 6):
+            self.assert_same(top_k_from_sims(windows, k), reference_top_k(windows, k))
+
+    def test_input_is_left_as_it_was_after_nan_refusal(self):
+        sims = np.array([[0.5, -np.inf, 0.9, -0.0], [0.5, np.nan, -np.inf, 0.1], [-np.inf] * 4])
+        for view in (sims, np.asfortranarray(sims), sims.T):
+            before = view.tobytes()
+            for k in range(1, view.shape[1] + 1):
+                with pytest.raises(InvalidInputError, match="holds NaN"):
+                    top_k_from_sims(view, k)
+                assert view.tobytes() == before
+
+    def test_column_masked_twice_reads_its_value_again(self):
+        # passes 2 and 3 take column 0 again among -inf: undoing the masks
+        # in pass order would leave -inf where 3.0 was
+        sims = np.array([[3.0, -np.inf, -np.inf]])
+        got = top_k_from_sims(sims, 3)
+        assert sims.tolist() == [[3.0, -np.inf, -np.inf]]
+        assert got.indices.tolist() == [[0, 1, 2]]
+        self.assert_same(got, reference_top_k(sims, 3))
+
     def test_nn_search_blocks(self):
         rng = np.random.default_rng(34)
         for case in range(60):
@@ -450,6 +501,42 @@ class TestTopKMemory:
             finally:
                 tracemalloc.stop()
             assert peak < blocks * sims.nbytes
+
+    def test_nn_search_holds_one_block_of_products(self):
+        rng = np.random.default_rng(42)
+        queries, corpus = random_unit_rows(512, 32, rng), random_unit_rows(2000, 32, rng)
+        tracemalloc.start()
+        try:
+            nn_search(queries, corpus, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 512 * 2000 * 8
+
+
+def test_mining_and_search_leave_numpy_ma_unimported():
+    # numpy.ma costs about 10 ms to import, and a plain np.unique imports it
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from dualmoco.evaluation import mine_bitext, nn_search, search_threshold
+
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(30, 8)), rng.normal(size=(40, 8))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        nn_search(a, b, 3, block_size=7)
+        result = mine_bitext(a, b, k=3)
+        search_threshold(result.scored, [(0, 0), (1, 2)])
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(dualmoco.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestF1:
